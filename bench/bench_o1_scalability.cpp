@@ -9,9 +9,7 @@
 //  * graph assembly (add+connect) cost vs component count,
 //  * provenance bookkeeping cost vs inputs-per-output,
 //  * observability overhead (metrics / timing / tracing) vs the bare graph,
-//  * batched emission (emit_batch) vs per-sample pushes,
-//  * multi-graph throughput through the execution engine vs worker count,
-//  * compiled execution plans (verify-then-freeze) vs interpreted dispatch.
+//  * multi-graph throughput through the execution engine vs worker count.
 //
 // `--metrics-json <path>` writes the observed deep-pipeline run as a
 // machine-readable snapshot (metrics + Chrome trace_event flow trace).
@@ -21,7 +19,6 @@
 #include "perpos/core/graph.hpp"
 #include "perpos/exec/engine.hpp"
 #include "perpos/fusion/metrics.hpp"
-#include "perpos/plan/graph_plan.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -50,9 +47,9 @@ std::shared_ptr<core::LambdaComponent> make_relay() {
       });
 }
 
-/// A pipeline of `depth` relays, optionally frozen into a compiled plan.
+/// A pipeline of `depth` relays.
 struct ChainRig {
-  explicit ChainRig(int depth, bool frozen = false) {
+  explicit ChainRig(int depth) {
     source = std::make_shared<core::SourceComponent>(
         "Src", std::vector<core::DataSpec>{core::provide<Value>()});
     core::ComponentId prev = graph.add(source);
@@ -63,7 +60,6 @@ struct ChainRig {
     }
     sink = std::make_shared<core::ApplicationSink>();
     graph.connect(prev, graph.add(sink));
-    if (frozen) graph.freeze_plan();
   }
   core::ProcessingGraph graph;
   std::shared_ptr<core::SourceComponent> source;
@@ -148,28 +144,6 @@ void BM_PipelineDepth(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
 }
 BENCHMARK(BM_PipelineDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-/// The same pipeline frozen into a compiled plan (GraphPlan verifies then
-/// freezes — flat SoA dispatch tables plus the provenance arena replace
-/// the interpreted map/hash lookups and per-hop allocation). Compare with
-/// BM_PipelineDepth at the same depth for the freeze speedup; the CI perf
-/// gate holds frozen/256 to >= 1.5x interpreted/256.
-void BM_PipelineDepthFrozen(benchmark::State& state) {
-  ChainRig rig(static_cast<int>(state.range(0)));
-  plan::GraphPlan policy(rig.graph);
-  const plan::FreezeResult frozen = policy.freeze();
-  if (!frozen.frozen) {
-    state.SkipWithError(("freeze refused: " + frozen.reason).c_str());
-    return;
-  }
-  int i = 0;
-  for (auto _ : state) {
-    rig.source->push(Value{i++});
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
-}
-BENCHMARK(BM_PipelineDepthFrozen)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 /// Same pipeline with observability on: range(1) selects the level
 /// (1 = metrics, 2 = +timing, 3 = +tracing).
@@ -276,27 +250,6 @@ void BM_ProvenanceAggregation(benchmark::State& state) {
 }
 BENCHMARK(BM_ProvenanceAggregation)->Arg(1)->Arg(10)->Arg(100);
 
-/// Batched emission through a 16-stage pipeline: range(0) is the burst
-/// size (1 = the per-sample push baseline).
-void BM_EmitBatch(benchmark::State& state) {
-  const int burst = static_cast<int>(state.range(0));
-  ChainRig rig(16);
-  int i = 0;
-  for (auto _ : state) {
-    if (burst == 1) {
-      rig.source->push(Value{i++});
-    } else {
-      std::vector<Value> values;
-      values.reserve(static_cast<std::size_t>(burst));
-      for (int b = 0; b < burst; ++b) values.push_back(Value{i++});
-      rig.source->push_batch(std::move(values));
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * burst * 17);
-}
-BENCHMARK(BM_EmitBatch)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
 /// Multi-graph scaling through the execution engine: 16 independent
 /// 16-stage pipelines, one affinity lane each, driven by range(0) workers
 /// (0 = inline single-threaded baseline). Throughput counts every hop.
@@ -332,48 +285,6 @@ void BM_EngineMultiGraph(benchmark::State& state) {
                  std::to_string(workers) + " workers");
 }
 BENCHMARK(BM_EngineMultiGraph)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-/// BM_EngineMultiGraph with every pipeline frozen: the engine's lanes
-/// drive compiled plans instead of the interpreted dispatcher. Freezing
-/// is per-graph state, so per-lane plans compose with worker scaling.
-void BM_EngineMultiGraphFrozen(benchmark::State& state) {
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  constexpr int kGraphs = 16;
-  constexpr int kDepth = 16;
-  constexpr int kBurst = 64;
-  std::vector<std::unique_ptr<ChainRig>> rigs;
-  for (int g = 0; g < kGraphs; ++g) {
-    rigs.push_back(std::make_unique<ChainRig>(kDepth, /*frozen=*/true));
-  }
-  exec::ExecutionEngine engine(workers);
-  std::vector<std::function<void(exec::Task)>> lanes;
-  for (int g = 0; g < kGraphs; ++g) {
-    lanes.push_back(engine.executor(engine.create_lane()));
-  }
-  int i = 0;
-  for (auto _ : state) {
-    for (int g = 0; g < kGraphs; ++g) {
-      ChainRig* rig = rigs[static_cast<std::size_t>(g)].get();
-      const int base = i;
-      lanes[static_cast<std::size_t>(g)]([rig, base] {
-        for (int b = 0; b < kBurst; ++b) rig->source->push(Value{base + b});
-      });
-    }
-    i += kBurst;
-    engine.run_until_idle();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kGraphs * kBurst * (kDepth + 1));
-  state.SetLabel(workers == 0 ? "inline" :
-                 std::to_string(workers) + " workers");
-}
-BENCHMARK(BM_EngineMultiGraphFrozen)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)

@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
-# Refreshes the checked-in machine-readable benchmark snapshots:
+# Refreshes the checked-in machine-readable benchmark snapshot:
 #
 #   BENCH_o1.json   — the O1 scalability experiment (pipeline depth,
-#                     emit_batch amortization, multi-graph engine scaling)
-#   BENCH_plan.json — compiled execution plans: frozen vs interpreted
-#                     dispatch over the same rigs, captured in one run so
-#                     both series share a single environment block
+#                     multi-graph engine scaling)
 #
-# Usage: scripts/bench_snapshot.sh            # refresh both snapshots
-#        scripts/bench_snapshot.sh out.json   # O1 series only, custom path
+# Usage: scripts/bench_snapshot.sh            # refresh BENCH_o1.json
+#        scripts/bench_snapshot.sh out.json   # same series, custom path
 #
 # Expects a configured build in ./build (cmake -B build -S . && cmake
 # --build build -j). Benchmark selection and repetitions are kept modest so
@@ -64,9 +61,4 @@ snap() {
   report_context "$out"
 }
 
-if [ $# -ge 1 ]; then
-  snap "$1" 'BM_PipelineDepth/|BM_EmitBatch|BM_EngineMultiGraph/'
-  exit 0
-fi
-snap BENCH_o1.json 'BM_PipelineDepth/|BM_EmitBatch|BM_EngineMultiGraph/'
-snap BENCH_plan.json 'BM_PipelineDepth(Frozen)?/|BM_EngineMultiGraph(Frozen)?/'
+snap "${1:-BENCH_o1.json}" 'BM_PipelineDepth/|BM_EngineMultiGraph/'

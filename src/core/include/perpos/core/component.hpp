@@ -92,13 +92,6 @@ class ComponentContext {
   /// yet visible when a nested emit() returns.
   void emit(Payload payload) const;
 
-  /// Emit a burst of payloads with identical semantics to N emit() calls
-  /// (per-payload logical time, produce hooks, delivery order) while paying
-  /// graph lookup, metric-handle resolution and dispatch bookkeeping once.
-  /// Sources with bursty input (batched network reads, replayed logs) use
-  /// this to amortize per-sample overhead.
-  void emit_batch(std::vector<Payload> payloads) const;
-
   /// Current simulation time as seen by the graph.
   sim::SimTime now() const noexcept;
 

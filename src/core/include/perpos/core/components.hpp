@@ -39,20 +39,6 @@ class SourceComponent : public ProcessingComponent {
   }
   void push_payload(Payload payload) { context().emit(std::move(payload)); }
 
-  /// Push a burst of values in one batched emission (see
-  /// ComponentContext::emit_batch): same delivery semantics as N push()
-  /// calls, amortized per-sample overhead.
-  template <typename T>
-  void push_batch(std::vector<T> values) {
-    std::vector<Payload> payloads;
-    payloads.reserve(values.size());
-    for (T& v : values) payloads.push_back(Payload::make(std::move(v)));
-    context().emit_batch(std::move(payloads));
-  }
-  void push_payload_batch(std::vector<Payload> payloads) {
-    context().emit_batch(std::move(payloads));
-  }
-
  private:
   std::string kind_;
   std::vector<DataSpec> capabilities_;

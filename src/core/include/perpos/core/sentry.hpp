@@ -11,11 +11,11 @@
 /// The static analyzer (perpos::verify) proves properties of a snapshot;
 /// the runtime Graph Sanitizer (perpos::sanitize) checks the matching
 /// invariants on the *live* graph — thread affinity, logical-time
-/// monotonicity, cascade bounds, pool hygiene. The core cannot depend on
-/// either, so it exposes this minimal observer interface instead: a graph
-/// carries at most one GraphSentry, and every hot-path call site is a
-/// single null-pointer check when none is installed (the same pattern the
-/// observability hooks use).
+/// monotonicity, cascade bounds, provenance-buffer hygiene. The core
+/// cannot depend on either, so it exposes this minimal observer interface
+/// instead: a graph carries at most one GraphSentry, and every hot-path
+/// call site is a single null-pointer check when none is installed (the
+/// same pattern the observability hooks use).
 
 namespace perpos::core {
 
@@ -41,9 +41,7 @@ struct GraphMutation {
 
 /// Observer of the graph's dispatch hot path. Implementations must be
 /// cheap and must not throw, mutate the graph, or emit — they run inside
-/// dispatch. on_pool_double_release() may be called from any thread that
-/// releases a retained sample (an engine lane, an application thread);
-/// everything else is called on the thread driving the graph.
+/// dispatch. Every callback runs on the thread driving the graph.
 class GraphSentry {
  public:
   virtual ~GraphSentry() = default;
@@ -64,9 +62,10 @@ class GraphSentry {
     (void)cascade;
   }
 
-  /// A provenance buffer was handed back to the pool twice. The pool
-  /// drops the duplicate instead of corrupting its free list; this
-  /// callback makes the bug visible.
+  /// The provenance arena was about to reuse a buffer listed as free that
+  /// is still referenced — a release bookkeeping bug that would hand one
+  /// buffer to two samples. The arena skips the slot instead; this
+  /// callback makes the bug visible (PPS003).
   virtual void on_pool_double_release() {}
 };
 

@@ -24,11 +24,6 @@ void ComponentContext::emit(Payload payload) const {
   graph_->emit_from(id_, std::move(payload), kComponentOrigin);
 }
 
-void ComponentContext::emit_batch(std::vector<Payload> payloads) const {
-  if (graph_ == nullptr) return;
-  graph_->emit_batch_from(id_, std::move(payloads), kComponentOrigin);
-}
-
 sim::SimTime ComponentContext::now() const noexcept {
   if (graph_ == nullptr || graph_->clock() == nullptr) {
     return sim::SimTime::zero();

@@ -3,23 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 // TSan cannot see the happens-before edge implied by a shared_ptr use_count
 // observed at 1 plus the acquire fence the arena pairs with it, so buffer
-// reuse in the frozen plan's provenance arena is compiled out under TSan:
-// every buffer is freshly allocated and freed through the default deleter.
+// reuse in the provenance arena is compiled out under TSan: every buffer is
+// freshly allocated and freed through the default deleter.
 #if defined(__SANITIZE_THREAD__)
-#define PERPOS_PLAN_NO_ARENA 1
+#define PERPOS_NO_ARENA_REUSE 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-#define PERPOS_PLAN_NO_ARENA 1
+#define PERPOS_NO_ARENA_REUSE 1
 #endif
 #endif
-#ifndef PERPOS_PLAN_NO_ARENA
-#define PERPOS_PLAN_NO_ARENA 0
+#ifndef PERPOS_NO_ARENA_REUSE
+#define PERPOS_NO_ARENA_REUSE 0
 #endif
 
 namespace perpos::core {
@@ -39,75 +38,201 @@ struct ComponentMetricHandles {
   obs::Counter* deadline_miss = nullptr;
 };
 
-/// Recycles the vector<Sample> buffers behind Sample::inputs. Every
-/// provenance-carrying emission used to heap-allocate a fresh vector; now
-/// the buffer is drawn from this free list and returned by the shared_ptr
-/// deleter when the last sample referencing it dies. The pool outlives the
-/// graph through shared ownership, so samples kept by applications after
-/// graph teardown release their buffers safely (they are freed, not
-/// returned, once the weak reference is gone — and the free list dying
-/// with the pool frees whatever it still holds). The mutex makes returns
-/// from other execution-engine lanes safe; it is uncontended in
-/// single-threaded use.
-struct ProcessingGraph::ProvenancePool {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<std::vector<Sample>>> free_list;
-  static constexpr std::size_t kMaxFree = 256;
-  /// Set (under `mutex`) while a sanitizer sentry is installed: returns
-  /// scan the free list for the returning buffer, and a duplicate is
-  /// reported through this callback and *dropped* instead of corrupting
-  /// the list. Cleared when the graph dies.
-  std::function<void()> on_double_release;
+/// Recycles the vector<Sample> buffers behind Sample::inputs, so the steady
+/// state allocates neither a buffer nor a shared_ptr control block per
+/// emission. Buffers are shared, and reused when their use_count drops
+/// back to 1 (only the arena holds them). They are ordinary make_shared
+/// allocations, so buffers still referenced by application-retained
+/// samples simply outlive the arena (and the graph) through shared
+/// ownership. Touched only from the dispatch thread; releases from other
+/// lanes just decrement the atomic count.
+///
+/// Free slots are discovered deterministically, because provenance chains
+/// die one level at a time and a blind ring scan almost never lands on the
+/// one slot that just became free:
+///  * harvest(): when a delivered sample is about to be destroyed and holds
+///    the last non-arena reference to its buffer (the sink-side head of a
+///    dying chain),
+///  * per-component watch slots: when the dying sample's buffer is still
+///    referenced from outside (a sink retained the sample), the component
+///    remembers the slot and re-checks it right after its next on_input —
+///    the moment a latest-value sink replaces its stored sample and the
+///    previous chain head actually becomes free,
+///  * the cascade in acquire(): clearing a reused buffer destroys its
+///    samples, which releases the chain level below it.
+/// A bounded ring scan remains as a fallback for references that die out
+/// of band (multi-sample retention, rejected fan-out copies).
+struct ProcessingGraph::ProvenanceArena {
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::size_t kMaxArena = 4096;
+  static constexpr std::size_t kMaxProbes = 64;
 
-  std::unique_ptr<std::vector<Sample>> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!free_list.empty()) {
-        auto buffer = std::move(free_list.back());
-        free_list.pop_back();
-        return buffer;
-      }
-    }
-    return std::make_unique<std::vector<Sample>>();
+  std::vector<std::shared_ptr<std::vector<Sample>>> arena;
+  std::vector<std::uint32_t> free_slots;
+  /// Parallel to `arena`: 1 while the slot sits in `free_slots`. Guards
+  /// against double-listing a slot that a stale watch and a harvest (or
+  /// the sweep) both notice.
+  std::vector<std::uint8_t> slot_free;
+  std::size_t scan_cursor = 0;
+
+  /// Buffer address -> arena slot. Open addressing with linear probing
+  /// over a fixed power-of-two table (2 * kMaxArena keeps the load factor
+  /// under one half; slots are never erased, the arena only grows).
+  /// Replaces unordered_map, whose prime-modulo bucket indexing costs an
+  /// integer division on every lookup.
+  static constexpr std::size_t kMapSize = kMaxArena * 2;
+  std::vector<const void*> map_keys;
+  std::vector<std::uint32_t> map_vals;
+
+  static std::size_t hash_ptr(const void* p) noexcept {
+    return static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(p) * 0x9E3779B97F4A7C15ull) >> 51);
   }
 
-  struct ReturnToPool {
-    std::weak_ptr<ProvenancePool> pool;
-    void operator()(const std::vector<Sample>* p) const noexcept {
-      auto* buffer = const_cast<std::vector<Sample>*>(p);
-      // Destroy the samples before taking the pool lock: releasing them can
-      // release further pooled buffers down the provenance chain.
-      buffer->clear();
-      if (auto alive = pool.lock()) {
-        std::lock_guard<std::mutex> lock(alive->mutex);
-        if (alive->on_double_release) {
-          for (const auto& held : alive->free_list) {
-            if (held.get() == buffer) {
-              // Already on the free list: a second owner released the same
-              // buffer. Report and drop the duplicate — handing it back
-              // again would let two future samples share one buffer.
-              alive->on_double_release();
-              return;
-            }
-          }
-        }
-        if (alive->free_list.size() < kMaxFree) {
-          alive->free_list.emplace_back(buffer);
-          return;
+  std::uint32_t slot_lookup(const std::vector<Sample>* p) const noexcept {
+    if (map_keys.empty()) return kNoSlot;
+    std::size_t i = hash_ptr(p);
+    while (map_keys[i] != nullptr) {
+      if (map_keys[i] == p) return map_vals[i];
+      i = (i + 1) & (kMapSize - 1);
+    }
+    return kNoSlot;
+  }
+
+  void slot_insert(const std::vector<Sample>* p, std::uint32_t value) {
+    if (map_keys.empty()) {
+      map_keys.assign(kMapSize, nullptr);
+      map_vals.assign(kMapSize, 0);
+    }
+    std::size_t i = hash_ptr(p);
+    while (map_keys[i] != nullptr) i = (i + 1) & (kMapSize - 1);
+    map_keys[i] = p;
+    map_vals[i] = value;
+  }
+
+  void release_slot(std::uint32_t index) {
+    if (slot_free[index] == 0) {
+      slot_free[index] = 1;
+      free_slots.push_back(index);
+    }
+  }
+
+  /// `dying` is about to be destroyed: if it holds the last outside
+  /// reference to an arena buffer, queue that slot for reuse. use_count
+  /// == 2 means exactly {arena, dying}; the count can only have shrunk to
+  /// 2 after every other owner released, so the slot is free the moment
+  /// `dying` goes away, and nothing can revive it — only acquire() hands
+  /// arena slots out.
+  void harvest(const Sample& dying) {
+#if !PERPOS_NO_ARENA_REUSE
+    if (dying.inputs != nullptr && dying.inputs.use_count() == 2) {
+      const std::uint32_t slot = slot_lookup(dying.inputs.get());
+      if (slot != kNoSlot) release_slot(slot);
+    }
+#else
+    (void)dying;
+#endif
+  }
+
+  /// harvest(), plus: when the buffer is still referenced beyond
+  /// {arena, dying} — the consumer retained the delivered sample — park
+  /// the slot on the consumer's watch so its next delivery re-checks it.
+  void harvest_or_watch(const Sample& dying, std::uint32_t& watch_slot) {
+#if !PERPOS_NO_ARENA_REUSE
+    if (dying.inputs == nullptr) return;
+    const long uses = dying.inputs.use_count();
+    const std::uint32_t slot = slot_lookup(dying.inputs.get());
+    if (slot == kNoSlot) return;
+    if (uses == 2) {
+      release_slot(slot);
+    } else {
+      watch_slot = slot;
+    }
+#else
+    (void)dying;
+    (void)watch_slot;
+#endif
+  }
+
+  /// Called after a component's on_input: if the previously watched
+  /// buffer has lost its outside references (the sink replaced its stored
+  /// latest), queue it. release_slot() ignores slots the sweep already
+  /// recovered.
+  void check_watch(std::uint32_t& watch_slot) {
+#if !PERPOS_NO_ARENA_REUSE
+    if (watch_slot != kNoSlot && arena[watch_slot].use_count() == 1) {
+      release_slot(watch_slot);
+      watch_slot = kNoSlot;
+    }
+#else
+    (void)watch_slot;
+#endif
+  }
+
+  /// A cleared buffer for the next emission's provenance. A listed slot
+  /// that is still referenced (a release bookkeeping bug: reusing it would
+  /// hand one buffer to two samples) is skipped and reported to `sentry`
+  /// as PPS003.
+  std::shared_ptr<std::vector<Sample>> acquire(GraphSentry* sentry) {
+#if !PERPOS_NO_ARENA_REUSE
+    std::uint32_t index = kNoSlot;
+    while (index == kNoSlot && !free_slots.empty()) {
+      const std::uint32_t listed = free_slots.back();
+      free_slots.pop_back();
+      slot_free[listed] = 0;
+      if (arena[listed].use_count() == 1) {
+        index = listed;
+      } else if (sentry != nullptr) {
+        sentry->on_pool_double_release();
+      }
+    }
+    if (index == kNoSlot) {
+      // Clock sweep for slots whose last outside reference died invisibly
+      // (an application-retained sample being dropped). Finding just the
+      // head of a dying chain is enough: the cascade below recovers every
+      // level under it, so the sweep only needs one hit per chain.
+      const std::size_t n = arena.size();
+      std::size_t probes = n < kMaxProbes ? n : kMaxProbes;
+      while (probes-- > 0) {
+        const std::size_t k = scan_cursor;
+        scan_cursor = scan_cursor + 1 == n ? 0 : scan_cursor + 1;
+        if (arena[k].use_count() == 1) {
+          index = static_cast<std::uint32_t>(k);
+          break;
         }
       }
-      delete buffer;
     }
-  };
+    if (index != kNoSlot) {
+      std::shared_ptr<std::vector<Sample>>& slot = arena[index];
+      // Every sample reference is gone. Pair their releasing decrements
+      // with an acquire fence before touching the buffer's storage.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      // Cascade: clearing this buffer destroys its samples, freeing the
+      // chain level each of them references (count 2 = {arena, sample}).
+      for (const Sample& s : *slot) harvest(s);
+      slot->clear();
+      return slot;
+    }
+    if (arena.size() < kMaxArena) {
+      arena.push_back(std::make_shared<std::vector<Sample>>());
+      slot_free.push_back(0);
+      slot_insert(arena.back().get(),
+                  static_cast<std::uint32_t>(arena.size() - 1));
+      return arena.back();
+    }
+#else
+    (void)sentry;
+#endif
+    // Arena exhausted (or TSan build): a one-shot buffer that is freed,
+    // not recycled, when its last sample dies.
+    return std::make_shared<std::vector<Sample>>();
+  }
 };
 
 struct ProcessingGraph::Entry {
+  // Dispatch-hot fields first: the accept check, provenance recording and
+  // on_input call of a delivery touch only these.
   std::shared_ptr<ProcessingComponent> component;
-  std::vector<ComponentId> consumers;
-  std::vector<ComponentId> producers;
-  std::vector<std::shared_ptr<ComponentFeature>> features;
-  std::uint64_t sequence = 0;  ///< Logical time of the output port.
-  std::uint64_t emitted = 0;
 
   /// Input requirements compiled to interned origin symbols, cached at
   /// add() — the per-delivery accept check is two integer compares per
@@ -120,11 +245,17 @@ struct ProcessingGraph::Entry {
     bool any_type = false;
   };
   std::vector<CompiledRequirement> compiled_requirements;
+  std::vector<ComponentId> consumers;
+  std::vector<std::shared_ptr<ComponentFeature>> features;
   /// Cached `!output_capabilities().empty()` — only emit-capable
   /// components record pending inputs (pure sinks would accumulate them
-  /// forever), and the old code paid a vector allocation per delivery to
-  /// find that out.
+  /// forever).
   bool records_provenance = false;
+  bool live = false;
+  /// Arena slot whose buffer was still externally referenced when this
+  /// component's delivered sample died — typically a sink retaining the
+  /// latest sample. Re-checked after its next on_input.
+  std::uint32_t watch_slot = ProvenanceArena::kNoSlot;
 
   /// Inputs accepted since the last emission; becomes the provenance of the
   /// next emitted sample (Fig. 4 time ranges). The running sequence range
@@ -138,14 +269,15 @@ struct ProcessingGraph::Entry {
   /// latency follows the slowest contributing input, without rescanning.
   double pending_ingest_min = 0.0;
   /// The input currently being processed by on_input (nesting-safe via
-  /// save/restore in deliver()); used as fallback provenance when a second
-  /// emission happens after pending_inputs was consumed.
+  /// save/restore in invoke_on_input()); used as fallback provenance when a
+  /// second emission happens after pending_inputs was consumed.
   const Sample* current_input = nullptr;
+  std::uint64_t sequence = 0;  ///< Logical time of the output port.
+  std::uint64_t emitted = 0;
 
+  std::vector<ComponentId> producers;
   ComponentMetricHandles metric_handles;
   std::uint64_t metric_epoch = 0;  ///< Matches Obs::epoch when handles valid.
-
-  bool live = false;
 };
 
 /// Per-feature hook-timing histograms, keyed by feature object.
@@ -168,6 +300,9 @@ struct ProcessingGraph::Obs {
   obs::Counter* rejections_total = nullptr;
   obs::Counter* mutations_total = nullptr;
   obs::Gauge* components_gauge = nullptr;
+  /// Timing, tracing or latency is on: every delivery takes the
+  /// instrumented path of deliver().
+  bool per_delivery = false;
 
   ComponentMetricHandles& handles(Entry& e, ComponentId id) {
     if (e.metric_epoch != epoch) {
@@ -215,231 +350,6 @@ struct ProcessingGraph::Obs {
           registry.histogram("perpos_feature_consume_us", labels);
     }
     return it->second;
-  }
-};
-
-/// The compiled execution plan (see freeze_plan() in the header). A frozen
-/// graph keeps every piece of per-component runtime state — logical time,
-/// pending provenance, the shared dispatch stack — in the Entry objects the
-/// interpreted path uses, so the plan is pure *routing*: a dense,
-/// topologically-ordered node array with the edges, compiled requirement
-/// checks, feature hook chains and metric counters flattened into direct
-/// index ranges, plus an arena that recycles provenance buffers without the
-/// pool's per-emission mutex and control-block allocation.
-struct ProcessingGraph::FrozenPlan {
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
-
-  struct Node {
-    ProcessingComponent* component = nullptr;
-    Entry* entry = nullptr;
-    ComponentId id = kInvalidComponent;
-    std::uint32_t edge_begin = 0;  ///< Into `edges`: dense consumer indices,
-    std::uint32_t edge_count = 0;  ///< in connection order.
-    std::uint32_t req_begin = 0;   ///< Into `reqs`.
-    std::uint32_t req_count = 0;
-    std::uint32_t feat_begin = 0;  ///< Into `features`, attach order.
-    std::uint32_t feat_count = 0;
-    bool records_provenance = false;
-    /// Arena slot whose buffer was still externally referenced when this
-    /// node's delivered sample died — typically a sink retaining the
-    /// latest sample. Re-checked after the node's next on_input, which is
-    /// exactly when a latest-value consumer drops the old retention.
-    std::uint32_t watch_slot = kNoNode;
-    // Metric counters resolved once at freeze time (null when metrics are
-    // off). Safe to cache: any observability reconfiguration thaws the plan.
-    obs::Counter* emitted = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* produce_vetoed = nullptr;
-    obs::Counter* consume_vetoed = nullptr;
-  };
-
-  std::vector<Node> nodes;  ///< Topological order, sources first.
-  /// Holding pen for the sample a featureless non-provenance node is
-  /// consuming: frozen_deliver_top() moves the stack slot here so the
-  /// sample outlives the pop without a second intermediate move. Safe as
-  /// a single slot — deliveries only start from the drain loop, never
-  /// nested inside on_input, so at most one delivery uses it at a time.
-  Sample scratch;
-  /// ComponentId -> index into `nodes` (kNoNode for dead slots). Ids cannot
-  /// appear or disappear while frozen: every structural mutation thaws.
-  std::vector<std::uint32_t> dense_of;
-  std::vector<std::uint32_t> edges;
-  std::vector<Entry::CompiledRequirement> reqs;
-  std::vector<ComponentFeature*> features;
-  obs::Counter* deliveries_total = nullptr;
-  obs::Counter* rejections_total = nullptr;
-
-  /// Provenance arena: shared buffers reused when their use_count drops
-  /// back to 1 (only the arena holds them), replacing the pool's mutex +
-  /// per-emission control-block allocation with a plain free-list pop.
-  /// The buffers are ordinary make_shared allocations, so slots still
-  /// referenced by application-retained samples simply outlive the plan
-  /// (and the graph) through shared ownership. Touched only from the
-  /// dispatch thread; releases from other lanes just decrement the
-  /// atomic count.
-  ///
-  /// Free slots are discovered deterministically, because provenance
-  /// chains die one level at a time and a blind ring scan almost never
-  /// lands on the one slot that just became free:
-  ///  * harvest(): when a delivered sample is about to be destroyed and
-  ///    holds the last non-arena reference to its buffer (the sink-side
-  ///    head of a dying chain),
-  ///  * per-node watch slots: when the dying sample's buffer is still
-  ///    referenced from outside (a sink retained the sample), the node
-  ///    remembers the slot and re-checks it right after its next
-  ///    on_input — the moment a latest-value sink replaces its stored
-  ///    sample and the previous chain head actually becomes free,
-  ///  * the cascade in acquire_buffer(): clearing a reused buffer
-  ///    destroys its samples, which releases the chain level below it.
-  /// A bounded ring scan remains as a fallback for references that die
-  /// out of band (multi-sample retention, rejected fan-out copies).
-  std::vector<std::shared_ptr<std::vector<Sample>>> arena;
-  std::vector<std::uint32_t> free_slots;
-  /// Parallel to `arena`: 1 while the slot sits in `free_slots`. Guards
-  /// against double-listing a slot that a stale watch and a harvest (or
-  /// the sweep) both notice — two holders of one buffer would corrupt it.
-  std::vector<std::uint8_t> slot_free;
-  std::size_t scan_cursor = 0;
-  static constexpr std::size_t kMaxArena = 4096;
-  static constexpr std::size_t kMaxProbes = 64;
-
-  /// Buffer address -> arena slot. Open addressing with linear probing
-  /// over a fixed power-of-two table (2 * kMaxArena keeps the load factor
-  /// under one half; slots are never erased, the arena only grows).
-  /// Replaces unordered_map, whose prime-modulo bucket indexing costs an
-  /// integer division on every lookup — measurably the single most
-  /// expensive instruction in the frozen dispatch loop.
-  static constexpr std::size_t kMapSize = kMaxArena * 2;
-  std::vector<const void*> map_keys;
-  std::vector<std::uint32_t> map_vals;
-
-  static std::size_t hash_ptr(const void* p) noexcept {
-    return static_cast<std::size_t>(
-        (reinterpret_cast<std::uintptr_t>(p) * 0x9E3779B97F4A7C15ull) >> 51);
-  }
-
-  std::uint32_t slot_lookup(const std::vector<Sample>* p) const noexcept {
-    if (map_keys.empty()) return kNoNode;
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) {
-      if (map_keys[i] == p) return map_vals[i];
-      i = (i + 1) & (kMapSize - 1);
-    }
-    return kNoNode;
-  }
-
-  void slot_insert(const std::vector<Sample>* p, std::uint32_t value) {
-    if (map_keys.empty()) {
-      map_keys.assign(kMapSize, nullptr);
-      map_vals.assign(kMapSize, 0);
-    }
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) i = (i + 1) & (kMapSize - 1);
-    map_keys[i] = p;
-    map_vals[i] = value;
-  }
-
-  void release_slot(std::uint32_t index) {
-    if (slot_free[index] == 0) {
-      slot_free[index] = 1;
-      free_slots.push_back(index);
-    }
-  }
-
-  /// `dying` is about to be destroyed: if it holds the last outside
-  /// reference to an arena buffer, queue that slot for reuse. use_count
-  /// == 2 means exactly {arena, dying}; the count can only have shrunk to
-  /// 2 after every other owner released, so the slot is free the moment
-  /// `dying` goes away, and nothing can revive it — only acquire_buffer
-  /// hands arena slots out.
-  void harvest(const Sample& dying) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (dying.inputs != nullptr && dying.inputs.use_count() == 2) {
-      const std::uint32_t slot = slot_lookup(dying.inputs.get());
-      if (slot != kNoNode) release_slot(slot);
-    }
-#endif
-  }
-
-  /// harvest(), plus: when the buffer is still referenced beyond
-  /// {arena, dying} — the consumer retained the delivered sample — park
-  /// the slot on the node's watch so the next delivery re-checks it.
-  void harvest_or_watch(const Sample& dying, Node& n) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (dying.inputs == nullptr) return;
-    const long uses = dying.inputs.use_count();
-    const std::uint32_t slot = slot_lookup(dying.inputs.get());
-    if (slot == kNoNode) return;
-    if (uses == 2) {
-      release_slot(slot);
-    } else {
-      n.watch_slot = slot;
-    }
-#endif
-  }
-
-  /// Called after a node's on_input: if the previously watched buffer has
-  /// lost its outside references (the sink replaced its stored latest),
-  /// queue it. A watched slot cannot be handed out while still retained
-  /// (use_count > 1 defeats the sweep and it is never in free_slots), and
-  /// release_slot() ignores slots the sweep already recovered.
-  void check_watch(Node& n) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (n.watch_slot != kNoNode && arena[n.watch_slot].use_count() == 1) {
-      release_slot(n.watch_slot);
-      n.watch_slot = kNoNode;
-    }
-#endif
-  }
-
-  std::shared_ptr<std::vector<Sample>> acquire_buffer() {
-#if !PERPOS_PLAN_NO_ARENA
-    std::uint32_t index = kNoNode;
-    if (!free_slots.empty()) {
-      index = free_slots.back();
-      free_slots.pop_back();
-      slot_free[index] = 0;
-    } else {
-      // Clock sweep for slots whose last outside reference died invisibly
-      // (an application-retained sample being dropped, e.g. a sink
-      // replacing its stored latest fix). Those deaths have no hook, but
-      // finding just the head of a dying chain is enough: the cascade
-      // below recovers every level under it, so the sweep only needs one
-      // hit per chain, not one per buffer.
-      const std::size_t n = arena.size();
-      std::size_t probes = n < kMaxProbes ? n : kMaxProbes;
-      while (probes-- > 0) {
-        const std::size_t k = scan_cursor;
-        scan_cursor = scan_cursor + 1 == n ? 0 : scan_cursor + 1;
-        if (arena[k].use_count() == 1) {
-          index = static_cast<std::uint32_t>(k);
-          break;
-        }
-      }
-    }
-    if (index != kNoNode) {
-      std::shared_ptr<std::vector<Sample>>& slot = arena[index];
-      // Every sample reference is gone. Pair their releasing decrements
-      // with an acquire fence before touching the buffer's storage.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // Cascade: clearing this buffer destroys its samples, freeing the
-      // chain level each of them references (count 2 = {arena, sample}).
-      for (const Sample& s : *slot) harvest(s);
-      slot->clear();
-      return slot;
-    }
-    if (arena.size() < kMaxArena) {
-      arena.push_back(std::make_shared<std::vector<Sample>>());
-      slot_free.push_back(0);
-      slot_insert(arena.back().get(),
-                  static_cast<std::uint32_t>(arena.size() - 1));
-      return arena.back();
-    }
-#endif
-    // Arena exhausted (or TSan build): fall back to a one-shot buffer that
-    // is freed, not recycled, when its last sample dies.
-    return std::make_shared<std::vector<Sample>>();
   }
 };
 
@@ -523,23 +433,9 @@ void ProcessingGraph::remove_mutation_observer(std::size_t token) {
 
 void ProcessingGraph::set_sentry(GraphSentry* sentry) noexcept {
   sentry_ = sentry;
-  // Wire (or unwire) pool double-release detection. The callback captures
-  // the raw sentry pointer: the sentry contract requires it to stay valid
-  // until detached or the graph dies, and ~ProcessingGraph clears the
-  // callback so releases arriving after graph death stay silent.
-  std::lock_guard<std::mutex> lock(pool_->mutex);
-  if (sentry == nullptr) {
-    pool_->on_double_release = nullptr;
-  } else {
-    pool_->on_double_release = [sentry] { sentry->on_pool_double_release(); };
-  }
 }
 
 void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
-  // Translucency rule: any structural change invalidates the compiled
-  // plan. Every caller already rejected mid-dispatch mutation, so the
-  // dispatch stack is empty here and the thaw is seamless.
-  if (plan_ != nullptr) thaw_plan();
   if (obs_ && obs_->config.metrics) {
     obs_->mutations_total->inc();
     obs_->components_gauge->set(static_cast<double>(live_count_));
@@ -571,10 +467,6 @@ void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
 }
 
 void ProcessingGraph::notify_observers(const GraphMutation& mutation) {
-  // Feature attach/detach reaches here without passing notify_mutation;
-  // the flattened hook chains go stale, so the plan thaws on this path
-  // too (attach/detach refuse to run mid-dispatch while frozen).
-  if (plan_ != nullptr) thaw_plan();
   ++notify_depth_;
   try {
     const std::size_t count = observers_.size();
@@ -609,7 +501,7 @@ void ProcessingGraph::end_notify() {
 }
 
 ProcessingGraph::ProcessingGraph(const sim::Clock* clock)
-    : clock_(clock), pool_(std::make_shared<ProvenancePool>()) {}
+    : clock_(clock), arena_(std::make_unique<ProvenanceArena>()) {}
 
 ProcessingGraph::~ProcessingGraph() {
   // Graph teardown: give every live component a chance to flush buffered
@@ -622,17 +514,10 @@ ProcessingGraph::~ProcessingGraph() {
     } catch (...) {
     }
   }
-  // Late provenance releases (samples retained by applications) must not
-  // call into a sentry that may be gone by then.
-  std::lock_guard<std::mutex> lock(pool_->mutex);
-  pool_->on_double_release = nullptr;
 }
 
 void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
   check_not_dispatching("enable_observability");
-  // The plan caches metric counters and is compiled for a specific obs
-  // configuration; reconfiguring observability thaws it.
-  if (plan_ != nullptr) thaw_plan();
   if (!obs_) {
     obs_ = std::make_unique<Obs>();
     obs_->deliveries_total =
@@ -644,6 +529,7 @@ void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
     obs_->components_gauge = obs_->registry.gauge("perpos_graph_components");
   }
   obs_->config = config;
+  obs_->per_delivery = config.timing || config.tracing || config.latency;
   // Invalidate every cached handle set: entries may hold pointers into a
   // previous registry (destroyed by disable_observability), and a config
   // change can alter which handles exist (e.g. the timing histogram). The
@@ -676,7 +562,6 @@ void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
 
 void ProcessingGraph::disable_observability() {
   check_not_dispatching("disable_observability");
-  if (plan_ != nullptr) thaw_plan();  // Cached counters die with obs_.
   obs_.reset();
   refresh_active_recorder();
   current_span_ = 0;
@@ -1003,10 +888,9 @@ void ProcessingGraph::replace(ComponentId id,
 
 void ProcessingGraph::attach_feature(
     ComponentId host, std::shared_ptr<ComponentFeature> feature) {
-  // Interpreted dispatch reads hook chains live, so mid-dispatch attach is
-  // tolerated there; the frozen plan flattened them at freeze time and
-  // cannot thaw while the dispatch stack holds dense node indices.
-  if (plan_ != nullptr) check_not_dispatching("attach_feature");
+  // Dispatch walks the hook chains by reference; a mid-dispatch attach
+  // would invalidate the walk.
+  check_not_dispatching("attach_feature");
   Entry& e = entry(host);
   if (!feature) throw std::invalid_argument("null feature");
   const std::string name(feature->name());
@@ -1025,7 +909,7 @@ void ProcessingGraph::attach_feature(
 }
 
 void ProcessingGraph::detach_feature(ComponentId host, std::string_view name) {
-  if (plan_ != nullptr) check_not_dispatching("detach_feature");
+  check_not_dispatching("detach_feature");
   Entry& e = entry(host);
   const auto it = std::find_if(
       e.features.begin(), e.features.end(),
@@ -1117,11 +1001,11 @@ void ProcessingGraph::stamp_provenance(Entry& e, Sample& sample) {
   // Provenance: everything consumed since the previous emission; when that
   // was already claimed by an earlier emission in the same on_input call,
   // fall back to the input being processed right now. Buffers come from
-  // the pool, so the steady state allocates nothing: the swap hands the
+  // the arena, so the steady state allocates nothing: the swap hands the
   // accumulated samples to the outgoing buffer and leaves the (recycled)
   // buffer's capacity behind for the next accumulation round.
   if (!e.pending_inputs.empty()) {
-    auto buffer = pool_->acquire();
+    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire(sentry_);
     buffer->swap(e.pending_inputs);
     sample.cached_seq_min = e.pending_seq_min;
     sample.cached_seq_max = e.pending_seq_max;
@@ -1129,16 +1013,14 @@ void ProcessingGraph::stamp_provenance(Entry& e, Sample& sample) {
     e.pending_seq_min = 0;
     e.pending_seq_max = 0;
     e.pending_ingest_min = 0.0;
-    sample.inputs = std::shared_ptr<const std::vector<Sample>>(
-        buffer.release(), ProvenancePool::ReturnToPool{pool_});
+    sample.inputs = std::move(buffer);
   } else if (e.current_input != nullptr) {
-    auto buffer = pool_->acquire();
+    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire(sentry_);
     buffer->push_back(*e.current_input);
     sample.cached_seq_min = e.current_input->sequence;
     sample.cached_seq_max = e.current_input->sequence;
     sample.ingest_us = e.current_input->ingest_us;
-    sample.inputs = std::shared_ptr<const std::vector<Sample>>(
-        buffer.release(), ProvenancePool::ReturnToPool{pool_});
+    sample.inputs = std::move(buffer);
   }
 }
 
@@ -1173,9 +1055,18 @@ void ProcessingGraph::drain_dispatch_stack() {
   drain_cascade_ = 0;
   try {
     while (!dispatch_stack_.empty()) {
-      PendingDelivery next = std::move(dispatch_stack_.back());
-      dispatch_stack_.pop_back();
-      deliver(std::move(next.sample), next.consumer);
+      PendingDelivery& top = dispatch_stack_.back();
+      Entry& c = *entries_[top.consumer];
+      // Deliveries nobody observes per hop — no consume hooks, no sentry,
+      // no timing / tracing / latency — consume the stack slot in place.
+      if (c.features.empty() && sentry_ == nullptr &&
+          (obs_ == nullptr || !obs_->per_delivery)) {
+        deliver_top(c);
+      } else {
+        PendingDelivery next = std::move(top);
+        dispatch_stack_.pop_back();
+        deliver(std::move(next.sample), next.consumer);
+      }
     }
   } catch (...) {
     // Mirror the old recursive unwinding: abandoned sibling deliveries are
@@ -1189,547 +1080,102 @@ void ProcessingGraph::drain_dispatch_stack() {
   dispatching_ = false;
 }
 
-const char* ProcessingGraph::freeze_blocker() const noexcept {
-  if (dispatching_) return "cannot freeze during dispatch";
-  if (obs_ != nullptr) {
-    // Timing, tracing and latency need per-delivery instrumentation the
-    // compiled path deliberately omits; plain metrics, flight recording
-    // and the sentry all work frozen.
-    if (obs_->config.timing) {
-      return "timing observability requires the interpreted path";
-    }
-    if (obs_->config.tracing) {
-      return "flow tracing requires the interpreted path";
-    }
-    if (obs_->config.latency) {
-      return "latency observation requires the interpreted path";
+namespace {
+
+/// Accept check against the compiled requirements: two integer compares
+/// per requirement, no vector materialization, no string compare.
+template <typename Requirements>
+bool accepts(const Requirements& reqs, const Sample& sample) noexcept {
+  const TypeInfo* const type = sample.payload.type();
+  for (const auto& r : reqs) {
+    if (r.origin == sample.origin && (r.any_type || r.type == type)) {
+      return true;
     }
   }
-  return nullptr;
+  return false;
 }
 
-void ProcessingGraph::freeze_plan() {
-  if (plan_ != nullptr) return;
-  if (const char* blocker = freeze_blocker()) {
-    throw std::logic_error(std::string("ProcessingGraph::freeze_plan: ") +
-                           blocker);
-  }
-  auto plan = std::make_unique<FrozenPlan>();
-  plan->dense_of.assign(entries_.size(), FrozenPlan::kNoNode);
+}  // namespace
 
-  // Topological order via Kahn's algorithm, seeded with the sources in
-  // ascending id order — deterministic, and connect() already rejected
-  // cycles, so every live node is reached.
-  std::vector<std::uint32_t> indegree(entries_.size(), 0);
-  std::vector<ComponentId> order;
-  order.reserve(live_count_);
-  for (ComponentId id = 0; id < entries_.size(); ++id) {
-    if (!has(id)) continue;
-    indegree[id] = static_cast<std::uint32_t>(entries_[id]->producers.size());
-    if (indegree[id] == 0) order.push_back(id);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (ComponentId c : entries_[order[head]]->consumers) {
-      if (--indegree[c] == 0) order.push_back(c);
-    }
-  }
-  for (std::size_t d = 0; d < order.size(); ++d) {
-    plan->dense_of[order[d]] = static_cast<std::uint32_t>(d);
-  }
-
-  const bool metrics = obs_ != nullptr && obs_->config.metrics;
-  plan->nodes.reserve(order.size());
-  for (ComponentId id : order) {
-    Entry& e = *entries_[id];
-    FrozenPlan::Node n;
-    n.component = e.component.get();
-    n.entry = &e;
-    n.id = id;
-    n.edge_begin = static_cast<std::uint32_t>(plan->edges.size());
-    for (ComponentId c : e.consumers) plan->edges.push_back(plan->dense_of[c]);
-    n.edge_count = static_cast<std::uint32_t>(e.consumers.size());
-    n.req_begin = static_cast<std::uint32_t>(plan->reqs.size());
-    plan->reqs.insert(plan->reqs.end(), e.compiled_requirements.begin(),
-                      e.compiled_requirements.end());
-    n.req_count = static_cast<std::uint32_t>(e.compiled_requirements.size());
-    n.feat_begin = static_cast<std::uint32_t>(plan->features.size());
-    for (const auto& f : e.features) plan->features.push_back(f.get());
-    n.feat_count = static_cast<std::uint32_t>(e.features.size());
-    n.records_provenance = e.records_provenance;
-    if (metrics) {
-      ComponentMetricHandles& h = obs_->handles(e, id);
-      n.emitted = h.emitted;
-      n.delivered = h.delivered;
-      n.rejected = h.rejected;
-      n.produce_vetoed = h.produce_vetoed;
-      n.consume_vetoed = h.consume_vetoed;
-    }
-    plan->nodes.push_back(n);
-  }
-  if (metrics) {
-    plan->deliveries_total = obs_->deliveries_total;
-    plan->rejections_total = obs_->rejections_total;
-  }
-  plan_ = std::move(plan);
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
-                  "plan.freeze");
+void ProcessingGraph::count_rejection(Entry& c, ComponentId consumer) {
+  if (obs_ != nullptr && obs_->config.metrics) {
+    obs_->handles(c, consumer).rejected->inc();
+    obs_->rejections_total->inc();
   }
 }
 
-void ProcessingGraph::thaw_plan() {
-  check_not_dispatching("thaw_plan");
-  if (plan_ == nullptr) return;
-  // Buffers still referenced by in-flight or retained samples survive the
-  // arena through shared ownership; the rest are freed here.
-  plan_.reset();
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
-                  "plan.thaw");
-  }
-}
-
-void ProcessingGraph::frozen_stamp_provenance(Entry& e, Sample& sample) {
-  // Same claim rules as stamp_provenance, with the buffer drawn from the
-  // plan's arena: no mutex, no control-block allocation in steady state.
-  // The const conversion on assignment shares the control block.
-  if (!e.pending_inputs.empty()) {
-    std::shared_ptr<std::vector<Sample>> buffer = plan_->acquire_buffer();
-    buffer->swap(e.pending_inputs);
-    sample.cached_seq_min = e.pending_seq_min;
-    sample.cached_seq_max = e.pending_seq_max;
-    sample.ingest_us = e.pending_ingest_min;
-    e.pending_seq_min = 0;
-    e.pending_seq_max = 0;
-    e.pending_ingest_min = 0.0;
-    sample.inputs = std::move(buffer);
-  } else if (e.current_input != nullptr) {
-    std::shared_ptr<std::vector<Sample>> buffer = plan_->acquire_buffer();
-    buffer->push_back(*e.current_input);
-    sample.cached_seq_min = e.current_input->sequence;
-    sample.cached_seq_max = e.current_input->sequence;
-    sample.ingest_us = e.current_input->ingest_us;
-    sample.inputs = std::move(buffer);
-  }
-}
-
-void ProcessingGraph::frozen_enqueue(Sample&& sample,
-                                     std::uint32_t node_index) {
-  // Mirror of enqueue_deliveries over the flat edge table; the queued
-  // consumer field carries the *dense* index of the receiving node.
-  const FrozenPlan::Node& n = plan_->nodes[node_index];
-  if (n.edge_count == 0) return;
-  const std::uint32_t* consumers = plan_->edges.data() + n.edge_begin;
-  if (n.edge_count == 1) {
-    if (current_frame_base_ == dispatch_stack_.size()) {
-      // First emission of this frame: the insert point is the top, so
-      // skip vector::insert's shifting machinery entirely.
-      PendingDelivery& slot = dispatch_stack_.emplace_back();
-      slot.sample = std::move(sample);
-      slot.consumer = static_cast<ComponentId>(consumers[0]);
-      return;
-    }
-    dispatch_stack_.insert(
-        dispatch_stack_.begin() +
-            static_cast<std::ptrdiff_t>(current_frame_base_),
-        PendingDelivery{std::move(sample), static_cast<ComponentId>(
-                                               consumers[0])});
-    return;
-  }
-  const auto base = dispatch_stack_.begin() +
-                    static_cast<std::ptrdiff_t>(current_frame_base_);
-  std::vector<PendingDelivery> block;
-  block.reserve(n.edge_count);
-  for (std::uint32_t i = n.edge_count; i-- > 1;) {
-    block.push_back(
-        PendingDelivery{sample, static_cast<ComponentId>(consumers[i])});
-  }
-  block.push_back(PendingDelivery{std::move(sample),
-                                  static_cast<ComponentId>(consumers[0])});
-  dispatch_stack_.insert(base, std::make_move_iterator(block.begin()),
-                         std::make_move_iterator(block.end()));
-}
-
-void ProcessingGraph::frozen_drain() {
-  dispatching_ = true;
-  drain_cascade_ = 0;
-  try {
-    while (!dispatch_stack_.empty()) {
-      frozen_deliver_top();
-    }
-  } catch (...) {
-    dispatch_stack_.clear();
-    current_frame_base_ = 0;
-    dispatching_ = false;
-    plan_->scratch = Sample();
-    throw;
-  }
-  current_frame_base_ = 0;
-  dispatching_ = false;
-}
-
-/// Deliver the top of the dispatch stack, consuming the sample in place:
-/// one move (stack slot -> pending_inputs or the plan's scratch) instead
-/// of the pop-into-a-local round trip. Falls back to frozen_deliver()
-/// when consume hooks might run or the sanitizer wants cascade counts —
-/// both can emit or throw while the slot reference is still live.
-void ProcessingGraph::frozen_deliver_top() {
-  FrozenPlan& plan = *plan_;
-  PendingDelivery& top = dispatch_stack_.back();
-  const std::uint32_t node_index = static_cast<std::uint32_t>(top.consumer);
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  if (n.feat_count != 0 || sentry_ != nullptr) {
-    PendingDelivery next = std::move(top);
-    dispatch_stack_.pop_back();
-    frozen_deliver(std::move(next.sample), node_index);
-    return;
-  }
-  Entry& c = *n.entry;
-  Sample& sample = top.sample;
-
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  const Entry::CompiledRequirement* reqs = plan.reqs.data() + n.req_begin;
-  for (std::uint32_t i = 0; i < n.req_count; ++i) {
-    const Entry::CompiledRequirement& r = reqs[i];
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
-    }
-  }
-  if (!accepted) {
-    if (n.rejected != nullptr) {
-      n.rejected->inc();
-      plan.rejections_total->inc();
-    }
-    plan.harvest(sample);
-    dispatch_stack_.pop_back();
-    return;
-  }
-
+void ProcessingGraph::count_delivery(Entry& c, ComponentId consumer,
+                                     const Sample& sample) {
   ++deliveries_;
-  if (n.delivered != nullptr) {
-    n.delivered->inc();
-    plan.deliveries_total->inc();
+  if (obs_ != nullptr && obs_->config.metrics) {
+    obs_->handles(c, consumer).delivered->inc();
+    obs_->deliveries_total->inc();
   }
   if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, n.id, sample.producer,
+    record_flight(obs::FlightEventType::kDeliver, consumer, sample.producer,
                   sample.sequence);
   }
-  const ComponentId sample_producer = sample.producer;
-  const std::uint64_t sample_sequence = sample.sequence;
-  const Sample* input;
-  if (n.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
-    }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
-    }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
-    }
-    // See frozen_deliver() for why the stored element stays valid across
-    // nested emissions claiming the pending batch.
-    c.pending_inputs.push_back(std::move(sample));
-    input = &c.pending_inputs.back();
-  } else {
-    plan.scratch = std::move(sample);
-    input = &plan.scratch;
+}
+
+const Sample& ProcessingGraph::keep_pending(Entry& c, Sample& sample,
+                                           bool move) {
+  if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
+    c.pending_seq_min = sample.sequence;
   }
-  dispatch_stack_.pop_back();
+  if (sample.sequence > c.pending_seq_max) {
+    c.pending_seq_max = sample.sequence;
+  }
+  if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
+                                  sample.ingest_us < c.pending_ingest_min)) {
+    c.pending_ingest_min = sample.ingest_us;
+  }
+  if (!move) {
+    c.pending_inputs.push_back(sample);
+    return sample;
+  }
+  // Moved in, the stored element is what on_input sees. The reference
+  // stays valid across a nested emission claiming the pending batch:
+  // vector::swap exchanges storage without moving elements, and the
+  // claimed buffer outlives this delivery on the dispatch stack (see
+  // pending_owns_input()). No reallocation can invalidate it either —
+  // further push_backs to this component's pending require another
+  // delivery to it, and deliveries only start from the drain loop, never
+  // inside on_input.
+  c.pending_inputs.push_back(std::move(sample));
+  return c.pending_inputs.back();
+}
 
-  // Same frame discipline as deliver(): everything this delivery triggers
-  // inserts at this base and drains before previously-pending deliveries.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
+bool ProcessingGraph::pending_owns_input(const Entry& c) noexcept {
+  // Moving the input into pending_inputs is safe only while every emission
+  // on_input makes keeps the claimed batch referenced until on_input
+  // returns: it must sit queued on the dispatch stack. An emission with no
+  // consumer dies at once, and one vetoed by a produce hook dies too; the
+  // next emission's acquire() may then reuse — and clear — the buffer
+  // holding on_input's input. The topology and the hook chains cannot
+  // change mid-dispatch, so the test holds for the whole on_input.
+  return c.features.empty() && !c.consumers.empty();
+}
 
+void ProcessingGraph::invoke_on_input(Entry& c, ComponentId consumer,
+                                      const Sample& input,
+                                      std::size_t saved_frame_base) {
   // While on_input runs, pull the likely next hop into cache: a relay's
   // emission immediately dispatches to its first consumer.
-  if (n.edge_count != 0) {
-    const FrozenPlan::Node& next = plan.nodes[plan.edges[n.edge_begin]];
-    __builtin_prefetch(&next, 0, 3);
-    __builtin_prefetch(next.entry, 1, 3);
+  if (!c.consumers.empty()) {
+    __builtin_prefetch(entries_[c.consumers.front()].get(), 1, 3);
   }
-  const Sample* saved = c.current_input;
-  c.current_input = input;
-  try {
-    n.component->on_input(*input);
-  } catch (...) {
-    c.current_input = saved;
-    current_frame_base_ = saved_frame_base;
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, n.id, sample_producer,
-                    sample_sequence, current_exception_message());
-    }
-    throw;
-  }
-  c.current_input = saved;
-  current_frame_base_ = saved_frame_base;
-  plan.check_watch(n);
-  if (!n.records_provenance) {
-    // The consumed sample dies here, exactly where the pop-into-a-local
-    // variant would destroy it.
-    plan.harvest_or_watch(plan.scratch, n);
-    plan.scratch = Sample();
-  }
-}
-
-void ProcessingGraph::frozen_emit_from(ComponentId producer, Payload payload,
-                                       OriginId origin) {
-  FrozenPlan& plan = *plan_;
-  if (producer >= plan.dense_of.size() ||
-      plan.dense_of[producer] == FrozenPlan::kNoNode) {
-    throw std::invalid_argument("unknown component id");
-  }
-  const std::uint32_t node_index = plan.dense_of[producer];
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  Entry& e = *n.entry;
-
-  if (n.feat_count == 0 && n.edge_count == 1 &&
-      current_frame_base_ == dispatch_stack_.size()) {
-    // Hot path for a featureless single-consumer emission opening its
-    // frame (every hop of a straight pipeline): build the sample directly
-    // in its dispatch-stack slot, skipping the local-then-enqueue move.
-    // No produce hook can veto or emit while the slot reference is live.
-    PendingDelivery& slot = dispatch_stack_.emplace_back();
-    slot.consumer = static_cast<ComponentId>(plan.edges[n.edge_begin]);
-    Sample& sample = slot.sample;
-    try {
-      sample.payload = std::move(payload);
-      sample.timestamp =
-          clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      frozen_stamp_provenance(e, sample);
-      ++e.emitted;
-      if (n.emitted != nullptr) n.emitted->inc();
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
-    } catch (...) {
-      dispatch_stack_.pop_back();
-      throw;
-    }
-    if (!dispatching_) frozen_drain();
-    return;
-  }
-
-  Sample sample;
-  sample.payload = std::move(payload);
-  sample.timestamp = clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-  sample.producer = producer;
-  sample.sequence = ++e.sequence;
-  sample.origin = origin;
-  frozen_stamp_provenance(e, sample);
-
-  if (n.feat_count != 0) {
-    const TypeInfo* original_type = sample.payload.type();
-    ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-    for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-      if (!feats[i]->produce(sample)) {
-        if (n.produce_vetoed != nullptr) n.produce_vetoed->inc();
-        plan.harvest(sample);
-        return;
-      }
-      if (sample.payload.type() != original_type) {
-        throw std::logic_error("feature '" + std::string(feats[i]->name()) +
-                               "' changed the data type in produce()");
-      }
-    }
-  }
-  ++e.emitted;
-  if (n.emitted != nullptr) n.emitted->inc();
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-  }
-  if (sentry_ != nullptr) sentry_->on_emit(sample);
-
-  frozen_enqueue(std::move(sample), node_index);
-  if (!dispatching_) frozen_drain();
-}
-
-void ProcessingGraph::frozen_emit_batch_from(ComponentId producer,
-                                             std::vector<Payload> payloads,
-                                             OriginId origin) {
-  FrozenPlan& plan = *plan_;
-  if (producer >= plan.dense_of.size() ||
-      plan.dense_of[producer] == FrozenPlan::kNoNode) {
-    throw std::invalid_argument("unknown component id");
-  }
-  const std::uint32_t node_index = plan.dense_of[producer];
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  Entry& e = *n.entry;
-
-  // One dispatch frame for the whole burst, exactly like emit_batch_from.
-  const bool was_dispatching = dispatching_;
-  dispatching_ = true;
-  std::uint64_t emitted_in_batch = 0;
-  try {
-    const sim::SimTime now =
-        clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-    for (Payload& payload : payloads) {
-      Sample sample;
-      sample.payload = std::move(payload);
-      sample.timestamp = now;
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      frozen_stamp_provenance(e, sample);
-
-      bool vetoed = false;
-      if (n.feat_count != 0) {
-        const TypeInfo* original_type = sample.payload.type();
-        ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-        for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-          if (!feats[i]->produce(sample)) {
-            if (n.produce_vetoed != nullptr) n.produce_vetoed->inc();
-            plan.harvest(sample);
-            vetoed = true;
-            break;
-          }
-          if (sample.payload.type() != original_type) {
-            throw std::logic_error("feature '" +
-                                   std::string(feats[i]->name()) +
-                                   "' changed the data type in produce()");
-          }
-        }
-      }
-      if (vetoed) continue;
-      ++e.emitted;
-      ++emitted_in_batch;
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
-      frozen_enqueue(std::move(sample), node_index);
-    }
-  } catch (...) {
-    dispatching_ = was_dispatching;
-    if (emitted_in_batch > 0 && n.emitted != nullptr) {
-      n.emitted->inc(emitted_in_batch);
-    }
-    if (!was_dispatching) {
-      dispatch_stack_.clear();
-      current_frame_base_ = 0;
-    }
-    throw;
-  }
-  dispatching_ = was_dispatching;
-  if (emitted_in_batch > 0 && n.emitted != nullptr) {
-    n.emitted->inc(emitted_in_batch);
-  }
-  if (!was_dispatching) frozen_drain();
-}
-
-void ProcessingGraph::frozen_deliver(Sample&& sample,
-                                     std::uint32_t node_index) {
-  FrozenPlan& plan = *plan_;
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  Entry& c = *n.entry;
-
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  const Entry::CompiledRequirement* reqs = plan.reqs.data() + n.req_begin;
-  for (std::uint32_t i = 0; i < n.req_count; ++i) {
-    const Entry::CompiledRequirement& r = reqs[i];
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
-    }
-  }
-  if (!accepted) {
-    if (n.rejected != nullptr) {
-      n.rejected->inc();
-      plan.rejections_total->inc();
-    }
-    plan.harvest(sample);
-    return;
-  }
-  if (sentry_ != nullptr) {
-    sentry_->on_deliver(sample, n.id, dispatch_stack_.size(),
-                        ++drain_cascade_);
-  }
-
-  // Same frame discipline as deliver(): everything this delivery triggers
-  // inserts at this base and drains before previously-pending deliveries.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
-
-  if (n.feat_count != 0) {
-    const TypeInfo* original_type = sample_type;
-    ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-    for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-      if (!feats[i]->consume(sample)) {
-        if (n.consume_vetoed != nullptr) n.consume_vetoed->inc();
-        current_frame_base_ = saved_frame_base;
-        plan.harvest(sample);
-        return;
-      }
-      if (sample.payload.type() != original_type) {
-        current_frame_base_ = saved_frame_base;
-        throw std::logic_error("feature '" + std::string(feats[i]->name()) +
-                               "' changed the data type in consume()");
-      }
-    }
-  }
-
-  ++deliveries_;
-  if (n.delivered != nullptr) {
-    n.delivered->inc();
-    plan.deliveries_total->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, n.id, sample.producer,
-                  sample.sequence);
-  }
-  const ComponentId sample_producer = sample.producer;
-  const std::uint64_t sample_sequence = sample.sequence;
-  if (n.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
-    }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
-    }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
-    }
-    // The interpreted path copies into pending and hands the component the
-    // local; the frozen path moves into pending and hands the component
-    // the stored element. Identical values, one Sample copy less. The
-    // reference stays valid across a nested emission claiming the pending
-    // batch: vector::swap exchanges storage without moving elements, and
-    // the claimed buffer outlives this delivery on the dispatch stack.
-    // No reallocation can invalidate it either — further push_backs to
-    // this component's pending require another delivery to it, and
-    // deliveries only start from the drain loop, never inside on_input.
-    c.pending_inputs.push_back(std::move(sample));
-  }
-  const Sample& input =
-      n.records_provenance ? c.pending_inputs.back() : sample;
-
-  // While on_input runs, pull the likely next hop into cache: a relay's
-  // emission immediately dispatches to its first consumer.
-  if (n.edge_count != 0) {
-    const FrozenPlan::Node& next = plan.nodes[plan.edges[n.edge_begin]];
-    __builtin_prefetch(&next, 0, 3);
-    __builtin_prefetch(next.entry, 1, 3);
-  }
+  const ComponentId producer = input.producer;
+  const std::uint64_t sequence = input.sequence;
   const Sample* saved = c.current_input;
   c.current_input = &input;
   try {
-    n.component->on_input(input);
+    c.component->on_input(input);
   } catch (...) {
     c.current_input = saved;
     current_frame_base_ = saved_frame_base;
     if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, n.id, sample_producer,
-                    sample_sequence, current_exception_message());
+      record_flight(obs::FlightEventType::kTaskFailed, consumer, producer,
+                    sequence, current_exception_message());
     }
     throw;
   }
@@ -1737,24 +1183,50 @@ void ProcessingGraph::frozen_deliver(Sample&& sample,
   current_frame_base_ = saved_frame_base;
   // The previous delivery's watched buffer is released if on_input just
   // dropped the retention (a latest-value sink replacing its stored fix).
-  plan.check_watch(n);
-  // The local sample dies here; when it was the sink-side head of a
-  // provenance chain its buffer just became reusable — or, still
-  // retained by the component, becomes this node's watched slot. (With
-  // provenance recorded, the sample moved into pending_inputs and this
-  // is a no-op.)
-  plan.harvest_or_watch(sample, n);
+  arena_->check_watch(c.watch_slot);
 }
 
-void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
-                                OriginId origin) {
-  if (plan_ != nullptr) {
-    frozen_emit_from(producer, std::move(payload), origin);
+/// Deliver the top of the dispatch stack, consuming the sample in place:
+/// one move (stack slot -> pending_inputs or a local) instead of the
+/// pop-into-a-local round trip of deliver(). Only for deliveries without
+/// consume hooks, sentry or per-delivery instrumentation — none of which
+/// may run while the slot reference is live.
+void ProcessingGraph::deliver_top(Entry& c) {
+  const ComponentId consumer = dispatch_stack_.back().consumer;
+  Sample& slot = dispatch_stack_.back().sample;
+  if (!accepts(c.compiled_requirements, slot)) {
+    count_rejection(c, consumer);
+    arena_->harvest(slot);
+    dispatch_stack_.pop_back();
     return;
   }
-  Entry& e = entry(producer);
+  count_delivery(c, consumer, slot);
+  if (c.records_provenance && pending_owns_input(c)) {
+    const Sample& input = keep_pending(c, slot, /*move=*/true);
+    dispatch_stack_.pop_back();
+    // Same frame discipline as deliver(): everything this delivery
+    // triggers inserts at this base and drains before previously-pending
+    // deliveries.
+    const std::size_t saved_frame_base = current_frame_base_;
+    current_frame_base_ = dispatch_stack_.size();
+    invoke_on_input(c, consumer, input, saved_frame_base);
+    return;
+  }
+  Sample input = std::move(slot);
+  dispatch_stack_.pop_back();
+  if (c.records_provenance) keep_pending(c, input, /*move=*/false);
+  const std::size_t saved_frame_base = current_frame_base_;
+  current_frame_base_ = dispatch_stack_.size();
+  invoke_on_input(c, consumer, input, saved_frame_base);
+  // The consumed sample dies here; when it was the sink-side head of a
+  // provenance chain its buffer just became reusable — or, still retained
+  // by the component, becomes its watched slot.
+  arena_->harvest_or_watch(input, c.watch_slot);
+}
 
-  Sample sample;
+bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
+                                     Sample& sample, Payload&& payload,
+                                     OriginId origin) {
   sample.payload = std::move(payload);
   sample.timestamp = clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
   sample.producer = producer;
@@ -1763,8 +1235,6 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
   stamp_provenance(e, sample);
 
   Obs* const obs = obs_.get();
-  const bool timing = obs != nullptr && obs->config.timing;
-
   // Latency tracking: a root emission (no inherited ingest stamp) marks the
   // moment its data entered the graph; sinks subtract this in deliver().
   if (obs != nullptr && obs->config.latency && sample.ingest_us == 0.0) {
@@ -1773,6 +1243,7 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
 
   // Produce hooks of the producing component's features. A hook may modify
   // the sample but not its data type; returning false drops the emission.
+  const bool timing = obs != nullptr && obs->config.timing;
   const TypeInfo* original_type = sample.payload.type();
   for (const auto& f : e.features) {
     bool keep = false;
@@ -1787,7 +1258,7 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
       if (obs != nullptr && obs->config.metrics) {
         obs->handles(e, producer).produce_vetoed->inc();
       }
-      return;
+      return false;
     }
     if (sample.payload.type() != original_type) {
       throw std::logic_error("feature '" + std::string(f->name()) +
@@ -1816,134 +1287,42 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
     tracer.bind_sample(producer, sample.sequence, span);
   }
   if (sentry_ != nullptr) sentry_->on_emit(sample);
+  return true;
+}
 
-  enqueue_deliveries(std::move(sample), e);
+void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
+                                OriginId origin) {
+  Entry& e = entry(producer);
+  if (e.features.empty() && e.consumers.size() == 1 &&
+      current_frame_base_ == dispatch_stack_.size()) {
+    // A featureless single-consumer emission opening its frame (every hop
+    // of a straight pipeline) builds the sample directly in its
+    // dispatch-stack slot. No produce hook can veto or emit while the slot
+    // reference is live.
+    PendingDelivery& slot = dispatch_stack_.emplace_back();
+    slot.consumer = e.consumers.front();
+    try {
+      stamp_emission(e, producer, slot.sample, std::move(payload), origin);
+    } catch (...) {
+      dispatch_stack_.pop_back();
+      throw;
+    }
+  } else {
+    Sample sample;
+    if (!stamp_emission(e, producer, sample, std::move(payload), origin)) {
+      arena_->harvest(sample);
+      return;
+    }
+    enqueue_deliveries(std::move(sample), e);
+  }
   if (!dispatching_) drain_dispatch_stack();
 }
 
-void ProcessingGraph::emit_batch_from(ComponentId producer,
-                                      std::vector<Payload> payloads,
-                                      OriginId origin) {
-  if (payloads.empty()) return;
-  if (plan_ != nullptr) {
-    frozen_emit_batch_from(producer, std::move(payloads), origin);
-    return;
-  }
-  Entry& e = entry(producer);
-
-  // The cached obs pointer and flags cannot go stale mid-burst: toggling
-  // observability is rejected while dispatching_ is set (and it is set for
-  // the whole batch, below). The emitted handle is still re-resolved at
-  // inc time rather than cached across the hooks, so the accounting stays
-  // correct even if that guard is ever relaxed.
-  Obs* const obs = obs_.get();
-  const bool timing = obs != nullptr && obs->config.timing;
-  const bool metrics = obs != nullptr && obs->config.metrics;
-  const bool latency = obs != nullptr && obs->config.latency;
-
-  // Treat the burst as one dispatch frame: deliveries accumulate on the
-  // work stack and drain once at the end, in exactly the order N
-  // individual emit calls would have produced (see enqueue_deliveries).
-  const bool was_dispatching = dispatching_;
-  dispatching_ = true;
-  std::uint64_t emitted_in_batch = 0;
-  try {
-    const sim::SimTime now =
-        clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-    for (Payload& payload : payloads) {
-      Sample sample;
-      sample.payload = std::move(payload);
-      sample.timestamp = now;
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      stamp_provenance(e, sample);
-      if (latency && sample.ingest_us == 0.0) {
-        sample.ingest_us = now_wall_us();
-      }
-
-      const TypeInfo* original_type = sample.payload.type();
-      bool vetoed = false;
-      for (const auto& f : e.features) {
-        bool keep = false;
-        if (timing) {
-          const double t0 = now_wall_us();
-          keep = f->produce(sample);
-          obs->handles(e, producer, *f)
-              .produce_us->observe(now_wall_us() - t0);
-        } else {
-          keep = f->produce(sample);
-        }
-        if (!keep) {
-          if (metrics) obs->handles(e, producer).produce_vetoed->inc();
-          vetoed = true;
-          break;
-        }
-        if (sample.payload.type() != original_type) {
-          throw std::logic_error("feature '" + std::string(f->name()) +
-                                 "' changed the data type in produce()");
-        }
-      }
-      if (vetoed) continue;
-      ++e.emitted;
-      ++emitted_in_batch;
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-      }
-
-      if (obs != nullptr && obs->tracer) {
-        obs::TraceRecorder& tracer = *obs->tracer;
-        std::uint64_t span = current_span_;
-        if (span == 0) {
-          span = tracer.open(std::string(e.component->kind()) + ".emit",
-                             producer, producer, sample.sequence, 0);
-          tracer.close(span);
-        }
-        tracer.bind_sample(producer, sample.sequence, span);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
-
-      enqueue_deliveries(std::move(sample), e);
-    }
-  } catch (...) {
-    dispatching_ = was_dispatching;
-    if (emitted_in_batch > 0 && obs_ != nullptr && obs_->config.metrics) {
-      obs_->handles(e, producer).emitted->inc(emitted_in_batch);
-    }
-    if (!was_dispatching) {
-      dispatch_stack_.clear();
-      current_frame_base_ = 0;
-    }
-    throw;
-  }
-  dispatching_ = was_dispatching;
-  if (emitted_in_batch > 0 && obs_ != nullptr && obs_->config.metrics) {
-    obs_->handles(e, producer).emitted->inc(emitted_in_batch);
-  }
-  if (!was_dispatching) drain_dispatch_stack();
-}
-
 void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
-  Entry& c = entry(consumer);
-  Obs* const obs = obs_.get();
-  const bool metrics = obs != nullptr && obs->config.metrics;
-  const bool timing = obs != nullptr && obs->config.timing;
-
-  // Accept check against the compiled requirements: two integer compares
-  // per requirement, no vector materialization, no string compare.
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  for (const Entry::CompiledRequirement& r : c.compiled_requirements) {
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
-    }
-  }
-  if (!accepted) {
-    if (metrics) {
-      obs->handles(c, consumer).rejected->inc();
-      obs->rejections_total->inc();
-    }
+  Entry& c = *entries_[consumer];
+  if (!accepts(c.compiled_requirements, sample)) {
+    count_rejection(c, consumer);
+    arena_->harvest(sample);
     return;
   }
   if (sentry_ != nullptr) {
@@ -1966,7 +1345,9 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
   // Consume hooks of the receiving component's features. The sample is
   // owned by this delivery (the emitter queued one copy per consumer), so
   // hooks mutate it in place — no defensive copy.
-  const TypeInfo* original_type = sample_type;
+  Obs* const obs = obs_.get();
+  const bool timing = obs != nullptr && obs->config.timing;
+  const TypeInfo* original_type = sample.payload.type();
   for (const auto& f : c.features) {
     bool keep = false;
     if (timing) {
@@ -1979,8 +1360,11 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
     if (!keep) {
       // Emissions already made by earlier hooks stay queued (the recursive
       // dispatcher had delivered them before the veto, too).
-      if (metrics) obs->handles(c, consumer).consume_vetoed->inc();
+      if (obs != nullptr && obs->config.metrics) {
+        obs->handles(c, consumer).consume_vetoed->inc();
+      }
       current_frame_base_ = saved_frame_base;
+      arena_->harvest(sample);
       return;
     }
     if (sample.payload.type() != original_type) {
@@ -1990,37 +1374,14 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
     }
   }
 
-  ++deliveries_;
-  if (metrics) {
-    obs->handles(c, consumer).delivered->inc();
-    obs->deliveries_total->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, consumer, sample.producer,
-                  sample.sequence);
-  }
-  // Record provenance only for components that can emit; pure sinks
-  // (applications) would otherwise accumulate pending inputs forever. The
-  // running sequence range feeds Sample::cached_seq_min/max at emit time.
-  if (c.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
-    }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
-    }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
-    }
-    c.pending_inputs.push_back(sample);
-  }
-
-  // Open the flow span for this delivery: its parent is the span under
-  // which the sample was emitted, so span ancestry == provenance chain.
+  count_delivery(c, consumer, sample);
+  // Flow-span and latency bookkeeping read the sample before it may move
+  // into the pending inputs.
   const std::uint64_t saved_span = current_span_;
   std::uint64_t span_id = 0;
   if (obs != nullptr && obs->tracer) {
+    // The span's parent is the span under which the sample was emitted, so
+    // span ancestry == provenance chain.
     const std::uint64_t parent =
         obs->tracer->span_for_sample(sample.producer, sample.sequence);
     span_id = obs->tracer->open(
@@ -2028,7 +1389,6 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
         sample.producer, sample.sequence, parent);
     current_span_ = span_id;
   }
-
   // End-to-end latency is observed when the sample *arrives* at a sink:
   // ingest→sink covers every upstream hop but not the sink's own on_input
   // (that is what on_input_us measures). The delivery span doubles as the
@@ -2044,31 +1404,28 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
       }
     }
   }
-  const double t0 = timing ? now_wall_us() : 0.0;
 
-  const Sample* saved = c.current_input;
-  c.current_input = &sample;
+  // Record provenance only for components that can emit; pure sinks
+  // (applications) would otherwise accumulate pending inputs forever. The
+  // sample moves in only where pending_owns_input() holds; otherwise
+  // pending gets a copy and on_input reads this delivery's own sample.
+  const Sample& input =
+      c.records_provenance ? keep_pending(c, sample, pending_owns_input(c))
+                           : sample;
+  const double t0 = timing ? now_wall_us() : 0.0;
   try {
-    c.component->on_input(sample);
+    invoke_on_input(c, consumer, input, saved_frame_base);
   } catch (...) {
-    c.current_input = saved;
-    current_frame_base_ = saved_frame_base;
     if (span_id != 0 && obs_ && obs_->tracer) obs_->tracer->close(span_id);
     current_span_ = saved_span;
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, consumer,
-                    sample.producer, sample.sequence,
-                    current_exception_message());
-    }
     throw;
   }
-  c.current_input = saved;
-  current_frame_base_ = saved_frame_base;
   if (timing) {
     obs->handles(c, consumer).on_input_us->observe(now_wall_us() - t0);
   }
   if (span_id != 0 && obs->tracer) obs->tracer->close(span_id);
   current_span_ = saved_span;
+  arena_->harvest_or_watch(sample, c.watch_slot);
 }
 
 }  // namespace perpos::core

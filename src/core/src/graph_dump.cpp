@@ -42,8 +42,7 @@ void render_node(const ProcessingGraph& graph, ComponentId id,
 
 std::string dump_structure(const ProcessingGraph& graph) {
   std::ostringstream out;
-  out << "Process Structure Layer (" << graph.size() << " components, "
-      << (graph.frozen() ? "frozen plan" : "interpreted") << ")\n";
+  out << "Process Structure Layer (" << graph.size() << " components)\n";
   for (ComponentId sink : graph.sinks()) {
     render_node(graph, sink, "", out);
   }

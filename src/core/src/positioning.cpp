@@ -419,7 +419,6 @@ obs::GraphIntrospection PositioningService::introspect(
   } else {
     out.name = name;
   }
-  out.frozen = graph_.frozen();
   for (const auto& p : providers_) {
     std::string line = p->metric_label();
     line += '=';

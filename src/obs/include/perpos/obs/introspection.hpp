@@ -48,7 +48,6 @@ struct ComponentSelfTime {
 /// One observed graph (or PositioningService deployment).
 struct GraphIntrospection {
   std::string name;
-  bool frozen = false;  ///< Executing a compiled plan (vs interpreted).
   std::uint64_t deliveries = 0;
   std::uint64_t rejections = 0;
   std::uint64_t components = 0;

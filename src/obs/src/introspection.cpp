@@ -100,8 +100,7 @@ std::string to_json(const IntrospectionSnapshot& snapshot) {
     const GraphIntrospection& g = snapshot.graphs[i];
     if (i) out << ",";
     out << "{\"name\":\"" << escape_json(g.name)
-        << "\",\"frozen\":" << (g.frozen ? "true" : "false")
-        << ",\"deliveries\":" << g.deliveries
+        << "\",\"deliveries\":" << g.deliveries
         << ",\"rejections\":" << g.rejections
         << ",\"components\":" << g.components << ",\"top_self_time\":[";
     for (std::size_t k = 0; k < g.top_self_time.size(); ++k) {
@@ -185,7 +184,7 @@ std::string render_dashboard(const IntrospectionSnapshot& now,
   }
 
   for (const GraphIntrospection& g : now.graphs) {
-    out << "\n" << g.name << (g.frozen ? " [frozen]" : "") << ": "
+    out << "\n" << g.name << ": "
         << g.components << " components, " << g.deliveries << " deliveries";
     if (dt_s > 0.0) {
       for (const GraphIntrospection& p : prev->graphs) {

@@ -7,64 +7,53 @@
 #include <string>
 
 /// \file graph_plan.hpp
-/// Verify-then-freeze policy for compiled execution plans.
+/// Verify gate for a running graph.
 ///
-/// The core freeze seam (ProcessingGraph::freeze_plan / thaw_plan) is
-/// mechanism only: it lowers whatever structure the graph currently has and
-/// thaws on any mutation. GraphPlan is the policy layer that mirrors
-/// assemble_verified for the runtime case — a graph is only frozen after
-/// the static analyzer (PPV structural rules plus the PPQ quantitative
-/// budget rules) reports a clean bill, and once frozen the plan follows the
-/// freeze→thaw→re-freeze lifecycle automatically: every GraphMutation (a
-/// PSL edit, a LiveReconfigurator hot-swap commit or rollback, a tee
-/// promotion — they all reach the graph as mutations) thaws the core plan,
-/// and GraphPlan re-verifies incrementally (O(delta) via
-/// IncrementalVerifier) and re-freezes when the result is still clean.
+/// The graph has one executor and no lowered copy of its structure, so
+/// there is nothing to compile: a mutation changes the running process at
+/// once. What a "frozen" graph adds is a standing guarantee that the
+/// static analyzer (PPV structural rules plus the PPQ quantitative budget
+/// rules) found the *current* structure clean — the runtime counterpart of
+/// assemble_verified. freeze() runs the incremental verifier and arms the
+/// gate on a clean report; while armed, every GraphMutation (a PSL edit, a
+/// LiveReconfigurator hot-swap commit or rollback, a tee promotion — they
+/// all reach the graph as mutations) invalidates the last check, and the
+/// gate re-verifies incrementally (O(delta) via IncrementalVerifier).
+/// frozen() is true while the gate is armed and that last check was clean.
 ///
-/// The PPS-series runtime sanitizer and the flight recorder keep firing on
-/// the frozen path; timing / tracing / latency observability block freezing
-/// (see ProcessingGraph::freeze_blocker), in which case freeze() reports
-/// the blocker instead of throwing.
-///
-/// The lifecycle invariant — a frozen plan never outlives a
-/// thaw-triggering mutation, so dispatch never runs a plan lowered from
-/// an older graph version — is checked exhaustively by the bounded model
-/// checker (PPM004; perpos/verify/protocol_models.hpp interleaves
-/// freeze/thaw, all three mutation kinds, and dispatches). Changes to the
-/// thaw-on-mutation or armed-refreeze behaviour here must keep the model
-/// in lockstep.
+/// Observability settings, the PPS runtime sanitizer and the flight
+/// recorder are independent of the gate: the same dispatch runs either way.
 
 namespace perpos::plan {
 
 struct PlanOptions {
-  /// Re-freeze automatically after every mutation while the policy target
-  /// is "frozen" (i.e. after a successful freeze() that no explicit thaw()
-  /// has revoked). When off, mutations still thaw the core plan — the core
-  /// guarantees that unconditionally — but re-freezing is manual.
+  /// Re-verify automatically after every mutation while the gate is
+  /// armed (i.e. after a successful freeze() that no explicit thaw() has
+  /// revoked). When off, a mutation leaves the gate armed but unverified
+  /// until the next freeze().
   bool auto_refreeze = true;
-  /// Analyzer options for the freeze gate (rule toggles, budget defaults).
+  /// Analyzer options for the gate (rule toggles, budget defaults).
   verify::Options verify_options{};
 };
 
 /// Outcome of a freeze attempt.
 struct FreezeResult {
   bool frozen = false;
-  /// Why the freeze was refused: a core blocker (e.g. tracing enabled) or
-  /// "verification failed" with the analyzer report attached. Empty on
-  /// success.
+  /// Why the freeze was refused: "verification failed" with the analyzer
+  /// report attached. Empty on success.
   std::string reason;
   verify::Report report;
 };
 
 /// Lifecycle counters, for introspection and tests.
 struct PlanStats {
-  std::uint64_t freezes = 0;           ///< Successful freezes (incl. re-freezes).
+  std::uint64_t freezes = 0;           ///< Clean checks (incl. re-verifies).
   std::uint64_t freeze_rejections = 0; ///< freeze() calls that were refused.
   std::uint64_t thaws = 0;             ///< Explicit thaw() calls that thawed.
   std::uint64_t auto_thaws = 0;        ///< Mutations observed while armed (each
-                                       ///< thawed the plan if it was frozen).
-  std::uint64_t refreeze_failures = 0; ///< Auto re-freezes refused (dirty report
-                                       ///< or core blocker); plan stays thawed.
+                                       ///< invalidated the last clean check).
+  std::uint64_t refreeze_failures = 0; ///< Re-verifies that found errors; the
+                                       ///< gate stays armed but not frozen.
 };
 
 class GraphPlan {
@@ -78,26 +67,24 @@ class GraphPlan {
   GraphPlan(const GraphPlan&) = delete;
   GraphPlan& operator=(const GraphPlan&) = delete;
 
-  /// Verify (incrementally) and freeze on a clean report. On refusal the
-  /// graph simply stays interpreted — translucency is never at risk.
-  /// A successful freeze arms auto re-freezing (see PlanOptions).
+  /// Verify (incrementally) and arm the gate on a clean report. A refusal
+  /// is reported, never thrown; dispatch is unaffected either way.
   FreezeResult freeze();
 
-  /// Thaw and disarm auto re-freezing. No-op when already interpreted.
+  /// Disarm the gate. No-op when not frozen.
   void thaw();
 
-  /// Whether the graph is executing the compiled plan right now.
-  bool frozen() const noexcept { return graph_.frozen(); }
+  /// Armed, and the last check of the current structure was clean.
+  bool frozen() const noexcept { return armed_ && clean_; }
 
-  /// Whether a successful freeze() armed the auto re-freeze policy (true
-  /// even while momentarily thawed between a mutation and its re-freeze
-  /// failure).
-  bool armed() const noexcept { return want_frozen_; }
+  /// Whether a successful freeze() armed the gate (true even while a
+  /// mutation's re-verify found errors).
+  bool armed() const noexcept { return armed_; }
 
   const PlanStats& stats() const noexcept { return stats_; }
 
-  /// The freeze gate's verifier, e.g. to annotate budgets (PPQ) without
-  /// dropping its cache.
+  /// The gate's verifier, e.g. to annotate budgets (PPQ) without dropping
+  /// its cache.
   verify::IncrementalVerifier& verifier() noexcept { return verifier_; }
 
  private:
@@ -108,10 +95,8 @@ class GraphPlan {
   verify::IncrementalVerifier verifier_;
   PlanStats stats_;
   std::size_t observer_token_ = 0;
-  bool want_frozen_ = false;
-  /// Guards against re-entrant mutation notifications while re-freezing
-  /// (freeze_plan itself never mutates, but defensive anyway).
-  bool in_refreeze_ = false;
+  bool armed_ = false;
+  bool clean_ = false;
 };
 
 }  // namespace perpos::plan

@@ -32,52 +32,40 @@ GraphPlan::~GraphPlan() { graph_.remove_mutation_observer(observer_token_); }
 
 FreezeResult GraphPlan::freeze() {
   FreezeResult result;
-  if (const char* blocker = graph_.freeze_blocker()) {
-    result.reason = blocker;
-    ++stats_.freeze_rejections;
-    return result;
-  }
   result.report = verifier_.recheck();
   if (!result.report.ok()) {
     result.reason = describe_failure(result.report);
     ++stats_.freeze_rejections;
     return result;
   }
-  graph_.freeze_plan();
-  want_frozen_ = true;
+  armed_ = true;
+  clean_ = true;
   ++stats_.freezes;
+  graph_.record_event(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
+                      "plan.freeze");
   result.frozen = true;
   return result;
 }
 
 void GraphPlan::thaw() {
-  want_frozen_ = false;
-  if (!graph_.frozen()) return;
-  graph_.thaw_plan();
+  const bool was_frozen = frozen();
+  armed_ = false;
+  clean_ = false;
+  if (!was_frozen) return;
   ++stats_.thaws;
+  graph_.record_event(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
+                      "plan.thaw");
 }
 
 void GraphPlan::on_mutation() {
-  // The core thawed before any observer ran (mutations always thaw); this
-  // callback only decides whether to re-freeze.
-  if (!want_frozen_ || in_refreeze_) return;
+  if (!armed_) return;
   ++stats_.auto_thaws;
+  clean_ = false;
   if (!options_.auto_refreeze) return;
-  in_refreeze_ = true;
-  try {
-    if (graph_.freeze_blocker() == nullptr && verifier_.recheck().ok()) {
-      graph_.freeze_plan();
-      ++stats_.freezes;
-    } else {
-      // Stay interpreted; the policy stays armed, so a later mutation that
-      // restores a clean graph re-freezes again.
-      ++stats_.refreeze_failures;
-    }
-  } catch (...) {
-    in_refreeze_ = false;
-    throw;
-  }
-  in_refreeze_ = false;
+  clean_ = verifier_.recheck().ok();
+  // A dirty result keeps the gate armed, so a later mutation that restores
+  // a clean graph is frozen again.
+  ++(clean_ ? stats_.freezes : stats_.refreeze_failures);
 }
 
 }  // namespace perpos::plan

@@ -52,7 +52,7 @@
 /// from them is the caller's choice, keeping the config layer free of a
 /// dependency on perpos::reconfig.
 ///
-/// `plan` declares compiled-execution-plan policy (see PlanSettings). As
+/// `plan` declares the GraphPlan verify-gate policy (see PlanSettings). As
 /// with `health` and `reconfig`, the parser only records the settings in
 /// ConfigResult::plan — constructing a plan::GraphPlan and calling
 /// freeze() is the caller's choice, keeping the config layer free of a
@@ -159,13 +159,13 @@ struct ReconfigSettings {
                          const ReconfigSettings&) = default;
 };
 
-/// Compiled-execution-plan policy declared by a `plan` config line.
-/// Mirror of plan::PlanOptions plus the freeze request itself (plain
-/// bools keep the config layer independent of perpos::plan; the caller
-/// builds a plan::GraphPlan from them and calls freeze() after assembly).
+/// Verify-gate policy declared by a `plan` config line. Mirror of
+/// plan::PlanOptions plus the freeze request itself (plain bools keep the
+/// config layer independent of perpos::plan; the caller builds a
+/// plan::GraphPlan from them and calls freeze() after assembly).
 struct PlanSettings {
-  bool freeze = true;         ///< Attempt verify-then-freeze after assembly.
-  bool auto_refreeze = true;  ///< Re-freeze automatically after mutations.
+  bool freeze = true;         ///< Verify and arm the gate after assembly.
+  bool auto_refreeze = true;  ///< Re-verify automatically after mutations.
 
   friend bool operator==(const PlanSettings&, const PlanSettings&) = default;
 };

@@ -25,7 +25,8 @@
 ///   PPS001  lane-ownership       the graph is driven by one bound thread
 ///   PPS002  time-regression      per-producer timestamps/logical time
 ///                                never move backwards
-///   PPS003  pool-double-release  a provenance buffer is released once
+///   PPS003  pool-double-release  a provenance buffer is reused only once
+///                                nothing references it
 ///   PPS004  emission-depth       one external emission cascades into a
 ///                                bounded number of deliveries
 ///   PPS005  queue-watermark      dispatch / lane queues stay bounded
@@ -59,7 +60,7 @@ struct SanitizerConfig {
 /// records invariant violations as verify diagnostics.
 ///
 /// Threading: the sentry callbacks run on the graph's dispatching thread;
-/// pool releases and engine watermarks may arrive from any thread. All
+/// engine watermarks may arrive from any thread. All
 /// internal state is mutex-guarded, so report()/violations() may be read
 /// from anywhere. The sanitizer must be detached (or destroyed — the
 /// destructor detaches) before the graph it watches dies.

@@ -48,8 +48,7 @@ void GraphSanitizer::detach() {
     token = mutation_observer_token_;
     mutation_observer_token_ = 0;
   }
-  // set_sentry takes the graph's pool mutex; release ours first so a
-  // concurrent pool release cannot deadlock against the detach.
+  // Release our mutex before calling back into the graph.
   if (graph != nullptr) {
     if (token != 0) graph->remove_mutation_observer(token);
     if (graph->sentry() == this) graph->set_sentry(nullptr);
@@ -261,10 +260,10 @@ void GraphSanitizer::on_graph_mutation(const core::GraphMutation& mutation) {
 
 void GraphSanitizer::on_pool_double_release() {
   record("PPS003", verify::Severity::kError, std::nullopt,
-         "a provenance buffer was returned to the pool twice (the duplicate "
-         "was dropped, not reused)",
-         "audit retained Sample copies for a manual release racing the "
-         "pool's weak_ptr deleter");
+         "the provenance arena found a buffer listed as free that is still "
+         "referenced (the slot was skipped, not reused)",
+         "audit the arena's release bookkeeping (harvest / watch slots) for "
+         "a slot listed while a sample still holds it");
 }
 
 void GraphSanitizer::record(std::string rule_id, verify::Severity severity,

@@ -19,7 +19,7 @@
 ///
 /// The PPV/PPS/PPQ rules check structure, live behaviour, and rates; the
 /// middleware's *protocols* — seq/ack/retransmit reliable links, the
-/// fence-quiesce hot-swap, the freeze/thaw plan lifecycle — are temporal:
+/// fence-quiesce hot-swap — are temporal:
 /// their correctness claims quantify over every interleaving of concurrent
 /// actors. Chaos tests sample those interleavings; the checker in this file
 /// enumerates them exhaustively within a bound.
@@ -42,7 +42,7 @@
 ///    clean verdict — which check_protocol_models() surfaces as an explicit
 ///    PPM005 note.
 ///
-/// The three built-in protocol models and their PPM rules live in
+/// The built-in protocol models and their PPM rules live in
 /// protocol_models.hpp; this header is the reusable checker core (tests
 /// drive it with toy models too).
 

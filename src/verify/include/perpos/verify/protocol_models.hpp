@@ -8,7 +8,7 @@
 #include <vector>
 
 /// \file protocol_models.hpp
-/// The three checked protocol models behind the PPM rule family, extracted
+/// The checked protocol models behind the PPM rule family, extracted
 /// from the real subsystems and kept honest against them by construction
 /// (every transition mirrors a documented step of the implementation; the
 /// source cross-references live in the respective headers):
@@ -31,11 +31,9 @@
 ///    no sample is lost across cutover/rollback, and the fence is always
 ///    released.
 ///
-///  - *freeze-thaw* (src/plan/graph_plan.*): the compiled-plan lifecycle —
-///    verify-then-freeze, auto-thaw on any mutation (PSL edit, hot-swap
-///    commit, rollback), optional auto-refreeze after a clean re-verify.
-///    Safety (PPM004): a frozen plan never outlives a thaw-triggering
-///    mutation (dispatch never runs a plan compiled for an older graph).
+/// PPM004 is retired and stays reserved: it belonged to a freeze/thaw
+/// model of a compiled dispatch plan that no longer exists (the graph has
+/// one executor, so there is no lowered copy that could go stale).
 ///
 /// Exploration that exhausts its budget is reported as PPM005 (note) —
 /// explicitly unverified, never silently clean.
@@ -58,8 +56,6 @@ enum class ModelMutant {
   /// The reconfigurator proceeds to cutover without waiting for the
   /// in-flight task to retire (unfence before quiesce completes) -> PPM003.
   kSwapUnfenceEarly,
-  /// A rollback mutation fails to thaw the frozen plan -> PPM004.
-  kPlanMissThawOnRollback,
 };
 
 /// CLI names, e.g. "link-no-dedupe". kNone has no name.
@@ -95,22 +91,12 @@ struct SwapModelParams {
   ModelMutant mutant = ModelMutant::kNone;
 };
 
-/// Bounds for the freeze/thaw model.
-struct PlanModelParams {
-  int mutations = 2;   ///< Mutation events (edit / swap commit / rollback).
-  int dispatches = 2;  ///< Dispatch begin/end pairs interleaved.
-  int freezes = 2;     ///< Explicit freeze() attempts.
-  ModelMutant mutant = ModelMutant::kNone;
-};
-
 mc::Outcome check_link_model(const LinkModelParams& params,
                              const mc::Budget& budget);
 mc::Outcome check_swap_model(const SwapModelParams& params,
                              const mc::Budget& budget);
-mc::Outcome check_plan_model(const PlanModelParams& params,
-                             const mc::Budget& budget);
 
-/// The PPM rule id a model outcome maps to ("PPM001".."PPM004" for
+/// The PPM rule id a model outcome maps to ("PPM001".."PPM003" for
 /// violations keyed on model + property, "PPM005" for truncation, empty
 /// for clean outcomes).
 std::string_view model_rule_for(const mc::Outcome& outcome) noexcept;
@@ -122,7 +108,7 @@ struct ModelCheckOptions {
 };
 
 /// Run the built-in protocol models (reliable-link in both reordering and
-/// FIFO configurations, hot-swap, freeze-thaw) and render the outcomes as
+/// FIFO configurations, hot-swap) and render the outcomes as
 /// PPM diagnostics in the ordinary catalog/baseline/SARIF stream:
 /// violations carry the shortest counterexample as a Diagnostic trace,
 /// budget exhaustion becomes a PPM005 note per truncated model, and clean

@@ -62,8 +62,7 @@
 ///                                              gave up below the retry bound
 ///   PPM003  hot-swap-isolation        error    swap protocol broke isolation,
 ///                                              quiesce, or sample retention
-///   PPM004  stale-frozen-plan         error    frozen plan outlived a
-///                                              thaw-triggering mutation
+///   PPM004  (retired, reserved — the freeze/thaw plan model is gone)
 ///   PPM005  model-budget-exhausted    note     exploration truncated; model
 ///                                              unverified, not clean
 

@@ -545,159 +545,6 @@ class SwapModel {
   SwapModelParams p_;
 };
 
-// --- Model (c): GraphPlan freeze/thaw --------------------------------------
-//
-// Mirrors src/plan/graph_plan.cpp:
-//   plan.freeze      = GraphPlan::freeze (verify gate nondet; arms policy)
-//   plan.thaw        = GraphPlan::thaw (disarms)
-//   graph.mutate-*   = a PSL edit / LiveReconfigurator commit / rollback
-//                      reaching ProcessingGraph as a mutation; the core
-//                      auto-thaws via notify_mutation, then an armed plan
-//                      re-verifies incrementally and re-freezes if clean
-//   engine.dispatch  = a frozen or interpreted drain (mutations are kept
-//                      outside dispatch by the quiesce discipline — the
-//                      hot-swap model owns that interleaving)
-
-struct PlanState {
-  std::uint8_t frozen = 0;
-  std::uint8_t armed = 0;          // auto-refreeze policy armed
-  std::uint8_t graph_version = 0;  // bumped by every mutation
-  std::uint8_t plan_version = 0;   // version the frozen plan was lowered from
-  std::uint8_t in_dispatch = 0;
-  std::uint8_t mutations_left = 0;
-  std::uint8_t dispatches_left = 0;
-  std::uint8_t freezes_left = 0;
-  std::uint8_t swapped = 0;  // an un-rolled-back hot-swap commit exists
-};
-
-class PlanModel {
- public:
-  using State = PlanState;
-
-  explicit PlanModel(const PlanModelParams& params) : p_(params) {}
-
-  std::string_view name() const { return "freeze-thaw"; }
-
-  std::vector<State> initial() const {
-    State s;
-    s.mutations_left = std::uint8_t(p_.mutations);
-    s.dispatches_left = std::uint8_t(p_.dispatches);
-    s.freezes_left = std::uint8_t(p_.freezes);
-    return {s};
-  }
-
-  void successors(const State& s, std::vector<Step<State>>& out) const {
-    // plan.freeze: refused mid-dispatch; the verifier verdict is nondet.
-    if (s.frozen == 0 && s.in_dispatch == 0 && s.freezes_left > 0) {
-      {
-        State n = s;
-        --n.freezes_left;
-        n.frozen = 1;
-        n.armed = 1;
-        n.plan_version = n.graph_version;
-        out.push_back({n, {"plan", "freeze: verify clean -> lower plan v" +
-                                       std::to_string(int(n.plan_version)) +
-                                       ", auto-refreeze armed"}});
-      }
-      {
-        State n = s;
-        --n.freezes_left;
-        out.push_back({n, {"plan", "freeze: verify dirty -> refused, stays "
-                                   "interpreted"}});
-      }
-    }
-    if (s.frozen != 0) {
-      State n = s;
-      n.frozen = 0;
-      n.armed = 0;
-      out.push_back({n, {"plan", "thaw: disarm auto-refreeze"}});
-    }
-
-    // graph.mutate: three mutation kinds, all of which must thaw. The
-    // quiesce discipline (checked exhaustively by the hot-swap model)
-    // keeps mutations outside dispatch.
-    if (s.mutations_left > 0 && s.in_dispatch == 0) {
-      mutate(s, out, "edit", /*is_rollback=*/false, /*sets_swapped=*/false);
-      mutate(s, out, "hot-swap commit", /*is_rollback=*/false,
-             /*sets_swapped=*/true);
-      if (s.swapped != 0) {
-        mutate(s, out, "rollback", /*is_rollback=*/true,
-               /*sets_swapped=*/false);
-      }
-    }
-
-    // engine.dispatch: a drain against whatever plan is installed.
-    if (s.in_dispatch == 0 && s.dispatches_left > 0) {
-      State n = s;
-      n.in_dispatch = 1;
-      --n.dispatches_left;
-      out.push_back({n, {"engine", std::string("dispatch begins on the ") +
-                                       (n.frozen ? "frozen" : "interpreted") +
-                                       " path"}});
-    }
-    if (s.in_dispatch != 0) {
-      State n = s;
-      n.in_dispatch = 0;
-      out.push_back({n, {"engine", "dispatch retires"}});
-    }
-  }
-
-  Violation invariant(const State& s) const {
-    if (s.frozen != 0 && s.plan_version != s.graph_version) {
-      return {"stale-frozen-plan",
-              "the graph is executing a frozen plan lowered from version " +
-                  std::to_string(int(s.plan_version)) +
-                  " after a thaw-triggering mutation advanced it to "
-                  "version " +
-                  std::to_string(int(s.graph_version)) +
-                  " (dispatch would use dangling node records)"};
-    }
-    return {};
-  }
-
-  Violation terminal(const State&) const { return {}; }
-
- private:
-  void mutate(const State& s, std::vector<Step<State>>& out, const char* kind,
-              bool is_rollback, bool sets_swapped) const {
-    const bool miss_thaw =
-        is_rollback && p_.mutant == ModelMutant::kPlanMissThawOnRollback;
-    State base = s;
-    --base.mutations_left;
-    ++base.graph_version;
-    if (sets_swapped) base.swapped = 1;
-    if (is_rollback) base.swapped = 0;
-    const bool was_frozen = base.frozen != 0;
-    if (!miss_thaw) base.frozen = 0;
-    const std::string label =
-        std::string("mutation (") + kind + ") -> graph v" +
-        std::to_string(int(base.graph_version)) +
-        (miss_thaw ? "; thaw MISSED (bug)"
-                   : (was_frozen ? "; auto-thaw" : ""));
-    if (!miss_thaw && base.armed != 0) {
-      // GraphPlan::on_mutation: armed plans re-verify incrementally and
-      // re-freeze when clean; a dirty report leaves it interpreted.
-      {
-        State n = base;
-        n.frozen = 1;
-        n.plan_version = n.graph_version;
-        out.push_back({n, {"graph", label + "; armed refreeze: verify "
-                                            "clean, plan v" +
-                                        std::to_string(int(n.plan_version))}});
-      }
-      {
-        State n = base;
-        out.push_back({n, {"graph", label + "; armed refreeze: verify "
-                                            "dirty, stays interpreted"}});
-      }
-      return;
-    }
-    out.push_back({base, {"graph", label}});
-  }
-
-  PlanModelParams p_;
-};
-
 }  // namespace
 
 // --- Mutants ----------------------------------------------------------------
@@ -709,8 +556,6 @@ std::string_view model_mutant_name(ModelMutant mutant) noexcept {
     case ModelMutant::kLinkSkipRetransmitBound:
       return "link-skip-retransmit-bound";
     case ModelMutant::kSwapUnfenceEarly: return "swap-unfence-early";
-    case ModelMutant::kPlanMissThawOnRollback:
-      return "plan-miss-thaw-on-rollback";
   }
   return {};
 }
@@ -718,16 +563,14 @@ std::string_view model_mutant_name(ModelMutant mutant) noexcept {
 std::vector<std::string_view> model_mutant_names() {
   return {model_mutant_name(ModelMutant::kLinkNoDedupe),
           model_mutant_name(ModelMutant::kLinkSkipRetransmitBound),
-          model_mutant_name(ModelMutant::kSwapUnfenceEarly),
-          model_mutant_name(ModelMutant::kPlanMissThawOnRollback)};
+          model_mutant_name(ModelMutant::kSwapUnfenceEarly)};
 }
 
 std::optional<ModelMutant> parse_model_mutant(
     std::string_view name) noexcept {
   for (const ModelMutant m :
        {ModelMutant::kLinkNoDedupe, ModelMutant::kLinkSkipRetransmitBound,
-        ModelMutant::kSwapUnfenceEarly,
-        ModelMutant::kPlanMissThawOnRollback}) {
+        ModelMutant::kSwapUnfenceEarly}) {
     if (model_mutant_name(m) == name) return m;
   }
   return std::nullopt;
@@ -753,11 +596,6 @@ mc::Outcome check_swap_model(const SwapModelParams& params,
   return mc::explore(SwapModel(params), budget);
 }
 
-mc::Outcome check_plan_model(const PlanModelParams& params,
-                             const mc::Budget& budget) {
-  return mc::explore(PlanModel(params), budget);
-}
-
 std::string_view model_rule_for(const mc::Outcome& outcome) noexcept {
   if (outcome.verdict == mc::Verdict::kTruncated) return "PPM005";
   if (outcome.verdict != mc::Verdict::kViolation) return {};
@@ -770,7 +608,6 @@ std::string_view model_rule_for(const mc::Outcome& outcome) noexcept {
     return "PPM002";
   }
   if (outcome.model == "hot-swap") return "PPM003";
-  if (outcome.model == "freeze-thaw") return "PPM004";
   return {};
 }
 
@@ -824,12 +661,6 @@ Report check_protocol_models(const ModelCheckOptions& options) {
     swap.mutant = options.mutant;
   }
   add(check_swap_model(swap, options.budget));
-
-  PlanModelParams plan;
-  if (options.mutant == ModelMutant::kPlanMissThawOnRollback) {
-    plan.mutant = options.mutant;
-  }
-  add(check_plan_model(plan, options.budget));
 
   return report;
 }

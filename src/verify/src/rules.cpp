@@ -1396,7 +1396,8 @@ const RuleRegistry& RuleRegistry::default_catalog() {
         Severity::kWarning));
     r->add(std::make_unique<RuntimeRule>(
         "PPS003", "pool-double-release",
-        "a pooled provenance buffer was released twice (runtime sanitizer)",
+        "a provenance buffer listed as free was still referenced when the "
+        "arena went to reuse it (runtime sanitizer)",
         Severity::kError));
     r->add(std::make_unique<RuntimeRule>(
         "PPS004", "emission-depth",
@@ -1437,12 +1438,8 @@ const RuleRegistry& RuleRegistry::default_catalog() {
         "leaked the fence, or lost a sample across cutover/rollback (model "
         "checker)",
         Severity::kError));
-    r->add(std::make_unique<RuntimeRule>(
-        "PPM004", "stale-frozen-plan",
-        "the freeze/thaw model dispatched a frozen plan compiled for an "
-        "older graph version after a thaw-triggering mutation (model "
-        "checker)",
-        Severity::kError));
+    // PPM004 (stale-frozen-plan) is retired with the compiled-plan
+    // freeze/thaw lifecycle it modelled; the id stays reserved.
     r->add(std::make_unique<RuntimeRule>(
         "PPM005", "model-budget-exhausted",
         "bounded exploration of a protocol model ran out of its state, "
@@ -1529,8 +1526,8 @@ constexpr ExplainSketch kSketches[] = {
      "  runtime: a producer re-emits an older timestamp / sequence on a\n"
      "  channel (clock stepped back, replayed sample)"},
     {"PPS003",
-     "  runtime: a pooled provenance buffer's release() called twice\n"
-     "  (double free of a recycled Sample)"},
+     "  runtime: the arena lists a provenance slot as free while a sample\n"
+     "  still holds its buffer (one buffer would serve two samples)"},
     {"PPS004",
      "  runtime: one external emission cascades through emit() chains\n"
      "  past the configured delivery-depth bound"},
@@ -1598,10 +1595,6 @@ constexpr ExplainSketch kSketches[] = {
      "  # hot-swap model, fence wait seeded out (--model-mutant=\n"
      "  # swap-unfence-early): cutover fires while the worker still has a\n"
      "  # task in flight -> mutation-during-drain (PPS006) counterexample"},
-    {"PPM004",
-     "  # freeze/thaw model, rollback thaw seeded out (--model-mutant=\n"
-     "  # plan-miss-thaw-on-rollback): freeze at graph v1, roll the swap\n"
-     "  # back without thawing -> stale-frozen-plan counterexample"},
     {"PPM005",
      "  # any model with the budget forced tiny, e.g.\n"
      "  #   perpos-verify --model --model-states=10\n"

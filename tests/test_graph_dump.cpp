@@ -73,7 +73,7 @@ struct Rig {
 TEST(GraphDump, StructureRendersTreeFromSinkToSource) {
   Rig rig;
   const std::string psl = core::dump_structure(rig.graph);
-  EXPECT_NE(psl.find("Process Structure Layer (3 components, interpreted)"),
+  EXPECT_NE(psl.find("Process Structure Layer (3 components)"),
             std::string::npos);
   // All three components appear with their ids.
   EXPECT_NE(psl.find("Sensor #" + std::to_string(rig.source_id)),

@@ -1,7 +1,7 @@
 // Tests for the bounded explicit-state model checker (perpos::verify::mc)
 // and the PPM protocol models: the checker core on toy state machines
 // (BFS shortest-counterexample, dedup, terminal checks, budget truncation),
-// the three built-in protocol models verifying clean exhaustively, the
+// the built-in protocol models verifying clean exhaustively, the
 // mutation-kill variants each producing their PPM finding with a short
 // replayable trace, and the counterexample rendering across text / JSON /
 // SARIF (codeFlows).
@@ -190,12 +190,6 @@ TEST(ProtocolModels, HotSwapVerifiesClean) {
   EXPECT_EQ(o.model, "hot-swap");
 }
 
-TEST(ProtocolModels, FreezeThawVerifiesClean) {
-  const mc::Outcome o = vfy::check_plan_model({}, mc::Budget{});
-  EXPECT_EQ(o.verdict, mc::Verdict::kClean) << o.message;
-  EXPECT_EQ(o.model, "freeze-thaw");
-}
-
 TEST(ProtocolModels, CleanRunProducesEmptyReport) {
   const vfy::Report report = vfy::check_protocol_models();
   EXPECT_TRUE(report.ok());
@@ -241,19 +235,11 @@ TEST(MutationKill, UnfenceBeforeQuiesceCompletes) {
               "mutation-during-drain", "PPM003");
 }
 
-TEST(MutationKill, MissedThawOnRollback) {
-  vfy::PlanModelParams params;
-  params.mutant = vfy::ModelMutant::kPlanMissThawOnRollback;
-  expect_kill(vfy::check_plan_model(params, mc::Budget{}),
-              "stale-frozen-plan", "PPM004");
-}
-
 TEST(MutationKill, EveryMutantKillsThroughTheReportPipeline) {
   for (const vfy::ModelMutant mutant :
        {vfy::ModelMutant::kLinkNoDedupe,
         vfy::ModelMutant::kLinkSkipRetransmitBound,
-        vfy::ModelMutant::kSwapUnfenceEarly,
-        vfy::ModelMutant::kPlanMissThawOnRollback}) {
+        vfy::ModelMutant::kSwapUnfenceEarly}) {
     vfy::ModelCheckOptions options;
     options.mutant = mutant;
     const vfy::Report report = vfy::check_protocol_models(options);
@@ -286,9 +272,9 @@ TEST(ProtocolModels, BudgetExhaustionIsAnExplicitNote) {
   options.budget.max_states = 10;
   const vfy::Report report = vfy::check_protocol_models(options);
   // Notes don't gate, but every truncated model must announce itself —
-  // one PPM005 per model configuration (2 link configs + swap + plan).
+  // one PPM005 per model configuration (2 link configs + swap).
   EXPECT_EQ(report.errors(), 0u);
-  EXPECT_EQ(report.notes(), 4u);
+  EXPECT_EQ(report.notes(), 3u);
   for (const vfy::Diagnostic& d : report.diagnostics) {
     EXPECT_EQ(d.rule_id, "PPM005");
     EXPECT_EQ(d.severity, vfy::Severity::kNote);
@@ -301,8 +287,7 @@ TEST(ProtocolModels, BudgetExhaustionIsAnExplicitNote) {
 
 TEST(ProtocolModels, PpmRulesLiveInTheOneCatalog) {
   const vfy::RuleRegistry& catalog = vfy::RuleRegistry::default_catalog();
-  for (const char* id :
-       {"PPM001", "PPM002", "PPM003", "PPM004", "PPM005"}) {
+  for (const char* id : {"PPM001", "PPM002", "PPM003", "PPM005"}) {
     const vfy::Rule* rule = catalog.find(id);
     ASSERT_NE(rule, nullptr) << id;
     EXPECT_FALSE(rule->description().empty()) << id;
@@ -312,6 +297,8 @@ TEST(ProtocolModels, PpmRulesLiveInTheOneCatalog) {
             vfy::Severity::kError);
   EXPECT_EQ(catalog.find("PPM005")->default_severity(),
             vfy::Severity::kNote);
+  // Retired with the freeze/thaw model; the id is reserved, never reused.
+  EXPECT_EQ(catalog.find("PPM004"), nullptr);
 }
 
 // --- Counterexample rendering ----------------------------------------------

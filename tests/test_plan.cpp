@@ -1,21 +1,17 @@
-// Tests for compiled execution plans (core freeze/thaw seam +
-// perpos::plan::GraphPlan policy layer):
-//  - byte-identical transcripts between interpreted and frozen execution,
-//    across 0/1/8 engine workers, including fan-out, nested
-//    FeatureContext::emit (consume and produce hooks), emit_batch and
-//    failure injection,
-//  - seamless mid-stream freeze/thaw (logical time and pending provenance
-//    carry over),
-//  - auto-thaw on every mutation path: add / remove / connect / disconnect
-//    / insert_between / replace / feature attach / detach, plus
-//    LiveReconfigurator hot-swap, rollback(epoch) and tee promotion,
-//  - freeze gates (dispatching, timing/tracing/latency observability) and
-//    the GraphPlan verify-then-freeze + auto-refreeze lifecycle,
-//  - sentry, flight recorder and metric counters firing identically on the
-//    frozen path,
-//  - a seeded chaos property test (random graphs, random mutation/traffic
-//    interleavings, frozen-with-auto-refreeze vs never-frozen twin); run
-//    under ASan/UBSan and TSan in CI.
+// Tests for the PSL dispatch executor against golden transcripts, and for
+// the perpos::plan::GraphPlan verify gate:
+//  - transcripts recorded in tests/golden/plan — fan-out, nested
+//    FeatureContext::emit (consume and produce hooks), failure injection,
+//    0/1/8 engine workers, metric counters, sentry counts, the flight
+//    recorder and seeded chaos runs — must match byte for byte, with and
+//    without the gate armed and with every observability knob on,
+//  - freeze() succeeds whatever the observability settings; a mutation
+//    re-verifies incrementally (PSL edits, LiveReconfigurator hot-swap,
+//    rollback(epoch) and tee promotion),
+//  - provenance buffers outlive the graph, and feature mutation mid-dispatch
+//    is refused,
+//  - a seeded chaos property test (random mutation/traffic interleavings,
+//    gated rig vs ungated twin); run under ASan/UBSan and TSan in CI.
 
 #include "perpos/core/components.hpp"
 #include "perpos/core/graph.hpp"
@@ -26,13 +22,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace core = perpos::core;
@@ -42,6 +41,28 @@ namespace plan = perpos::plan;
 namespace reconfig = perpos::reconfig;
 
 namespace {
+
+/// Golden transcripts live in tests/golden/plan/<name>.txt. Running the
+/// suite with PERPOS_UPDATE_GOLDENS=1 rewrites them from the current run
+/// instead of comparing — and fails every rewriting test, so an update run
+/// can never pass for a check.
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string path =
+      std::string(PERPOS_GOLDEN_DIR) + "/" + name + ".txt";
+  const char* update = std::getenv("PERPOS_UPDATE_GOLDENS");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream(path, std::ios::binary) << actual;
+    ADD_FAILURE() << "rewrote golden " << path
+                  << " (PERPOS_UPDATE_GOLDENS=1); review the diff and rerun "
+                     "without it";
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path;
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str()) << "differs from golden " << path;
+}
 
 struct Tick {
   int value = 0;
@@ -111,8 +132,7 @@ class EchoFeature final : public core::ComponentFeature {
 /// Src -> A -> B[echo] -> Sink, with A also fanning out to C -> Sink and
 /// an echo-tagged side sink hanging off B. Every delivered value:sequence
 /// pair lands in the transcript, so any ordering, duplication or loss
-/// difference between the interpreted and frozen paths shows up as a byte
-/// difference.
+/// difference from the golden transcript shows up as a byte difference.
 struct PlanRig {
   explicit PlanRig(bool with_feature = true, int bomb_trip = 0) {
     source_id = graph.add(tick_source());
@@ -155,81 +175,108 @@ struct PlanRig {
   std::ostringstream transcript;
 };
 
-/// Deterministic traffic: single pushes interleaved with batches, values
-/// from a seeded generator. Exceptions from bomb stages are recorded in
-/// the transcript (both paths must throw at the same points).
+/// Deterministic traffic: single pushes interleaved with back-to-back
+/// bursts, values from a seeded generator. Exceptions from bomb stages are
+/// recorded in the transcript (every run must throw at the same points).
 void drive(PlanRig& rig, std::uint64_t seed, int events) {
   std::mt19937_64 rng(seed);
-  for (int i = 0; i < events; ++i) {
+  auto push = [&rig](int value) {
     try {
-      if (rng() % 4 == 0) {
-        std::vector<core::Payload> burst;
-        const std::size_t n = 1 + rng() % 5;
-        for (std::size_t j = 0; j < n; ++j) {
-          burst.push_back(
-              core::Payload::make(Tick{static_cast<int>(rng() % 1000)}));
-        }
-        rig.source->push_payload_batch(std::move(burst));
-      } else {
-        rig.source->push(Tick{static_cast<int>(rng() % 1000)});
-      }
+      rig.source->push(Tick{value});
     } catch (const std::runtime_error&) {
       rig.transcript << "X;";
+    }
+  };
+  for (int i = 0; i < events; ++i) {
+    if (rng() % 4 == 0) {
+      const std::size_t n = 1 + rng() % 5;
+      for (std::size_t j = 0; j < n; ++j) {
+        push(static_cast<int>(rng() % 1000));
+      }
+    } else {
+      push(static_cast<int>(rng() % 1000));
     }
   }
 }
 
-std::string run_scenario(bool frozen, std::uint64_t seed, int events,
-                         bool with_feature = true, int bomb_trip = 0) {
+std::string run_scenario(bool gated, std::uint64_t seed, int events,
+                         bool with_feature = true, int bomb_trip = 0,
+                         const obs::ObservabilityConfig* observe = nullptr) {
   PlanRig rig(with_feature, bomb_trip);
-  if (frozen) {
-    rig.graph.freeze_plan();
-    EXPECT_TRUE(rig.graph.frozen());
+  if (observe != nullptr) rig.graph.enable_observability(*observe);
+  std::optional<plan::GraphPlan> gate;
+  if (gated) {
+    gate.emplace(rig.graph);
+    const plan::FreezeResult result = gate->freeze();
+    EXPECT_TRUE(result.frozen) << result.reason;
   }
   drive(rig, seed, events);
-  if (frozen) {
-    EXPECT_TRUE(rig.graph.frozen());  // Failures don't thaw.
+  if (gated) {
+    EXPECT_TRUE(gate->frozen());  // Failures don't disarm the gate.
   }
   return rig.transcript.str();
 }
 
+/// Every observability knob on: the instrumented delivery path.
+obs::ObservabilityConfig everything_on() {
+  obs::ObservabilityConfig cfg;
+  cfg.metrics = true;
+  cfg.timing = true;
+  cfg.tracing = true;
+  cfg.latency = true;
+  cfg.latency_slo_us = 1.0;
+  cfg.recording = true;
+  return cfg;
+}
+
 }  // namespace
 
-// --- Transcript byte-identity ----------------------------------------------
+// --- Golden transcripts ------------------------------------------------------
 
 TEST(Plan, FrozenTranscriptMatchesInterpreted) {
-  const std::string interpreted = run_scenario(false, 42, 400);
-  const std::string frozen = run_scenario(true, 42, 400);
-  ASSERT_FALSE(interpreted.empty());
-  EXPECT_EQ(interpreted, frozen);
+  const std::string ungated = run_scenario(false, 42, 400);
+  ASSERT_FALSE(ungated.empty());
+  expect_golden("rig_echo", ungated);
+  expect_golden("rig_echo", run_scenario(true, 42, 400));
 }
 
 TEST(Plan, FrozenTranscriptMatchesInterpretedWithoutFeatures) {
-  EXPECT_EQ(run_scenario(false, 7, 300, /*with_feature=*/false),
-            run_scenario(true, 7, 300, /*with_feature=*/false));
+  expect_golden("rig_plain", run_scenario(false, 7, 300, false));
+  expect_golden("rig_plain", run_scenario(true, 7, 300, false));
 }
 
 TEST(Plan, FrozenTranscriptMatchesInterpretedUnderFailureInjection) {
-  const std::string interpreted =
-      run_scenario(false, 11, 400, /*with_feature=*/true, /*bomb_trip=*/17);
-  const std::string frozen =
-      run_scenario(true, 11, 400, /*with_feature=*/true, /*bomb_trip=*/17);
-  ASSERT_NE(interpreted.find("X;"), std::string::npos);  // Bombs did trip.
-  EXPECT_EQ(interpreted, frozen);
+  const std::string ungated = run_scenario(false, 11, 400, true, 17);
+  ASSERT_NE(ungated.find("X;"), std::string::npos);  // Bombs did trip.
+  expect_golden("rig_failures", ungated);
+  expect_golden("rig_failures", run_scenario(true, 11, 400, true, 17));
+}
+
+TEST(Plan, FreezeSucceedsAndGoldensHoldWithEveryObservabilityKnobOn) {
+  // Timing, tracing and latency only add instrumentation to the one
+  // executor: the gate arms and not a byte of the transcripts changes.
+  const obs::ObservabilityConfig cfg = everything_on();
+  expect_golden("rig_echo", run_scenario(true, 42, 400, true, 0, &cfg));
+  expect_golden("rig_plain", run_scenario(true, 7, 300, false, 0, &cfg));
+  expect_golden("rig_failures", run_scenario(true, 11, 400, true, 17, &cfg));
 }
 
 TEST(Plan, FrozenTranscriptsIdenticalAcrossWorkerCounts) {
   // Like test_exec's determinism matrix: the same per-graph traffic posted
-  // through engine lanes must produce byte-identical transcripts whether
-  // graphs run interpreted or frozen, inline or on 1 or 8 workers.
-  auto run = [](std::size_t workers, bool frozen) {
+  // through engine lanes must produce the golden transcripts inline or on
+  // 1 or 8 workers, gated or not.
+  auto run = [](std::size_t workers, bool gated) {
     constexpr int kGraphs = 4;
     std::vector<std::unique_ptr<PlanRig>> rigs;
+    std::vector<std::unique_ptr<plan::GraphPlan>> gates;
     exec::ExecutionEngine engine(workers);
     std::vector<exec::LaneId> lanes;
     for (int g = 0; g < kGraphs; ++g) {
       rigs.push_back(std::make_unique<PlanRig>());
-      if (frozen) rigs.back()->graph.freeze_plan();
+      if (gated) {
+        gates.push_back(std::make_unique<plan::GraphPlan>(rigs.back()->graph));
+        EXPECT_TRUE(gates.back()->freeze().frozen);
+      }
       lanes.push_back(engine.create_lane());
     }
     for (int i = 0; i < 200; ++i) {
@@ -244,30 +291,30 @@ TEST(Plan, FrozenTranscriptsIdenticalAcrossWorkerCounts) {
     for (const auto& rig : rigs) all += rig->transcript.str() + "|";
     return all;
   };
-  const std::string baseline = run(0, false);
   for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
                                     std::size_t{8}}) {
-    EXPECT_EQ(run(workers, true), baseline) << "workers=" << workers;
-    EXPECT_EQ(run(workers, false), baseline) << "workers=" << workers;
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_golden("workers", run(workers, true));
+    expect_golden("workers", run(workers, false));
   }
 }
 
 TEST(Plan, FreezeAndThawMidStreamAreSeamless) {
-  // One rig toggled frozen/interpreted every few events must match an
-  // always-interpreted run: logical time and pending provenance carry
-  // across the boundary in both directions.
+  // Arming and disarming the gate every few events must not disturb the
+  // stream: it never touches dispatch state.
   PlanRig toggled;
   PlanRig baseline;
+  plan::GraphPlan gate(toggled.graph);
   std::mt19937_64 rng(99);
   for (int i = 0; i < 300; ++i) {
     const int v = static_cast<int>(rng() % 1000);
     toggled.source->push(Tick{v});
     baseline.source->push(Tick{v});
     if (i % 7 == 0) {
-      if (toggled.graph.frozen()) {
-        toggled.graph.thaw_plan();
+      if (gate.frozen()) {
+        gate.thaw();
       } else {
-        toggled.graph.freeze_plan();
+        ASSERT_TRUE(gate.freeze().frozen);
       }
     }
   }
@@ -276,8 +323,8 @@ TEST(Plan, FreezeAndThawMidStreamAreSeamless) {
 
 TEST(Plan, ProvenanceChainsSurviveFreezeThawAndGraphDeath) {
   // Samples retained by the application must keep their provenance buffers
-  // alive through thaw (arena buffers are shared, not owned) and through
-  // graph destruction — ASan guards the lifetime claim in CI.
+  // alive through graph destruction (arena buffers are shared, not owned)
+  // — ASan guards the lifetime claim in CI.
   core::Sample kept;
   {
     core::ProcessingGraph graph;
@@ -288,12 +335,13 @@ TEST(Plan, ProvenanceChainsSurviveFreezeThawAndGraphDeath) {
         "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
         [&kept](const core::Sample& s) { kept = s; }));
     graph.connect(stage, sink);
-    graph.freeze_plan();
+    plan::GraphPlan gate(graph);
+    ASSERT_TRUE(gate.freeze().frozen);
     auto* source = graph.component_as<core::SourceComponent>(src);
     for (int i = 0; i < 50; ++i) source->push(Tick{i});
-    graph.thaw_plan();
+    gate.thaw();
     source->push(Tick{50});
-    graph.freeze_plan();
+    ASSERT_TRUE(gate.freeze().frozen);
     source->push(Tick{51});
   }
   ASSERT_NE(kept.inputs, nullptr);
@@ -301,94 +349,43 @@ TEST(Plan, ProvenanceChainsSurviveFreezeThawAndGraphDeath) {
   EXPECT_EQ(kept.inputs->front().payload.get<Tick>()->value, 51);
 }
 
-// --- Freeze gates and auto-thaw ---------------------------------------------
-
-TEST(Plan, EveryStructuralMutationThaws) {
-  PlanRig rig;
-  auto refreeze = [&rig] {
-    rig.graph.freeze_plan();
-    ASSERT_TRUE(rig.graph.frozen());
-  };
-
-  refreeze();
-  const auto extra = rig.graph.add(add_stage(2));
-  EXPECT_FALSE(rig.graph.frozen()) << "add must thaw";
-
-  refreeze();
-  rig.graph.connect(rig.c_id, extra);
-  EXPECT_FALSE(rig.graph.frozen()) << "connect must thaw";
-
-  refreeze();
-  rig.graph.disconnect(rig.c_id, extra);
-  EXPECT_FALSE(rig.graph.frozen()) << "disconnect must thaw";
-
-  refreeze();
-  rig.graph.remove(extra);
-  EXPECT_FALSE(rig.graph.frozen()) << "remove must thaw";
-
-  refreeze();
-  const auto mid = rig.graph.add(add_stage(3));
-  EXPECT_FALSE(rig.graph.frozen());
-  refreeze();
-  rig.graph.insert_between(mid, rig.a_id, rig.c_id);
-  EXPECT_FALSE(rig.graph.frozen()) << "insert_between must thaw";
-
-  refreeze();
-  rig.graph.replace(rig.c_id, add_stage(100));
-  EXPECT_FALSE(rig.graph.frozen()) << "replace must thaw";
-
-  refreeze();
-  rig.graph.attach_feature(rig.c_id, std::make_shared<EchoFeature>());
-  EXPECT_FALSE(rig.graph.frozen()) << "attach_feature must thaw";
-
-  refreeze();
-  rig.graph.detach_feature(rig.c_id, "echo");
-  EXPECT_FALSE(rig.graph.frozen()) << "detach_feature must thaw";
-}
-
-TEST(Plan, FreezeRefusedDuringDispatchAndUnderIncompatibleObservability) {
-  core::ProcessingGraph graph;
-  const auto src = graph.add(tick_source());
-  const auto probe = graph.add(std::make_shared<core::ApplicationSink>(
-      "Probe", std::vector<core::InputRequirement>{core::require<Tick>()},
-      [&graph](const core::Sample&) {
-        EXPECT_NE(graph.freeze_blocker(), nullptr);
-        EXPECT_THROW(graph.freeze_plan(), std::logic_error);
-        EXPECT_THROW(graph.thaw_plan(), std::logic_error);
-      }));
-  graph.connect(src, probe);
-  graph.component_as<core::SourceComponent>(src)->push(Tick{1});
-
-  obs::ObservabilityConfig cfg;
-  cfg.timing = true;
-  graph.enable_observability(cfg);
-  EXPECT_NE(graph.freeze_blocker(), nullptr);
-  EXPECT_THROW(graph.freeze_plan(), std::logic_error);
-
-  cfg.timing = false;
-  cfg.tracing = true;
-  graph.enable_observability(cfg);
-  EXPECT_THROW(graph.freeze_plan(), std::logic_error);
-
-  cfg.tracing = false;
-  cfg.latency = true;
-  graph.enable_observability(cfg);
-  EXPECT_THROW(graph.freeze_plan(), std::logic_error);
-
-  // Plain metrics (and recording) are frozen-compatible.
-  cfg.latency = false;
-  cfg.metrics = true;
-  cfg.recording = true;
-  graph.enable_observability(cfg);
-  EXPECT_EQ(graph.freeze_blocker(), nullptr);
-  graph.freeze_plan();
-  EXPECT_TRUE(graph.frozen());
-  // Reconfiguring observability thaws.
-  graph.enable_observability(cfg);
-  EXPECT_FALSE(graph.frozen());
-  graph.freeze_plan();
-  graph.disable_observability();
-  EXPECT_FALSE(graph.frozen());
+TEST(Plan, ConsumerlessEmittersKeepTheirInputAcrossEmissions) {
+  // Src -> C, where C can emit but has no consumer: each emission dies at
+  // once, releasing the batch it claimed. C emits twice per input and then
+  // reads its input again, which must still be intact — the input may not
+  // live in a buffer the second emission's provenance recycles. Covered on
+  // both delivery paths (lean, and instrumented via tracing); ASan guards
+  // the lifetime in CI.
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "instrumented delivery" : "lean delivery");
+    core::ProcessingGraph graph;
+    if (traced) {
+      obs::ObservabilityConfig cfg;
+      cfg.tracing = true;
+      graph.enable_observability(cfg);
+    }
+    const auto src = graph.add(tick_source());
+    std::vector<int> seen;
+    const auto c = graph.add(std::make_shared<core::LambdaComponent>(
+        "TwiceDangling",
+        std::vector<core::InputRequirement>{core::require<Tick>()},
+        std::vector<core::DataSpec>{core::provide<Tick>()},
+        [&seen](const core::Sample& s, const core::ComponentContext& ctx) {
+          const int v = s.payload.get<Tick>()->value;
+          ctx.emit(core::Payload::make(Tick{v + 1}));
+          ctx.emit(core::Payload::make(Tick{v + 2}));
+          const Tick* after = s.payload.get<Tick>();
+          seen.push_back(after != nullptr ? after->value : -1);
+        }));
+    graph.connect(src, c);
+    auto* source = graph.component_as<core::SourceComponent>(src);
+    std::vector<int> expected;
+    for (int i = 0; i < 64; ++i) {
+      source->push(Tick{i * 3});
+      expected.push_back(i * 3);
+    }
+    EXPECT_EQ(seen, expected);
+  }
 }
 
 TEST(Plan, FeatureMutationMidDispatchIsRefusedWhileFrozen) {
@@ -403,48 +400,56 @@ TEST(Plan, FeatureMutationMidDispatchIsRefusedWhileFrozen) {
             std::logic_error);
       }));
   graph.connect(src, sink_id);
-  graph.freeze_plan();
+  plan::GraphPlan gate(graph);
+  ASSERT_TRUE(gate.freeze().frozen);
   graph.component_as<core::SourceComponent>(src)->push(Tick{1});
-  EXPECT_TRUE(graph.frozen());
+  EXPECT_TRUE(gate.frozen());
 }
 
-// --- Observability on the frozen path ---------------------------------------
+// --- Observability -----------------------------------------------------------
+
+namespace {
+
+/// Every counter and gauge as "name{labels} value", one per line, sorted
+/// so registration order does not matter.
+std::string counter_dump(const obs::MetricsSnapshot& snap) {
+  std::vector<std::string> lines;
+  auto key = [](const std::string& name, const obs::Labels& labels) {
+    std::string out = name + "{";
+    for (const auto& [k, v] : labels) out += k + "=" + v + ",";
+    return out + "}";
+  };
+  for (const auto& c : snap.counters) {
+    lines.push_back(key(c.name, c.labels) + " " + std::to_string(c.value));
+  }
+  for (const auto& g : snap.gauges) {
+    lines.push_back(key(g.name, g.labels) + " " + std::to_string(g.value));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+}  // namespace
 
 TEST(Plan, MetricCountersMatchInterpretedRun) {
-  auto run = [](bool frozen) {
+  auto run = [](bool gated) {
     PlanRig rig;
     obs::ObservabilityConfig cfg;
     cfg.metrics = true;
-    cfg.timing = false;  // Timing needs the interpreted path.
+    cfg.timing = false;
     rig.graph.enable_observability(cfg);
-    if (frozen) rig.graph.freeze_plan();
-    drive(rig, 1234, 250);
-    return rig.graph.metrics();
-  };
-  const obs::MetricsSnapshot a = run(false);
-  const obs::MetricsSnapshot b = run(true);
-  for (const char* name :
-       {"perpos_graph_deliveries_total", "perpos_graph_rejections_total"}) {
-    const auto* ca = a.find_counter(name);
-    const auto* cb = b.find_counter(name);
-    ASSERT_NE(ca, nullptr) << name;
-    ASSERT_NE(cb, nullptr) << name;
-    EXPECT_EQ(ca->value, cb->value) << name;
-    EXPECT_GT(ca->value, 0u) << name;
-  }
-  for (const char* name :
-       {"perpos_component_emitted_total", "perpos_component_delivered_total",
-        "perpos_component_rejected_total",
-        "perpos_component_produce_vetoed_total"}) {
-    for (const char* id : {"0", "1", "2", "3", "4", "5"}) {
-      const auto* ca = a.find_counter(name, "component", id);
-      const auto* cb = b.find_counter(name, "component", id);
-      ASSERT_EQ(ca == nullptr, cb == nullptr) << name << " #" << id;
-      if (ca != nullptr) {
-        EXPECT_EQ(ca->value, cb->value) << name << " #" << id;
-      }
+    std::optional<plan::GraphPlan> gate;
+    if (gated) {
+      gate.emplace(rig.graph);
+      EXPECT_TRUE(gate->freeze().frozen);
     }
-  }
+    drive(rig, 1234, 250);
+    return counter_dump(rig.graph.metrics());
+  };
+  expect_golden("metrics", run(false));
+  expect_golden("metrics", run(true));
 }
 
 namespace {
@@ -466,17 +471,49 @@ struct CountingSentry final : core::GraphSentry {
 }  // namespace
 
 TEST(Plan, SentryObservesIdenticalDispatchFrozen) {
-  auto run = [](bool frozen) {
-    PlanRig rig;
-    CountingSentry sentry;
-    rig.graph.set_sentry(&sentry);
-    if (frozen) rig.graph.freeze_plan();
-    drive(rig, 5678, 250);
-    rig.graph.set_sentry(nullptr);
-    return std::tuple{sentry.emits, sentry.delivers, sentry.depth_sum,
-                      sentry.cascade_sum};
-  };
-  EXPECT_EQ(run(false), run(true));
+  PlanRig rig;
+  CountingSentry sentry;
+  rig.graph.set_sentry(&sentry);
+  plan::GraphPlan gate(rig.graph);
+  ASSERT_TRUE(gate.freeze().frozen);
+  drive(rig, 5678, 250);
+  rig.graph.set_sentry(nullptr);
+  expect_golden("sentry", std::to_string(sentry.emits) + " " +
+                              std::to_string(sentry.delivers) + " " +
+                              std::to_string(sentry.depth_sum) + " " +
+                              std::to_string(sentry.cascade_sum) + "\n");
+}
+
+namespace {
+
+/// The flight events a PlanRig run leaves in its graph-owned recorder,
+/// minus timestamps and gate marks.
+std::string flight_transcript(const obs::ObservabilityConfig& cfg) {
+  PlanRig rig;
+  rig.graph.enable_observability(cfg);
+  drive(rig, 77, 120);
+  std::ostringstream out;
+  for (const obs::FlightEvent& e :
+       rig.graph.flight_recorder()->merged_events()) {
+    if (e.type == obs::FlightEventType::kMark) continue;
+    out << obs::flight_event_type_name(e.type) << ' ' << e.component << ' '
+        << e.a << ' ' << e.b << ' ' << e.detail << '\n';
+  }
+  return out.str();
+}
+
+}  // namespace
+
+TEST(Plan, FlightTranscriptMatchesGolden) {
+  obs::ObservabilityConfig cfg;
+  cfg.metrics = false;
+  cfg.timing = false;
+  cfg.recording = true;
+  cfg.recorder_capacity = 1 << 14;
+  expect_golden("flight", flight_transcript(cfg));
+  obs::ObservabilityConfig all = everything_on();
+  all.recorder_capacity = cfg.recorder_capacity;
+  expect_golden("flight", flight_transcript(all));
 }
 
 TEST(Plan, FlightRecorderKeepsFiringFrozenAndMarksFreezeThaw) {
@@ -489,9 +526,10 @@ TEST(Plan, FlightRecorderKeepsFiringFrozenAndMarksFreezeThaw) {
       "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
       [](const core::Sample&) {}));
   graph.connect(src, sink);
-  graph.freeze_plan();
+  plan::GraphPlan gate(graph);
+  ASSERT_TRUE(gate.freeze().frozen);
   graph.component_as<core::SourceComponent>(src)->push(Tick{1});
-  graph.thaw_plan();
+  gate.thaw();
 
   bool saw_emit = false;
   bool saw_deliver = false;
@@ -512,7 +550,7 @@ TEST(Plan, FlightRecorderKeepsFiringFrozenAndMarksFreezeThaw) {
   EXPECT_TRUE(saw_thaw);
 }
 
-// --- GraphPlan policy layer --------------------------------------------------
+// --- GraphPlan verify gate ---------------------------------------------------
 
 TEST(Plan, GraphPlanVerifiesThenFreezesAndAutoRefreezes) {
   PlanRig rig;
@@ -522,14 +560,14 @@ TEST(Plan, GraphPlanVerifiesThenFreezesAndAutoRefreezes) {
   EXPECT_TRUE(policy.frozen());
   EXPECT_TRUE(policy.armed());
 
-  // A mutation thaws the core plan; the policy re-verifies (O(delta)) and
-  // re-freezes behind it.
+  // A mutation invalidates the last check; the gate re-verifies (O(delta))
+  // and stays frozen on a clean result.
   rig.graph.replace(rig.c_id, add_stage(100));
-  EXPECT_TRUE(policy.frozen()) << "auto-refreeze after replace";
+  EXPECT_TRUE(policy.frozen()) << "re-verified after replace";
   EXPECT_GE(policy.stats().freezes, 2u);
   EXPECT_GE(policy.stats().auto_thaws, 1u);
 
-  // Traffic still flows, and the result matches a never-frozen twin.
+  // Traffic still flows, and the result matches an ungated twin.
   PlanRig twin;
   twin.graph.replace(twin.c_id, add_stage(100));
   drive(rig, 31, 100);
@@ -540,7 +578,7 @@ TEST(Plan, GraphPlanVerifiesThenFreezesAndAutoRefreezes) {
   EXPECT_FALSE(policy.frozen());
   EXPECT_FALSE(policy.armed());
   rig.graph.replace(rig.c_id, add_stage(100));
-  EXPECT_FALSE(policy.frozen()) << "disarmed policy must not refreeze";
+  EXPECT_FALSE(policy.frozen()) << "disarmed gate must not re-verify";
 }
 
 TEST(Plan, GraphPlanRefusesDirtyGraphAndRecoversWhenClean) {
@@ -549,7 +587,7 @@ TEST(Plan, GraphPlanRefusesDirtyGraphAndRecoversWhenClean) {
   ASSERT_TRUE(policy.freeze().frozen);
 
   // A dangling consumer with a mandatory input is a PPV001 *error*: the
-  // auto-refreeze must refuse and the graph stays interpreted.
+  // re-verify fails and the gate is armed but not frozen.
   const auto orphan = rig.graph.add(add_stage(1));
   EXPECT_FALSE(policy.frozen());
   EXPECT_GE(policy.stats().refreeze_failures, 1u);
@@ -565,16 +603,6 @@ TEST(Plan, GraphPlanRefusesDirtyGraphAndRecoversWhenClean) {
   // Repairing the graph re-freezes on the next mutation automatically.
   rig.graph.connect(rig.c_id, orphan);
   EXPECT_TRUE(policy.frozen()) << "clean graph must refreeze";
-
-  // A blocker is reported, not thrown, by the policy layer.
-  policy.thaw();
-  obs::ObservabilityConfig cfg;
-  cfg.timing = false;  // Default-on timing would block first and mask tracing.
-  cfg.tracing = true;
-  rig.graph.enable_observability(cfg);
-  const plan::FreezeResult blocked = policy.freeze();
-  EXPECT_FALSE(blocked.frozen);
-  EXPECT_NE(blocked.reason.find("tracing"), std::string::npos);
 }
 
 // --- Reconfiguration paths ---------------------------------------------------
@@ -588,7 +616,7 @@ std::shared_ptr<core::ProcessingComponent> c_successor() {
 
 }  // namespace
 
-TEST(Plan, HotSwapRollbackAndTeeAllThawAndRefreeze) {
+TEST(Plan, HotSwapRollbackAndTeeKeepGateVerified) {
   PlanRig rig(/*with_feature=*/false);
   exec::ExecutionEngine engine(0);
   const exec::LaneId lane = engine.create_lane();
@@ -597,24 +625,24 @@ TEST(Plan, HotSwapRollbackAndTeeAllThawAndRefreeze) {
   ASSERT_TRUE(policy.freeze().frozen);
 
   for (int i = 0; i < 5; ++i) rig.source->push(Tick{i});
-  const std::uint64_t thaws_before = policy.stats().auto_thaws;
+  const std::uint64_t mutations_before = policy.stats().auto_thaws;
 
   // Verified hot-swap: fence -> verify -> handoff -> commit. Every one of
-  // those graph mutations thaws; the policy refreezes behind the commit.
+  // those graph mutations re-verifies; the gate is frozen after the commit.
   const auto swap = reconf.replace(rig.c_id, c_successor());
   ASSERT_TRUE(swap.ok()) << swap.error;
   engine.run_until_idle();
-  EXPECT_GT(policy.stats().auto_thaws, thaws_before);
-  EXPECT_TRUE(policy.frozen()) << "refrozen after hot-swap commit";
+  EXPECT_GT(policy.stats().auto_thaws, mutations_before);
+  EXPECT_TRUE(policy.frozen()) << "verified after hot-swap commit";
 
   // rollback(epoch) is itself a verified swap: same lifecycle.
   const auto back = reconf.rollback(0);
   ASSERT_TRUE(back.ok()) << back.error;
   engine.run_until_idle();
-  EXPECT_TRUE(policy.frozen()) << "refrozen after rollback";
+  EXPECT_TRUE(policy.frozen()) << "verified after rollback";
 
-  // A/B tee: staging the shadow mutates the graph (thaw + refreeze), and
-  // the promotion goes through the normal verified swap.
+  // A/B tee: staging the shadow mutates the graph (re-verify), and the
+  // promotion goes through the normal verified swap.
   auto begun = reconf.begin_tee(rig.c_id, c_successor(), /*compare=*/{},
                                 /*quota=*/3);
   ASSERT_EQ(begun.outcome, reconfig::SwapOutcome::kTeeing) << begun.error;
@@ -622,11 +650,11 @@ TEST(Plan, HotSwapRollbackAndTeeAllThawAndRefreeze) {
   const auto promoted = reconf.poll_tee();
   ASSERT_TRUE(promoted.ok()) << promoted.error;
   EXPECT_FALSE(reconf.tee_active());
-  EXPECT_TRUE(policy.frozen()) << "refrozen after tee promotion";
+  EXPECT_TRUE(policy.frozen()) << "verified after tee promotion";
 
-  // And traffic still matches a never-frozen, never-swapped twin (the
-  // swaps installed behaviorally identical successors). The twin replays
-  // the rig's warm-up traffic so the per-producer sequence counters in the
+  // And traffic still matches an ungated, never-swapped twin (the swaps
+  // installed behaviorally identical successors). The twin replays the
+  // rig's warm-up traffic so the per-producer sequence counters in the
   // transcript line up; the tee shadow only ran samples through the
   // not-yet-live successor, so it consumed no live sequence numbers.
   PlanRig twin(/*with_feature=*/false);
@@ -645,11 +673,11 @@ TEST(Plan, HotSwapRollbackAndTeeAllThawAndRefreeze) {
 
 // --- Chaos property test -----------------------------------------------------
 
-TEST(Plan, ChaosMutationsKeepTranscriptsIdenticalAndAlwaysThaw) {
+TEST(Plan, ChaosMutationsKeepTranscriptsIdenticalAndGateVerified) {
   // Random interleaving of traffic and mutations applied identically to a
-  // frozen-with-auto-refreeze rig and a never-frozen twin. Transcripts
-  // must stay byte-identical; after every mutation the frozen rig must
-  // either have refrozen (clean graph) or be interpreted — never stale.
+  // gated rig and an ungated twin. Both must match the golden transcript
+  // for the seed, and after every mutation the gate must have re-verified
+  // the (always clean) graph.
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     PlanRig rig(/*with_feature=*/false);
     PlanRig twin(/*with_feature=*/false);
@@ -677,27 +705,24 @@ TEST(Plan, ChaosMutationsKeepTranscriptsIdenticalAndAlwaysThaw) {
         twin.graph.replace(twin.b_id, add_stage(10));
         EXPECT_TRUE(policy.frozen()) << "seed=" << seed << " i=" << i;
       } else if (roll == 2) {
-        // Manual thaw/freeze churn through the policy layer.
+        // Manual disarm/arm churn through the gate.
         policy.thaw();
         ASSERT_TRUE(policy.freeze().frozen);
       } else if (roll < 6) {
-        std::vector<core::Payload> burst;
         const std::size_t n = 1 + rng() % 4;
         for (std::size_t j = 0; j < n; ++j) {
-          burst.push_back(
-              core::Payload::make(Tick{static_cast<int>(rng() % 1000)}));
+          const int v = static_cast<int>(rng() % 1000);
+          rig.source->push(Tick{v});
+          twin.source->push(Tick{v});
         }
-        std::vector<core::Payload> burst_twin;
-        for (const core::Payload& p : burst) burst_twin.push_back(p);
-        rig.source->push_payload_batch(std::move(burst));
-        twin.source->push_payload_batch(std::move(burst_twin));
       } else {
         const int v = static_cast<int>(rng() % 1000);
         rig.source->push(Tick{v});
         twin.source->push(Tick{v});
       }
     }
-    EXPECT_EQ(rig.transcript.str(), twin.transcript.str())
-        << "seed=" << seed;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_golden("chaos_seed" + std::to_string(seed), rig.transcript.str());
+    EXPECT_EQ(rig.transcript.str(), twin.transcript.str());
   }
 }

@@ -209,8 +209,6 @@ int main(int argc, char** argv) {
       now.graphs.push_back(obs::graph_introspection(
           "graph-" + std::to_string(g),
           pipelines[static_cast<std::size_t>(g)]->graph.metrics()));
-      now.graphs.back().frozen =
-          pipelines[static_cast<std::size_t>(g)]->graph.frozen();
     }
 
     if (json) {

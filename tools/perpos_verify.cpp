@@ -17,7 +17,7 @@
 //
 // `--model` additionally runs the bounded explicit-state model checker
 // over the built-in protocol models (reliable-link in pipelined and
-// stop-and-wait/FIFO configurations, hot-swap, freeze/thaw). Violations
+// stop-and-wait/FIFO configurations, hot-swap). Violations
 // are PPM errors carrying the shortest counterexample schedule (rendered
 // as numbered steps in text, a `trace` array in JSON, and codeFlows in
 // SARIF); exploration that exhausts the --model-states/--model-depth/
@@ -25,7 +25,7 @@
 // With config files the model findings merge into the (single-file) JSON/
 // SARIF document or follow the per-file text reports; `--model` alone
 // (zero configs) checks just the models. --model-mutant=NAME seeds a
-// deliberate protocol bug (see --explain PPM001..PPM004) for
+// deliberate protocol bug (see --explain PPM001..PPM003) for
 // mutation-kill testing of the checker itself.
 //
 // `--budget` appends the quantitative capacity report (per-node rates,
