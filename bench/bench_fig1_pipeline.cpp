@@ -11,9 +11,10 @@
 // without observability enabled (the price of telemetry).
 //
 // With `--metrics-json <path>` the report phase runs fully observed
-// (metrics + timing + tracing) and writes a self-describing snapshot:
+// (metrics + timing + recording) and writes a self-describing snapshot:
 // per-component emit/deliver counts, on_input latency histograms, channel
-// telemetry and a Chrome trace_event flow trace (open in Perfetto).
+// telemetry and the flight ring's Chrome trace_event flow trace (open in
+// Perfetto).
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
@@ -29,11 +30,11 @@
 #include "perpos/wifi/components.hpp"
 #include "perpos/wifi/fingerprint.hpp"
 
+#include "bench_metrics.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 using namespace perpos;
@@ -55,7 +56,9 @@ void print_report(const std::string& metrics_json_path) {
 
   core::ProcessingGraph graph(&scheduler.clock());
   obs::ObservabilityConfig obs_config;
-  obs_config.tracing = true;
+  obs_config.recording = true;
+  // Room for every event of the 60 s run, so the flow trace is complete.
+  obs_config.recorder_capacity = 4096;
   graph.enable_observability(obs_config);
   core::ChannelManager channels(graph);
   runtime::GraphAssembler assembler(graph);
@@ -132,24 +135,12 @@ void print_report(const std::string& metrics_json_path) {
                 latency != nullptr ? latency->quantile(0.50) : 0.0,
                 latency != nullptr ? latency->quantile(0.95) : 0.0);
   }
-  const std::size_t spans =
-      graph.tracer() != nullptr ? graph.tracer()->spans().size() : 0;
-  std::printf("flow spans recorded: %zu\n\n", spans);
+  const obs::FlightRecorder& recorder = *graph.flight_recorder();
+  std::printf("flight events recorded: %llu (dropped %llu)\n\n",
+              static_cast<unsigned long long>(recorder.recorded(0)),
+              static_cast<unsigned long long>(recorder.dropped(0)));
 
-  if (!metrics_json_path.empty()) {
-    std::ofstream out(metrics_json_path);
-    out << "{\"experiment\":\"fig1_pipeline\",\"metrics\":"
-        << obs::to_json(snap) << ",\"trace\":"
-        << (graph.tracer() != nullptr ? graph.tracer()->to_chrome_trace_json()
-                                      : std::string("{\"traceEvents\":[]}"))
-        << "}\n";
-    if (out) {
-      std::printf("metrics snapshot written to %s\n\n",
-                  metrics_json_path.c_str());
-    } else {
-      std::printf("ERROR: could not write %s\n\n", metrics_json_path.c_str());
-    }
-  }
+  benchutil::write_metrics_snapshot(metrics_json_path, "fig1_pipeline", graph);
 }
 
 /// Per-epoch cost of the GPS pipeline: one GGA sentence through Parser and
@@ -225,19 +216,7 @@ BENCHMARK(BM_WifiPipelineScan);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --metrics-json <path> before google-benchmark sees the args.
-  std::string metrics_json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_json_path = argv[++i];
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-
-  print_report(metrics_json_path);
+  print_report(benchutil::strip_metrics_json(argc, argv));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

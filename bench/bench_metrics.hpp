@@ -3,12 +3,12 @@
 // Shared `--metrics-json <path>` plumbing for the benchmark drivers: every
 // bench accepts the flag and writes a self-describing metrics snapshot of
 // an observed run of its representative workload — per-component counters,
-// latency histograms and (when tracing is on) a Chrome trace — for the CI
-// perf-smoke job to archive next to the timing numbers.
+// latency histograms and (when recording is on) the flight ring's Chrome
+// trace — for the CI perf-smoke job to archive next to the timing numbers.
 
 #include "perpos/core/graph.hpp"
+#include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/trace.hpp"
 
 #include <cstdio>
 #include <cstring>
@@ -34,7 +34,7 @@ inline std::string strip_metrics_json(int& argc, char** argv) {
 }
 
 /// Write `{"experiment":...,"metrics":...[,"trace":...]}` from `graph`'s
-/// registry (and tracer, when tracing was enabled). No-op for an empty
+/// registry (and flight recorder, when one is attached). No-op for an empty
 /// path, so call sites can pass the stripped flag through unconditionally.
 inline void write_metrics_snapshot(const std::string& path,
                                    const char* experiment,
@@ -43,8 +43,8 @@ inline void write_metrics_snapshot(const std::string& path,
   std::ofstream out(path);
   out << "{\"experiment\":\"" << experiment
       << "\",\"metrics\":" << obs::to_json(graph.metrics());
-  if (graph.tracer() != nullptr) {
-    out << ",\"trace\":" << graph.tracer()->to_chrome_trace_json();
+  if (graph.flight_recorder() != nullptr) {
+    out << ",\"trace\":" << graph.flight_recorder()->dump_chrome_trace();
   }
   out << "}\n";
   if (out) {

@@ -8,11 +8,12 @@
 //  * channel-view derivation vs graph size,
 //  * graph assembly (add+connect) cost vs component count,
 //  * provenance bookkeeping cost vs inputs-per-output,
-//  * observability overhead (metrics / timing / tracing) vs the bare graph,
+//  * observability overhead (metrics / timing / recording) vs the bare graph,
 //  * multi-graph throughput through the execution engine vs worker count.
 //
 // `--metrics-json <path>` writes the observed deep-pipeline run as a
-// machine-readable snapshot (metrics + Chrome trace_event flow trace).
+// machine-readable snapshot (metrics + the flight ring's Chrome trace_event
+// flow trace).
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
@@ -20,12 +21,12 @@
 #include "perpos/exec/engine.hpp"
 #include "perpos/fusion/metrics.hpp"
 
+#include "bench_metrics.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,7 +106,7 @@ void print_report(const std::string& metrics_json_path) {
   // machinery the accuracy tables use, and optionally exported as JSON.
   ChainRig rig(16);
   obs::ObservabilityConfig cfg;
-  cfg.tracing = true;
+  cfg.recording = true;
   rig.graph.enable_observability(cfg);
   std::vector<double> push_us;
   for (int i = 0; i < 2000; ++i) {
@@ -120,18 +121,8 @@ void print_report(const std::string& metrics_json_path) {
               perpos::fusion::format_series_row("observed push (us)", push_us)
                   .c_str());
 
-  if (!metrics_json_path.empty()) {
-    std::ofstream out(metrics_json_path);
-    out << "{\"experiment\":\"o1_scalability\",\"metrics\":"
-        << obs::to_json(rig.graph.metrics()) << ",\"trace\":"
-        << rig.graph.tracer()->to_chrome_trace_json() << "}\n";
-    if (out) {
-      std::printf("metrics snapshot written to %s\n\n",
-                  metrics_json_path.c_str());
-    } else {
-      std::printf("ERROR: could not write %s\n\n", metrics_json_path.c_str());
-    }
-  }
+  benchutil::write_metrics_snapshot(metrics_json_path, "o1_scalability",
+                                    rig.graph);
 }
 
 void BM_PipelineDepth(benchmark::State& state) {
@@ -146,13 +137,13 @@ void BM_PipelineDepth(benchmark::State& state) {
 BENCHMARK(BM_PipelineDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 /// Same pipeline with observability on: range(1) selects the level
-/// (1 = metrics, 2 = +timing, 3 = +tracing).
+/// (1 = metrics, 2 = +timing, 3 = +recording).
 void BM_PipelineDepthObserved(benchmark::State& state) {
   ChainRig rig(static_cast<int>(state.range(0)));
   obs::ObservabilityConfig cfg;
   cfg.metrics = true;
   cfg.timing = state.range(1) >= 2;
-  cfg.tracing = state.range(1) >= 3;
+  cfg.recording = state.range(1) >= 3;
   rig.graph.enable_observability(cfg);
   int i = 0;
   for (auto _ : state) {
@@ -162,7 +153,7 @@ void BM_PipelineDepthObserved(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
   state.SetLabel(state.range(1) == 1   ? "metrics"
                  : state.range(1) == 2 ? "metrics+timing"
-                                       : "metrics+timing+tracing");
+                                       : "metrics+timing+recording");
 }
 BENCHMARK(BM_PipelineDepthObserved)
     ->Args({16, 1})
@@ -295,18 +286,7 @@ BENCHMARK(BM_EngineMultiGraph)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_json_path = argv[++i];
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-
-  print_report(metrics_json_path);
+  print_report(benchutil::strip_metrics_json(argc, argv));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

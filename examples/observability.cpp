@@ -1,7 +1,7 @@
 // Observability: watching the inside of a running positioning process.
 //
 // Builds the GPS pipeline of Fig. 1, turns on full observability
-// (metrics + timing + tracing), attaches the Trace Channel Feature — the
+// (metrics + timing + recording), attaches the Trace Channel Feature — the
 // paper's own PCL extension mechanism used *for* monitoring — and then
 // inspects the run at all three layers:
 //
@@ -11,17 +11,18 @@
 //                                  the last sample's journey
 //   PL   provider.fix_rate_hz()    application-level fix rate / staleness
 //
-// The flow trace is written as gps_trace.json — open it in Perfetto
-// (https://ui.perfetto.dev) to see every sample's source→sink journey as
-// nested spans whose parent links mirror provenance.
+// The flight ring's flow trace is written as gps_trace.json — open it in
+// Perfetto (https://ui.perfetto.dev) to see every sample's source→sink
+// journey as flow arrows from each emission to its deliveries, which follow
+// the provenance chain.
 //
 // Run: ./observability
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/positioning.hpp"
 #include "perpos/core/trace_feature.hpp"
+#include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/trace.hpp"
 #include "perpos/sensors/gps_sensor.hpp"
 #include "perpos/sensors/pipeline_components.hpp"
 #include "perpos/sensors/trajectory.hpp"
@@ -40,10 +41,12 @@ int main() {
 
   core::ProcessingGraph graph(&scheduler.clock());
 
-  // One call makes the whole process observable. `tracing` retains flow
-  // spans; metrics and timing alone are cheap enough to leave on.
+  // One call makes the whole process observable. `recording` keeps every
+  // emit and deliver in a flight ring (sized here for the whole run);
+  // metrics and timing alone are cheap enough to leave on.
   obs::ObservabilityConfig obs_config;
-  obs_config.tracing = true;
+  obs_config.recording = true;
+  obs_config.recorder_capacity = 2048;
   graph.enable_observability(obs_config);
 
   core::ChannelManager channels(graph);
@@ -111,9 +114,10 @@ int main() {
               provider.staleness_s(scheduler.clock().now()));
 
   // --- Flow trace for Perfetto -------------------------------------------
-  std::ofstream("gps_trace.json") << graph.tracer()->to_chrome_trace_json();
-  std::printf("\nwrote gps_trace.json (%zu spans) — open in "
+  const obs::FlightRecorder& recorder = *graph.flight_recorder();
+  std::ofstream("gps_trace.json") << recorder.dump_chrome_trace();
+  std::printf("\nwrote gps_trace.json (%zu events) — open in "
               "https://ui.perfetto.dev\n",
-              graph.tracer()->spans().size());
+              recorder.merged_events().size());
   return 0;
 }

@@ -2,7 +2,8 @@
 # Perf smoke for the translucency plane: runs the report phase of the
 # observability-sensitive benches with --metrics-json, checks that every
 # snapshot is well-formed and that the engine hot path stayed clean (no
-# task failures, no dropped trace spans in a calm run), and leaves the
+# task failures, no flight-ring events dropped from the flow trace of a
+# calm run), and leaves the
 # snapshots plus the profiler flight-recorder dump in an artifact
 # directory for CI to upload.
 #
@@ -45,28 +46,30 @@ counters = {}
 for c in doc.get("metrics", {}).get("counters", []):
     counters[c["name"]] = counters.get(c["name"], 0) + c["value"]
 # Hot-path regression gates: a calm observed run must execute tasks
-# without failures, and the bounded trace ring must not evict spans.
+# without failures, and the bounded flight ring behind its flow trace must
+# not evict events.
 failed = counters.get("perpos_exec_tasks_failed_total", 0)
-dropped = counters.get("perpos_obs_spans_dropped_total", 0)
+dropped = doc.get("trace", {}).get("droppedEvents", 0)
 problems = []
 if not counters:
     problems.append("no counters in snapshot")
 if failed:
     problems.append(f"{failed} failed engine tasks")
 if dropped and allow_drops != "yes":
-    problems.append(f"{dropped} dropped trace spans")
+    problems.append(f"{dropped} dropped flight events")
 if problems:
     print(f"error: {name}: " + "; ".join(problems), file=sys.stderr)
     sys.exit(1)
 print(f"ok: {name}: {len(counters)} counters, {failed} failed tasks, "
-      f"{dropped} dropped spans")
+      f"{dropped} dropped flight events")
 EOF
 }
 
-# fig1 exercises the full pipeline with tracing; bench_profiler dumps the
-# engine profiler + flight recorder; o1 covers the multi-worker engine.
+# fig1 exercises the full pipeline with recording (its ring holds the whole
+# run); bench_profiler dumps the engine profiler + flight recorder; o1
+# covers the multi-worker engine.
 run_one fig1_pipeline
-# o1's observed stress workload intentionally overflows the bounded trace
+# o1's observed stress workload intentionally overflows the bounded flight
 # ring; eviction there is by design, so only the failure gate applies.
 run_one o1_scalability yes
 run_one profiler

@@ -174,7 +174,7 @@ class ChannelManager {
   std::uint64_t seen_revision_ = ~0ull;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::map<ChannelKey, std::shared_ptr<detail::ChannelRecord>> records_;
-  std::size_t listener_token_ = 0;
+  std::size_t observer_token_ = 0;
   bool refreshing_ = false;
 };
 

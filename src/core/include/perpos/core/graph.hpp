@@ -5,7 +5,6 @@
 #include "perpos/core/sentry.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/trace.hpp"
 #include "perpos/sim/clock.hpp"
 
 #include <cstdint>
@@ -38,8 +37,8 @@
 /// Two fast paths keep the common hop cheap without a second dispatcher: a
 /// featureless single-consumer emission builds its sample in place in the
 /// dispatch-stack slot, and a delivery nobody observes per hop (no consume
-/// hooks, no sentry, no timing / tracing / latency) consumes that slot in
-/// place, moving the sample straight into the consumer's pending inputs.
+/// hooks, no sentry, no timing / latency) consumes that slot in place,
+/// moving the sample straight into the consumer's pending inputs.
 /// Provenance buffers come from a graph-owned arena that recycles them
 /// once the last sample referencing them dies. A recycled buffer is
 /// cleared only when its slot is handed out again, so the samples and
@@ -227,17 +226,12 @@ class ProcessingGraph {
   /// layer at commit points; harmless (but meaningless) elsewhere.
   std::uint64_t advance_epoch() noexcept { return ++epoch_; }
 
-  /// Register a callback invoked after every structural mutation; the
-  /// Channel layer uses this to keep its derived view causally connected.
-  /// Returns a token for remove_mutation_listener.
-  std::size_t add_mutation_listener(std::function<void()> listener);
-  void remove_mutation_listener(std::size_t token);
-
-  /// Register a *detailed* mutation observer: unlike the coarse listeners
-  /// above, observers learn which mutation happened (see GraphMutation) —
-  /// including feature attach/detach, which the coarse listeners do not
-  /// report. The incremental verifier uses this to mark dirty regions at
-  /// O(delta). Returns a token for remove_mutation_observer.
+  /// Register a mutation observer, invoked after every mutation with what
+  /// happened (see GraphMutation): structural changes and feature
+  /// attach/detach. The Channel layer uses it to keep its derived view
+  /// causally connected, the incremental verifier to mark dirty regions at
+  /// O(delta). Observers run in registration order. Returns a token for
+  /// remove_mutation_observer.
   std::size_t add_mutation_observer(
       std::function<void(const GraphMutation&)> observer);
   void remove_mutation_observer(std::size_t token);
@@ -256,9 +250,10 @@ class ProcessingGraph {
   // When enabled, the graph records per-component runtime behaviour into an
   // obs::MetricsRegistry (samples emitted / delivered / rejected, hook
   // vetoes, on_input and feature-hook wall-time histograms) and — with
-  // `tracing` on — per-delivery flow spans whose parent links mirror each
-  // sample's provenance chain. When disabled (the default) the dispatch
-  // path pays a single null-pointer check.
+  // `recording` on — every emit and deliver into a flight ring, whose
+  // Chrome trace links each delivery to its emission along the provenance
+  // chain. When disabled (the default) the dispatch path pays a single
+  // null-pointer check.
 
   /// Start (or reconfigure) observability. Metrics accumulated so far are
   /// kept when called repeatedly. Rejected during dispatch.
@@ -279,9 +274,6 @@ class ProcessingGraph {
   /// PSL inspection API: a point-in-time snapshot of every metric. Empty
   /// when observability is disabled.
   obs::MetricsSnapshot metrics() const;
-
-  /// The flow-trace recorder, or nullptr unless tracing is enabled.
-  obs::TraceRecorder* tracer() const noexcept;
 
   /// Record this graph's flight events (emit / deliver / mutation /
   /// on_input failure) into `recorder`'s ring `lane`. The graph is the
@@ -328,8 +320,8 @@ class ProcessingGraph {
   Entry& entry(ComponentId id);
   const Entry& entry(ComponentId id) const;
   bool would_cycle(ComponentId producer, ComponentId consumer) const;
-  /// The instrumented delivery: consume hooks, sentry, timing, tracing
-  /// and latency. Takes the sample popped off the dispatch stack.
+  /// The instrumented delivery: consume hooks, sentry, timing and
+  /// latency. Takes the sample popped off the dispatch stack.
   void deliver(Sample&& sample, ComponentId consumer);
   /// The lean delivery of the dispatch-stack top to `c` (see
   /// drain_dispatch_stack() for when it applies).
@@ -367,27 +359,21 @@ class ProcessingGraph {
                      std::string_view detail = {}) noexcept;
   /// Re-derive `active_recorder_` after enable/disable/set calls.
   void refresh_active_recorder() noexcept;
+  /// Structural mutation: counts and records it, then notifies observers.
   void notify_mutation(const GraphMutation& mutation);
-  /// Observer-only notification — feature attach/detach events go here, so
-  /// the coarse listeners keep their historical "structural edges/nodes
-  /// changed" contract.
+  /// Walk the observers (feature attach/detach come here directly).
   void notify_observers(const GraphMutation& mutation);
-  /// Leave one notification level; compacts tombstoned callback slots when
-  /// the outermost level returns.
-  void end_notify();
 
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::vector<std::pair<std::size_t, std::function<void()>>> listeners_;
   std::vector<std::pair<std::size_t, std::function<void(const GraphMutation&)>>>
       observers_;
-  std::size_t next_listener_token_ = 1;
-  /// Depth of in-flight listener/observer notifications. While non-zero,
-  /// remove_mutation_listener/observer tombstones entries (null fn)
-  /// instead of erasing, so a callback that detaches itself — or any other
-  /// callback — cannot invalidate the notifying iteration; the vectors
-  /// compact when the outermost notification returns.
+  std::size_t next_observer_token_ = 1;
+  /// Depth of in-flight observer notifications. While non-zero,
+  /// remove_mutation_observer tombstones entries (null fn) instead of
+  /// erasing, so an observer that detaches itself — or any other observer
+  /// — cannot invalidate the notifying iteration; the vector compacts when
+  /// the outermost notification returns.
   std::size_t notify_depth_ = 0;
-  bool listeners_tombstoned_ = false;
   bool observers_tombstoned_ = false;
   const sim::Clock* clock_;
   std::uint64_t revision_ = 0;
@@ -415,7 +401,6 @@ class ProcessingGraph {
   /// Monotone handle-cache generation; bumped on every enable so stale
   /// handles from an earlier registry are never reused after re-enable.
   std::uint64_t obs_generation_ = 0;
-  std::uint64_t current_span_ = 0;  ///< Open on_input span during dispatch.
   /// Flight recorder wiring. `active_recorder_` caches "where do events
   /// go right now" (external > owned > none) so the hot path pays a single
   /// null check; the others remember the external attachment.

@@ -19,9 +19,8 @@
 
 namespace perpos::core {
 
-/// One structural mutation, as reported to mutation observers (see
-/// ProcessingGraph::add_mutation_observer). Where the coarse mutation
-/// *listeners* only learn "something changed", observers learn what —
+/// One mutation, as reported to mutation observers (see
+/// ProcessingGraph::add_mutation_observer). Observers learn what changed,
 /// which is what incremental re-verification needs to mark dirty regions.
 struct GraphMutation {
   enum class Kind {

@@ -289,7 +289,6 @@ struct FeatureMetricHandles {
 struct ProcessingGraph::Obs {
   obs::ObservabilityConfig config;
   obs::MetricsRegistry registry;
-  std::unique_ptr<obs::TraceRecorder> tracer;
   /// Owned flight recorder (config.recording); one "graph" ring.
   std::unique_ptr<obs::FlightRecorder> recorder;
   std::uint32_t rec_lane = 0;
@@ -300,8 +299,8 @@ struct ProcessingGraph::Obs {
   obs::Counter* rejections_total = nullptr;
   obs::Counter* mutations_total = nullptr;
   obs::Gauge* components_gauge = nullptr;
-  /// Timing, tracing or latency is on: every delivery takes the
-  /// instrumented path of deliver().
+  /// Timing or latency is on: every delivery takes the instrumented path
+  /// of deliver(). Metrics and recording stay on deliver_top().
   bool per_delivery = false;
 
   ComponentMetricHandles& handles(Entry& e, ComponentId id) {
@@ -382,40 +381,18 @@ void erase_id(std::vector<ComponentId>& v, ComponentId id) {
 
 }  // namespace
 
-std::size_t ProcessingGraph::add_mutation_listener(
-    std::function<void()> listener) {
-  const std::size_t token = next_listener_token_++;
-  listeners_.emplace_back(token, std::move(listener));
-  return token;
-}
-
-void ProcessingGraph::remove_mutation_listener(std::size_t token) {
-  // Mid-notification removal (a listener detaching itself or a peer from
-  // inside its callback) must not invalidate the notifying iteration:
-  // tombstone the slot and let end_notify() compact once the walk is done.
-  if (notify_depth_ > 0) {
-    for (auto& [t, fn] : listeners_) {
-      if (t == token && fn) {
-        fn = nullptr;
-        listeners_tombstoned_ = true;
-      }
-    }
-    return;
-  }
-  listeners_.erase(
-      std::remove_if(listeners_.begin(), listeners_.end(),
-                     [&](const auto& p) { return p.first == token; }),
-      listeners_.end());
-}
-
 std::size_t ProcessingGraph::add_mutation_observer(
     std::function<void(const GraphMutation&)> observer) {
-  const std::size_t token = next_listener_token_++;
+  const std::size_t token = next_observer_token_++;
   observers_.emplace_back(token, std::move(observer));
   return token;
 }
 
 void ProcessingGraph::remove_mutation_observer(std::size_t token) {
+  // Mid-notification removal (an observer detaching itself or a peer from
+  // inside its callback) must not invalidate the notifying iteration:
+  // tombstone the slot and let notify_observers() compact once the walk is
+  // done.
   if (notify_depth_ > 0) {
     for (auto& [t, fn] : observers_) {
       if (t == token && fn) {
@@ -444,59 +421,34 @@ void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
     record_flight(obs::FlightEventType::kMutation, mutation.a,
                   static_cast<std::uint64_t>(mutation.kind), mutation.b);
   }
-  // Walk by index up to the count captured at entry: callbacks may
-  // register new callbacks (not notified for this mutation — the vector
-  // may reallocate, so no iterator survives) or remove existing ones
-  // (tombstoned to null by the removal paths, skipped here). Each function
-  // object is copied out before the call: a reallocating registration
-  // would otherwise move the object mid-execution.
-  ++notify_depth_;
-  try {
-    const std::size_t count = listeners_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!listeners_[i].second) continue;
-      const auto fn = listeners_[i].second;
-      fn();
-    }
-    notify_observers(mutation);
-  } catch (...) {
-    end_notify();
-    throw;
-  }
-  end_notify();
+  notify_observers(mutation);
 }
 
 void ProcessingGraph::notify_observers(const GraphMutation& mutation) {
-  ++notify_depth_;
-  try {
-    const std::size_t count = observers_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!observers_[i].second) continue;
-      const auto fn = observers_[i].second;
-      fn(mutation);
+  // Walk by index up to the count captured at entry: observers may
+  // register new observers (not notified for this mutation — the vector
+  // may reallocate, so no iterator survives) or remove existing ones
+  // (tombstoned to null by remove_mutation_observer, skipped here). Each
+  // function object is copied out before the call: a reallocating
+  // registration would otherwise move the object mid-execution.
+  struct Level {
+    ProcessingGraph& g;
+    explicit Level(ProcessingGraph& graph) : g(graph) { ++g.notify_depth_; }
+    // Leaving the outermost level compacts the tombstoned slots.
+    ~Level() {
+      if (--g.notify_depth_ != 0 || !g.observers_tombstoned_) return;
+      g.observers_.erase(
+          std::remove_if(g.observers_.begin(), g.observers_.end(),
+                         [](const auto& p) { return !p.second; }),
+          g.observers_.end());
+      g.observers_tombstoned_ = false;
     }
-  } catch (...) {
-    end_notify();
-    throw;
-  }
-  end_notify();
-}
-
-void ProcessingGraph::end_notify() {
-  if (--notify_depth_ != 0) return;
-  if (listeners_tombstoned_) {
-    listeners_.erase(
-        std::remove_if(listeners_.begin(), listeners_.end(),
-                       [](const auto& p) { return !p.second; }),
-        listeners_.end());
-    listeners_tombstoned_ = false;
-  }
-  if (observers_tombstoned_) {
-    observers_.erase(
-        std::remove_if(observers_.begin(), observers_.end(),
-                       [](const auto& p) { return !p.second; }),
-        observers_.end());
-    observers_tombstoned_ = false;
+  } level(*this);
+  const std::size_t count = observers_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!observers_[i].second) continue;
+    const auto fn = observers_[i].second;
+    fn(mutation);
   }
 }
 
@@ -529,24 +481,12 @@ void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
     obs_->components_gauge = obs_->registry.gauge("perpos_graph_components");
   }
   obs_->config = config;
-  obs_->per_delivery = config.timing || config.tracing || config.latency;
+  obs_->per_delivery = config.timing || config.latency;
   // Invalidate every cached handle set: entries may hold pointers into a
   // previous registry (destroyed by disable_observability), and a config
   // change can alter which handles exist (e.g. the timing histogram). The
   // generation counter lives on the graph so it survives obs_ teardown.
   obs_->epoch = ++obs_generation_;
-  if (config.tracing) {
-    if (!obs_->tracer) {
-      obs_->tracer =
-          std::make_unique<obs::TraceRecorder>(config.trace_capacity);
-    }
-    // Ring eviction is otherwise silent; surface it as a counter so a
-    // too-small trace buffer is visible in the metrics export.
-    obs_->tracer->set_dropped_counter(
-        obs_->registry.counter("perpos_obs_spans_dropped_total"));
-  } else {
-    obs_->tracer.reset();
-  }
   if (config.recording) {
     if (!obs_->recorder) {
       obs_->recorder =
@@ -564,7 +504,6 @@ void ProcessingGraph::disable_observability() {
   check_not_dispatching("disable_observability");
   obs_.reset();
   refresh_active_recorder();
-  current_span_ = 0;
 }
 
 void ProcessingGraph::set_flight_recorder(obs::FlightRecorder* recorder,
@@ -629,10 +568,6 @@ obs::MetricsRegistry* ProcessingGraph::metrics_registry() const noexcept {
 
 obs::MetricsSnapshot ProcessingGraph::metrics() const {
   return obs_ ? obs_->registry.snapshot() : obs::MetricsSnapshot{};
-}
-
-obs::TraceRecorder* ProcessingGraph::tracer() const noexcept {
-  return obs_ ? obs_->tracer.get() : nullptr;
 }
 
 ProcessingGraph::Entry& ProcessingGraph::entry(ComponentId id) {
@@ -1058,7 +993,7 @@ void ProcessingGraph::drain_dispatch_stack() {
       PendingDelivery& top = dispatch_stack_.back();
       Entry& c = *entries_[top.consumer];
       // Deliveries nobody observes per hop — no consume hooks, no sentry,
-      // no timing / tracing / latency — consume the stack slot in place.
+      // no timing / latency — consume the stack slot in place.
       if (c.features.empty() && sentry_ == nullptr &&
           (obs_ == nullptr || !obs_->per_delivery)) {
         deliver_top(c);
@@ -1272,20 +1207,6 @@ bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
   if (active_recorder_ != nullptr) {
     record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
   }
-
-  // Flow tracing: bind the sample to the span it was produced under. An
-  // emission during dispatch belongs to the producer's open on_input span;
-  // an external push (a source) gets an instantaneous root span of its own.
-  if (obs != nullptr && obs->tracer) {
-    obs::TraceRecorder& tracer = *obs->tracer;
-    std::uint64_t span = current_span_;
-    if (span == 0) {
-      span = tracer.open(std::string(e.component->kind()) + ".emit", producer,
-                         producer, sample.sequence, 0);
-      tracer.close(span);
-    }
-    tracer.bind_sample(producer, sample.sequence, span);
-  }
   if (sentry_ != nullptr) sentry_->on_emit(sample);
   return true;
 }
@@ -1375,30 +1296,18 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
   }
 
   count_delivery(c, consumer, sample);
-  // Flow-span and latency bookkeeping read the sample before it may move
-  // into the pending inputs.
-  const std::uint64_t saved_span = current_span_;
-  std::uint64_t span_id = 0;
-  if (obs != nullptr && obs->tracer) {
-    // The span's parent is the span under which the sample was emitted, so
-    // span ancestry == provenance chain.
-    const std::uint64_t parent =
-        obs->tracer->span_for_sample(sample.producer, sample.sequence);
-    span_id = obs->tracer->open(
-        std::string(c.component->kind()) + ".on_input", consumer,
-        sample.producer, sample.sequence, parent);
-    current_span_ = span_id;
-  }
-  // End-to-end latency is observed when the sample *arrives* at a sink:
-  // ingest→sink covers every upstream hop but not the sink's own on_input
-  // (that is what on_input_us measures). The delivery span doubles as the
-  // histogram exemplar, linking an SLO-busting bucket to its trace.
+  // End-to-end latency is observed when the sample *arrives* at a sink,
+  // before it may move into the pending inputs: ingest→sink covers every
+  // upstream hop but not the sink's own on_input (that is what on_input_us
+  // measures). The exemplar is the delivered sample's identity — the key
+  // of this delivery's kDeliver event in a flight dump.
   if (obs != nullptr && obs->config.latency && c.consumers.empty() &&
       sample.ingest_us != 0.0) {
     ComponentMetricHandles& h = obs->handles(c, consumer);
     if (h.e2e_latency_us != nullptr) {
       const double e2e = now_wall_us() - sample.ingest_us;
-      h.e2e_latency_us->observe_with_exemplar(e2e, span_id);
+      h.e2e_latency_us->observe_with_exemplar(
+          e2e, obs::pack_sample_exemplar(sample.producer, sample.sequence));
       if (h.deadline_miss != nullptr && e2e > obs->config.latency_slo_us) {
         h.deadline_miss->inc();
       }
@@ -1413,18 +1322,10 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
       c.records_provenance ? keep_pending(c, sample, pending_owns_input(c))
                            : sample;
   const double t0 = timing ? now_wall_us() : 0.0;
-  try {
-    invoke_on_input(c, consumer, input, saved_frame_base);
-  } catch (...) {
-    if (span_id != 0 && obs_ && obs_->tracer) obs_->tracer->close(span_id);
-    current_span_ = saved_span;
-    throw;
-  }
+  invoke_on_input(c, consumer, input, saved_frame_base);
   if (timing) {
     obs->handles(c, consumer).on_input_us->observe(now_wall_us() - t0);
   }
-  if (span_id != 0 && obs->tracer) obs->tracer->close(span_id);
-  current_span_ = saved_span;
   arena_->harvest_or_watch(sample, c.watch_slot);
 }
 

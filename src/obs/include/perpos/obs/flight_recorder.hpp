@@ -120,9 +120,13 @@ class FlightRecorder {
   /// with events merged time-ordered as in merged_events().
   std::string dump_json(std::string_view reason = {}) const;
 
-  /// Chrome trace_event JSON: one instant event per recorded event,
-  /// tid = lane, viewable in Perfetto / chrome://tracing next to the
-  /// TraceRecorder flow spans.
+  /// Chrome trace_event JSON, tid = lane, viewable in Perfetto /
+  /// chrome://tracing. Emits and deliveries are zero-duration slices;
+  /// every retained kDeliver (consumer c, producer p, sequence s) is bound
+  /// by a flow arrow to the retained kEmit of (p, s) on the same graph
+  /// tag, one flow id per (graph, p, s, c), so the arrows follow each
+  /// sample's provenance chain. Other events are instants.
+  /// `droppedEvents` counts the events lost to ring wraparound.
   std::string dump_chrome_trace() const;
 
   // --- Triggers -------------------------------------------------------------

@@ -79,11 +79,12 @@ class Histogram {
 
   void observe(double v) noexcept;
 
-  /// observe(), additionally stamping `exemplar` (a trace-span id) onto
-  /// the bucket the observation lands in. The per-bucket last exemplar
-  /// links the latency distribution back to one concrete trace: "a sample
-  /// in the 2–5ms bucket? here is a span that took that long". Exemplar 0
-  /// records nothing beyond the observation.
+  /// observe(), additionally stamping `exemplar` onto the bucket the
+  /// observation lands in. The per-bucket last exemplar links the
+  /// distribution back to one concrete event: "a sample in the 2–5ms
+  /// bucket? here is one that took that long" (the graph stamps
+  /// pack_sample_exemplar() keys). Exemplar 0 records nothing beyond the
+  /// observation.
   void observe_with_exemplar(double v, std::uint64_t exemplar) noexcept;
 
   /// Last exemplar recorded for bucket `i`, or 0.
@@ -110,6 +111,33 @@ class Histogram {
 /// Default latency buckets in microseconds: 0.5us .. ~8ms, log-spaced.
 std::vector<double> default_latency_buckets_us();
 
+/// A sample's identity, (producing component, logical time).
+struct SampleKey {
+  std::uint32_t producer = 0;
+  std::uint64_t sequence = 0;
+};
+
+/// Bits of an exemplar holding the sequence; the rest hold producer + 1,
+/// so every packed key is non-zero (0 means "no exemplar").
+inline constexpr unsigned kExemplarSequenceBits = 40;
+
+/// Pack a delivered sample's identity into a histogram exemplar — the key
+/// of its kDeliver flight event. Exact for producers below 2^24 - 1 and
+/// sequences below 2^40.
+constexpr std::uint64_t pack_sample_exemplar(std::uint32_t producer,
+                                             std::uint64_t sequence) noexcept {
+  return ((static_cast<std::uint64_t>(producer) + 1)
+          << kExemplarSequenceBits) |
+         (sequence & ((std::uint64_t{1} << kExemplarSequenceBits) - 1));
+}
+
+/// Inverse of pack_sample_exemplar(); meaningless for exemplar 0.
+constexpr SampleKey unpack_sample_exemplar(std::uint64_t exemplar) noexcept {
+  return SampleKey{
+      static_cast<std::uint32_t>((exemplar >> kExemplarSequenceBits) - 1),
+      exemplar & ((std::uint64_t{1} << kExemplarSequenceBits) - 1)};
+}
+
 // --- Snapshots ---------------------------------------------------------------
 
 struct CounterSnapshot {
@@ -129,7 +157,7 @@ struct HistogramSnapshot {
   Labels labels;
   std::vector<double> bounds;          ///< Upper bounds, +Inf implicit.
   std::vector<std::uint64_t> buckets;  ///< Per-bucket (non-cumulative).
-  std::vector<std::uint64_t> exemplars;  ///< Per-bucket last span id (0 = none).
+  std::vector<std::uint64_t> exemplars;  ///< Per-bucket last (0 = none).
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
@@ -152,20 +180,35 @@ struct MetricsSnapshot {
   bool empty() const noexcept {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
+  // The finders return pointers into this snapshot, so they only exist
+  // on lvalues: a lookup into a temporary (`graph.metrics().find_...`)
+  // would dangle and does not compile.
+
   /// First counter with this name (any labels), or nullptr.
-  const CounterSnapshot* find_counter(std::string_view name) const noexcept;
+  const CounterSnapshot* find_counter(std::string_view name) const& noexcept;
   /// Counter with this name and a label equal to (key, value), or nullptr.
   const CounterSnapshot* find_counter(std::string_view name,
                                       std::string_view key,
-                                      std::string_view value) const noexcept;
-  const GaugeSnapshot* find_gauge(std::string_view name) const noexcept;
+                                      std::string_view value) const& noexcept;
+  const GaugeSnapshot* find_gauge(std::string_view name) const& noexcept;
   const GaugeSnapshot* find_gauge(std::string_view name, std::string_view key,
-                                  std::string_view value) const noexcept;
-  const HistogramSnapshot* find_histogram(std::string_view name) const noexcept;
+                                  std::string_view value) const& noexcept;
+  const HistogramSnapshot* find_histogram(
+      std::string_view name) const& noexcept;
   const HistogramSnapshot* find_histogram(std::string_view name,
                                           std::string_view key,
                                           std::string_view value)
-      const noexcept;
+      const& noexcept;
+
+  const CounterSnapshot* find_counter(std::string_view) const&& = delete;
+  const CounterSnapshot* find_counter(std::string_view, std::string_view,
+                                      std::string_view) const&& = delete;
+  const GaugeSnapshot* find_gauge(std::string_view) const&& = delete;
+  const GaugeSnapshot* find_gauge(std::string_view, std::string_view,
+                                  std::string_view) const&& = delete;
+  const HistogramSnapshot* find_histogram(std::string_view) const&& = delete;
+  const HistogramSnapshot* find_histogram(std::string_view, std::string_view,
+                                          std::string_view) const&& = delete;
 };
 
 // --- Registry ----------------------------------------------------------------
@@ -226,19 +269,20 @@ std::string escape_json(std::string_view s);
 /// What an observed graph records. All knobs independent so the overhead
 /// can be dialled: `metrics` alone costs a few relaxed atomic increments
 /// per sample; `timing` adds two steady_clock reads per hook/on_input;
-/// `tracing` additionally retains flow spans (bounded by trace_capacity);
 /// `latency` stamps wall-clock ingest time on root emissions and observes
 /// end-to-end ingest→sink latency (with SLO deadline-miss counting when
-/// latency_slo_us > 0); `recording` attaches a flight recorder ring of
-/// recent structured events for black-box dumps.
+/// latency_slo_us > 0), each observation's exemplar naming the delivered
+/// sample; `recording` attaches a flight recorder ring of recent
+/// structured events — every emit and deliver among them, which is the
+/// graph's flow trace (FlightRecorder::dump_chrome_trace). Metrics and
+/// recording keep the lean delivery path; timing and latency take the
+/// instrumented one.
 struct ObservabilityConfig {
   bool metrics = true;
   bool timing = true;
-  bool tracing = false;
   bool latency = false;
   bool recording = false;
   double latency_slo_us = 0.0;        ///< 0 = no deadline accounting.
-  std::size_t trace_capacity = 4096;  ///< Completed spans retained (ring).
   std::size_t recorder_capacity = 1024;  ///< Flight events retained per lane.
 };
 

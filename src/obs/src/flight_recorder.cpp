@@ -3,7 +3,10 @@
 #include "perpos/obs/metrics.hpp"  // escape_json
 
 #include <algorithm>
+#include <iomanip>
+#include <map>
 #include <sstream>
+#include <tuple>
 #include <type_traits>
 
 namespace perpos::obs {
@@ -228,9 +231,25 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
 
 std::string FlightRecorder::dump_chrome_trace() const {
   const std::vector<FlightEvent> events = merged_events();
+  // Retained emissions by (graph, producer, sequence): where each
+  // delivery's flow arrow starts.
+  std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>,
+           const FlightEvent*>
+      emits;
+  for (const FlightEvent& e : events) {
+    if (e.type == FlightEventType::kEmit) {
+      emits.emplace(std::make_tuple(e.graph, std::uint64_t{e.component}, e.a),
+                    &e);
+    }
+  }
   std::ostringstream out;
+  out << std::fixed << std::setprecision(3);
+  const auto ts = [](const FlightEvent& e) {
+    return static_cast<double>(e.t_ns) / 1000.0;
+  };
   out << "{\"traceEvents\":[";
   bool first = true;
+  std::uint64_t dropped_events = 0;
   {
     std::lock_guard<std::mutex> lock(lanes_mutex_);
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -239,19 +258,34 @@ std::string FlightRecorder::dump_chrome_trace() const {
       out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i
           << ",\"args\":{\"name\":\"lane " << escape_json(lanes_[i]->name)
           << "\"}}";
+      dropped_events += dropped(static_cast<std::uint32_t>(i));
     }
   }
+  std::uint64_t next_flow = 1;
   for (const FlightEvent& e : events) {
     if (!first) out << ",";
     first = false;
+    const bool slice = e.type == FlightEventType::kEmit ||
+                       e.type == FlightEventType::kDeliver;
     out << "{\"name\":\"" << flight_event_type_name(e.type);
     if (e.detail[0] != '\0') out << ": " << escape_json(e.detail);
-    out << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << e.lane
-        << ",\"ts\":" << static_cast<double>(e.t_ns) / 1000.0
+    out << (slice ? "\",\"ph\":\"X\",\"dur\":0" : "\",\"ph\":\"i\",\"s\":\"t\"")
+        << ",\"pid\":1,\"tid\":" << e.lane << ",\"ts\":" << ts(e)
         << ",\"args\":{\"graph\":" << e.graph << ",\"component\":"
         << e.component << ",\"a\":" << e.a << ",\"b\":" << e.b << "}}";
+    if (e.type != FlightEventType::kDeliver) continue;
+    const auto it = emits.find(std::make_tuple(e.graph, e.a, e.b));
+    if (it == emits.end()) continue;  // Emission lost to wraparound.
+    const FlightEvent& from = *it->second;
+    const std::uint64_t id = next_flow++;
+    out << ",{\"name\":\"sample\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" << id
+        << ",\"pid\":1,\"tid\":" << from.lane << ",\"ts\":" << ts(from)
+        << "},{\"name\":\"sample\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
+           "\"id\":"
+        << id << ",\"pid\":1,\"tid\":" << e.lane << ",\"ts\":" << ts(e)
+        << "}";
   }
-  out << "]}";
+  out << "],\"droppedEvents\":" << dropped_events << "}";
   return out.str();
 }
 

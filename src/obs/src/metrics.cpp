@@ -118,35 +118,35 @@ typename Vec::const_pointer find_by_label(const Vec& v, std::string_view name,
 }  // namespace
 
 const CounterSnapshot* MetricsSnapshot::find_counter(
-    std::string_view name) const noexcept {
+    std::string_view name) const& noexcept {
   return find_by_name(counters, name);
 }
 
 const CounterSnapshot* MetricsSnapshot::find_counter(
     std::string_view name, std::string_view key,
-    std::string_view value) const noexcept {
+    std::string_view value) const& noexcept {
   return find_by_label(counters, name, key, value);
 }
 
 const GaugeSnapshot* MetricsSnapshot::find_gauge(
-    std::string_view name) const noexcept {
+    std::string_view name) const& noexcept {
   return find_by_name(gauges, name);
 }
 
 const GaugeSnapshot* MetricsSnapshot::find_gauge(
     std::string_view name, std::string_view key,
-    std::string_view value) const noexcept {
+    std::string_view value) const& noexcept {
   return find_by_label(gauges, name, key, value);
 }
 
 const HistogramSnapshot* MetricsSnapshot::find_histogram(
-    std::string_view name) const noexcept {
+    std::string_view name) const& noexcept {
   return find_by_name(histograms, name);
 }
 
 const HistogramSnapshot* MetricsSnapshot::find_histogram(
     std::string_view name, std::string_view key,
-    std::string_view value) const noexcept {
+    std::string_view value) const& noexcept {
   return find_by_label(histograms, name, key, value);
 }
 

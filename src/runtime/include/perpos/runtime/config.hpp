@@ -23,7 +23,7 @@
 ///   component <name> <kind> [arg...]
 ///   connect <producer-name> <consumer-name>
 ///   resolve
-///   observe [metrics] [timing] [tracing] [latency] [recording]
+///   observe [metrics] [timing] [latency] [recording] [tracing]
 ///           [slo_us=<number>] [all]
 ///   health [key=value ...]
 ///   reconfig [key=value ...]
@@ -35,11 +35,13 @@
 ///   verify
 ///
 /// `observe` enables graph observability (perpos::obs). With no flags it
-/// turns on metrics and timing; `all` turns on everything. `latency`
-/// stamps root emissions and observes end-to-end ingest→sink latency at
-/// sinks (slo_us=N additionally counts deadline misses against an N-µs
-/// SLO); `recording` attaches a flight recorder whose ring captures
-/// recent emit/deliver/mutation events for black-box dumps.
+/// turns on metrics and timing; `all` turns on metrics, timing, latency
+/// and recording. `latency` stamps root emissions and observes end-to-end
+/// ingest→sink latency at sinks (slo_us=N additionally counts deadline
+/// misses against an N-µs SLO); `recording` attaches a flight recorder
+/// whose ring captures recent emit/deliver/mutation events for black-box
+/// dumps and flow traces. `tracing` is accepted as a synonym of
+/// `recording`, which export_config writes instead.
 ///
 /// `health` declares fault-tolerance thresholds (see HealthSettings). The
 /// parser only records them in ConfigResult::health — wiring them into a

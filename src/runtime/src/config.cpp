@@ -392,7 +392,7 @@ ConfigResult assemble_from_config(const std::string& text,
       if (!bad) result.plan = settings;
     } else if (verb == "observe") {
       obs::ObservabilityConfig cfg;
-      cfg.metrics = cfg.timing = cfg.tracing = false;
+      cfg.metrics = cfg.timing = false;
       bool any = false, bad = false;
       std::string flag;
       while (ls >> flag) {
@@ -401,15 +401,13 @@ ConfigResult assemble_from_config(const std::string& text,
           cfg.metrics = true;
         } else if (flag == "timing") {
           cfg.timing = true;
-        } else if (flag == "tracing") {
-          cfg.tracing = true;
         } else if (flag == "latency") {
           cfg.latency = true;
-        } else if (flag == "recording") {
+        } else if (flag == "recording" || flag == "tracing") {
+          // `tracing` predates the flight ring carrying the flow trace.
           cfg.recording = true;
         } else if (flag == "all") {
-          cfg.metrics = cfg.timing = cfg.tracing = true;
-          cfg.latency = cfg.recording = true;
+          cfg.metrics = cfg.timing = cfg.latency = cfg.recording = true;
         } else if (flag.rfind("slo_us=", 0) == 0) {
           const std::string value = flag.substr(7);
           try {
@@ -617,7 +615,6 @@ std::string export_config(const core::ProcessingGraph& graph,
     out << "observe";
     if (cfg->metrics) out << " metrics";
     if (cfg->timing) out << " timing";
-    if (cfg->tracing) out << " tracing";
     if (cfg->latency) out << " latency";
     if (cfg->recording) out << " recording";
     if (cfg->latency_slo_us > 0.0) {

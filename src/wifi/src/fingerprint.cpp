@@ -48,7 +48,11 @@ FingerprintDatabase FingerprintDatabase::survey(const SignalModel& model,
   return db;
 }
 
-double FingerprintDatabase::signal_distance(
+// The k-NN hot loop. Its AP-matching inner loop is a few bytes long, and
+// whether its compare-and-branch straddles a 32-byte boundary (the Intel
+// JCC erratum) otherwise depends on the size of unrelated code linked
+// before it; at 64-byte alignment it does not, whatever else changes.
+[[gnu::aligned(64)]] double FingerprintDatabase::signal_distance(
     const RssiScan& scan, const std::vector<RssiReading>& reference,
     double missing_rssi_dbm) {
   double sum_sq = 0.0;

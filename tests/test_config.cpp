@@ -243,8 +243,10 @@ observe metrics timing tracing
   ASSERT_NE(cfg, nullptr);
   EXPECT_TRUE(cfg->metrics);
   EXPECT_TRUE(cfg->timing);
-  EXPECT_TRUE(cfg->tracing);
-  EXPECT_NE(graph.tracer(), nullptr);
+  // `tracing` is kept for old configs: the flow trace is the flight ring.
+  EXPECT_TRUE(cfg->recording);
+  EXPECT_FALSE(cfg->latency);
+  EXPECT_NE(graph.flight_recorder(), nullptr);
 }
 
 TEST(Config, ObserveDirectiveDefaultsToMetricsAndTiming) {
@@ -257,7 +259,7 @@ TEST(Config, ObserveDirectiveDefaultsToMetricsAndTiming) {
   ASSERT_NE(cfg, nullptr);
   EXPECT_TRUE(cfg->metrics);
   EXPECT_TRUE(cfg->timing);
-  EXPECT_FALSE(cfg->tracing);
+  EXPECT_FALSE(cfg->recording);
 }
 
 TEST(Config, ObserveUnknownFlagReported) {
@@ -502,8 +504,9 @@ observe metrics tracing
                                        registry, graph)
                   .ok());
   const std::string exported = rt::export_config(graph);
-  EXPECT_NE(exported.find("observe metrics tracing"), std::string::npos);
+  EXPECT_NE(exported.find("observe metrics recording\n"), std::string::npos);
   EXPECT_EQ(exported.find("timing"), std::string::npos);
+  EXPECT_EQ(exported.find("tracing"), std::string::npos);
 }
 
 TEST(Config, ObserveLatencyRecordingAndSloParse) {
@@ -560,7 +563,6 @@ TEST(Config, ObserveAllEnablesEverything) {
   ASSERT_NE(cfg, nullptr);
   EXPECT_TRUE(cfg->metrics);
   EXPECT_TRUE(cfg->timing);
-  EXPECT_TRUE(cfg->tracing);
   EXPECT_TRUE(cfg->latency);
   EXPECT_TRUE(cfg->recording);
 }

@@ -301,33 +301,39 @@ TEST(Graph, RevisionBumpsOnStructuralMutation) {
   EXPECT_GT(g.revision(), r2);
 }
 
-TEST(Graph, MutationListenerFires) {
+TEST(Graph, MutationObserverFiresUntilRemoved) {
   core::ProcessingGraph g;
   int fired = 0;
-  const auto token = g.add_mutation_listener([&] { ++fired; });
+  const auto token =
+      g.add_mutation_observer([&](const core::GraphMutation&) { ++fired; });
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
-  g.remove_mutation_listener(token);
+  g.remove_mutation_observer(token);
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
 }
 
-// Regression tests for notification reentrancy: removing a listener or
-// observer from inside a callback must neither invalidate the walk (the
-// historical iterator-invalidation crash) nor deliver to the removed entry.
+// Regression tests for notification reentrancy: removing an observer from
+// inside a callback must neither invalidate the walk (the historical
+// iterator-invalidation crash) nor deliver to the removed entry.
 
-TEST(Graph, ListenerMaySelfRemoveDuringNotification) {
+TEST(Graph, SelfRemovingObserverKeepsItsSuccessorNotified) {
   core::ProcessingGraph g;
   int fired = 0;
+  int successor_fired = 0;
   std::size_t token = 0;
-  token = g.add_mutation_listener([&] {
+  token = g.add_mutation_observer([&](const core::GraphMutation&) {
     ++fired;
-    g.remove_mutation_listener(token);  // Self-detach mid-walk.
+    g.remove_mutation_observer(token);  // Self-detach mid-walk.
   });
+  g.add_mutation_observer(
+      [&](const core::GraphMutation&) { ++successor_fired; });
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(successor_fired, 1);  // The walk did not skip past the hole.
   g.add(make_int_source());  // Tombstone compacted; never fires again.
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(successor_fired, 2);
 }
 
 TEST(Graph, ObserverMaySelfRemoveDuringNotification) {
@@ -376,18 +382,19 @@ TEST(Graph, ObserverMayMutateGraphReentrantly) {
   EXPECT_EQ(seen[1], core::GraphMutation::Kind::kAdd);
 }
 
-TEST(Graph, ListenerRemovedFromObserverCallbackStaysCoherent) {
+TEST(Graph, ObserverRemovedByPeerMidWalkNeverFiresAgain) {
   core::ProcessingGraph g;
-  int listener_fired = 0;
-  const auto listener =
-      g.add_mutation_listener([&] { ++listener_fired; });
+  int earlier_fired = 0;
+  const auto earlier = g.add_mutation_observer(
+      [&](const core::GraphMutation&) { ++earlier_fired; });
   g.add_mutation_observer([&](const core::GraphMutation&) {
-    g.remove_mutation_listener(listener);  // Cross-list removal mid-walk.
+    // Removes a peer the walk already visited.
+    g.remove_mutation_observer(earlier);
   });
   g.add(make_int_source());
-  const int after_first = listener_fired;
+  EXPECT_EQ(earlier_fired, 1);
   g.add(make_int_source());
-  EXPECT_EQ(listener_fired, after_first);  // Never fires again.
+  EXPECT_EQ(earlier_fired, 1);  // Never fires again.
 }
 
 TEST(Graph, LogicalTimeIsPerProducerSequence) {

@@ -534,7 +534,9 @@ TEST(Drive, EngineDrainsLanesBetweenSchedulerEvents) {
 // Allocation accounting for the hot-path guards below: the global operator
 // new is replaced with a counting pass-through. Counting is off by default
 // and enabled only around the measured region, so the rest of this binary
-// is unaffected.
+// is unaffected. The nothrow forms are replaced too (std::stable_sort
+// takes its buffer through them): every form the replaced deletes free
+// must come from malloc, or a sanitizer's allocator reports a mismatch.
 //
 // GCC cannot see that the replaced operator new is malloc-backed and warns
 // that operator delete frees a non-malloc pointer; the pairing is correct
@@ -555,6 +557,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size > 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -700,7 +711,8 @@ TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
   // Metrics, latency and an SLO take every delivery through the
   // instrumented path; its provenance buffers come from the graph's arena
   // and its handles are cached, so in steady state each hop allocates
-  // exactly one object: the Payload it emits.
+  // exactly one object: the Payload it emits. Recording — the flow trace —
+  // writes preallocated ring slots on the lean path and adds nothing.
 #if defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "arena reuse is compiled out under TSan";
 #elif defined(__has_feature)
@@ -708,39 +720,46 @@ TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
   GTEST_SKIP() << "arena reuse is compiled out under TSan";
 #endif
 #endif
-  constexpr int kDepth = 16;
-  core::ProcessingGraph graph;
-  const auto src = graph.add(tick_source());
-  core::ComponentId prev = src;
-  for (int i = 0; i < kDepth; ++i) {
-    const auto stage = graph.add(add_one_stage());
-    graph.connect(prev, stage);
-    prev = stage;
-  }
-  int received = 0;
-  const auto sink = graph.add(std::make_shared<core::ApplicationSink>(
-      "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
-      [&received](const core::Sample&) { ++received; }));
-  graph.connect(prev, sink);
-  obs::ObservabilityConfig cfg;
-  cfg.metrics = true;
-  cfg.timing = false;
-  cfg.latency = true;
-  cfg.latency_slo_us = 1e9;
-  graph.enable_observability(cfg);
-  auto* source = graph.component_as<core::SourceComponent>(src);
+  obs::ObservabilityConfig instrumented;
+  instrumented.metrics = true;
+  instrumented.timing = false;
+  instrumented.latency = true;
+  instrumented.latency_slo_us = 1e9;
+  obs::ObservabilityConfig recorded;
+  recorded.metrics = false;
+  recorded.timing = false;
+  recorded.recording = true;
+  for (const obs::ObservabilityConfig& cfg : {instrumented, recorded}) {
+    SCOPED_TRACE(cfg.recording ? "recording" : "metrics+latency");
+    constexpr int kDepth = 16;
+    core::ProcessingGraph graph;
+    const auto src = graph.add(tick_source());
+    core::ComponentId prev = src;
+    for (int i = 0; i < kDepth; ++i) {
+      const auto stage = graph.add(add_one_stage());
+      graph.connect(prev, stage);
+      prev = stage;
+    }
+    int received = 0;
+    const auto sink = graph.add(std::make_shared<core::ApplicationSink>(
+        "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
+        [&received](const core::Sample&) { ++received; }));
+    graph.connect(prev, sink);
+    graph.enable_observability(cfg);
+    auto* source = graph.component_as<core::SourceComponent>(src);
 
-  // Warm-up: grow the dispatch stack, the pending buffers and the arena.
-  for (int i = 0; i < 64; ++i) source->push(Tick{i});
-  constexpr int kPushes = 100;
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_count_allocations.store(true, std::memory_order_relaxed);
-  for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
-  g_count_allocations.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(received, 64 + kPushes);
-  // One emission per hop: the source plus every relay.
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
-            static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
+    // Warm-up: grow the dispatch stack, the pending buffers and the arena.
+    for (int i = 0; i < 64; ++i) source->push(Tick{i});
+    constexpr int kPushes = 100;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_count_allocations.store(true, std::memory_order_relaxed);
+    for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
+    g_count_allocations.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(received, 64 + kPushes);
+    // One emission per hop: the source plus every relay.
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
+              static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
+  }
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // Tests for the observability subsystem: the metrics registry and its
 // exporters, graph instrumentation (counters, veto/rejection accounting,
-// on_input latency histograms), flow tracing whose span ancestry must
-// mirror sample provenance, the Trace Channel Feature at the PCL and the
-// provider-level counters at the Positioning Layer.
+// on_input latency histograms), flow traces from the flight ring whose
+// arrows must mirror sample provenance, the Trace Channel Feature at the
+// PCL and the provider-level counters at the Positioning Layer.
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
@@ -14,7 +14,6 @@
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/introspection.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/trace.hpp"
 #include "perpos/sim/clock.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +21,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -167,7 +168,7 @@ TEST(GraphObservability, DisabledByDefaultAndMetricsEmpty) {
   core::ProcessingGraph graph;
   EXPECT_FALSE(graph.observability_enabled());
   EXPECT_EQ(graph.metrics_registry(), nullptr);
-  EXPECT_EQ(graph.tracer(), nullptr);
+  EXPECT_EQ(graph.flight_recorder(), nullptr);
   auto source = make_source();
   graph.connect(graph.add(source),
                 graph.add(std::make_shared<core::ApplicationSink>()));
@@ -362,11 +363,67 @@ TEST(GraphObservability, DisableClearsRegistryAccessors) {
 
 // --- Flow tracing ------------------------------------------------------------
 
-TEST(FlowTracing, SpanParentsMirrorProvenanceChain) {
-  core::ProcessingGraph graph;
+namespace {
+
+/// Checks that every flow arrow of a flight Chrome trace has one start and
+/// one end, that it ends on a deliver slice, and that it starts on the
+/// emit slice of the sample that delivery carried. Returns the number of
+/// arrows.
+std::size_t expect_arrows_join_emit_to_deliver(const std::string& json) {
+  static const std::regex slice(
+      R"re(\{"name":"(emit|deliver)","ph":"X","dur":0,"pid":1,"tid":\d+,)re"
+      R"re("ts":([0-9.]+),"args":\{"graph":\d+,"component":(\d+),)re"
+      R"re("a":(\d+),"b":(\d+)\}\})re");
+  static const std::regex flow(
+      R"re("ph":"([sf])",(?:"bp":"e",)?"id":(\d+),"pid":1,"tid":\d+,)re"
+      R"re("ts":([0-9.]+))re");
+  using SampleId = std::pair<std::string, std::string>;  // (producer, seq)
+  std::map<SampleId, std::string> emitted_at;  // Sample -> emit slice ts.
+  std::map<std::string, SampleId> delivered_at;  // Deliver slice ts -> sample.
+  for (std::sregex_iterator it(json.begin(), json.end(), slice), end;
+       it != end; ++it) {
+    const std::smatch& m = *it;
+    if (m[1] == "emit") {
+      emitted_at[{m[3], m[4]}] = m[2];
+    } else {
+      delivered_at[m[2]] = {m[4], m[5]};
+    }
+  }
+  std::map<std::string, std::pair<std::string, std::string>> arrows;
+  for (std::sregex_iterator it(json.begin(), json.end(), flow), end;
+       it != end; ++it) {
+    const std::smatch& m = *it;
+    std::string& ts = m[1] == "s" ? arrows[m[2]].first : arrows[m[2]].second;
+    EXPECT_TRUE(ts.empty()) << "flow " << m[2] << " has two '" << m[1]
+                            << "' events";
+    ts = m[3];
+  }
+  for (const auto& [id, ends] : arrows) {
+    const auto delivery = delivered_at.find(ends.second);
+    if (delivery == delivered_at.end()) {
+      ADD_FAILURE() << "flow " << id << " does not end on a delivery";
+      continue;
+    }
+    const auto emission = emitted_at.find(delivery->second);
+    EXPECT_TRUE(emission != emitted_at.end() && emission->second == ends.first)
+        << "flow " << id << " does not start at its sample's emission";
+  }
+  return arrows.size();
+}
+
+obs::ObservabilityConfig recording_only() {
   obs::ObservabilityConfig cfg;
-  cfg.tracing = true;
-  graph.enable_observability(cfg);
+  cfg.metrics = false;
+  cfg.timing = false;
+  cfg.recording = true;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(FlowTracing, FlowArrowsMirrorProvenanceChain) {
+  core::ProcessingGraph graph;
+  graph.enable_observability(recording_only());
 
   auto source = make_source();
   auto sink = std::make_shared<core::ApplicationSink>();
@@ -377,17 +434,18 @@ TEST(FlowTracing, SpanParentsMirrorProvenanceChain) {
     graph.connect(prev, mid);
     prev = mid;
   }
-  graph.connect(prev, graph.add(sink));
+  const auto z = graph.add(sink);
+  graph.connect(prev, z);
 
   source->push(Value{7});
 
-  ASSERT_NE(graph.tracer(), nullptr);
+  ASSERT_NE(graph.flight_recorder(), nullptr);
   ASSERT_TRUE(sink->last().has_value());
 
   // Walk the provenance chain of the delivered sample: each hop was
   // re-emitted by one relay, so following `inputs` front-first yields the
   // producers sink <- relay3 <- relay2 <- relay1 <- source.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> provenance;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> provenance;
   const Sample* node = &*sink->last();
   while (node != nullptr) {
     provenance.emplace_back(node->producer, node->sequence);
@@ -397,57 +455,104 @@ TEST(FlowTracing, SpanParentsMirrorProvenanceChain) {
   }
   ASSERT_EQ(provenance.size(), 4u);  // source + 3 relays.
 
-  // Now walk the trace: the sink's on_input span processes the sample
-  // emitted by the last relay; its parent span must carry the previous
-  // sample in the provenance chain, and so on down to the source's root
-  // emit span (parent 0).
-  const obs::TraceRecorder& tracer = *graph.tracer();
-  const obs::TraceSpan* span = nullptr;
-  for (const obs::TraceSpan& s : tracer.spans()) {
-    if (s.name == "Application.on_input") span = &s;
+  // Now walk the flight stream back from the sink's delivery. A kDeliver
+  // names the sample (a = producer, b = sequence); the matching kEmit is
+  // where it was produced, and the producer's last delivery before that
+  // emit is the input it was produced from. The source's emission has no
+  // delivery before it: an external push roots the chain.
+  const std::vector<obs::FlightEvent> events =
+      graph.flight_recorder()->merged_events();
+  constexpr std::size_t kNone = ~std::size_t{0};
+  const auto find_back = [&](std::size_t before, const auto& match) {
+    for (std::size_t i = before; i-- > 0;) {
+      if (match(events[i])) return i;
+    }
+    return kNone;
+  };
+  const auto delivery_to = [&](std::size_t before, std::uint64_t consumer) {
+    return find_back(before, [&](const obs::FlightEvent& e) {
+      return e.type == obs::FlightEventType::kDeliver &&
+             e.component == consumer;
+    });
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> walked;
+  for (std::size_t at = delivery_to(events.size(), z); at != kNone;) {
+    const obs::FlightEvent& delivery = events[at];
+    walked.emplace_back(delivery.a, delivery.b);
+    const std::size_t emit =
+        find_back(at, [&](const obs::FlightEvent& e) {
+          return e.type == obs::FlightEventType::kEmit &&
+                 e.component == delivery.a && e.a == delivery.b;
+        });
+    ASSERT_NE(emit, kNone);
+    at = delivery_to(emit, delivery.a);
   }
-  ASSERT_NE(span, nullptr);
-  for (std::size_t i = 0; i < provenance.size(); ++i) {
-    EXPECT_EQ(span->sample_producer, provenance[i].first);
-    EXPECT_EQ(span->sample_sequence, provenance[i].second);
-    span = tracer.find(span->parent);
-    ASSERT_NE(span, nullptr);
-  }
-  // The final hop is the source's instantaneous emit span: it carries the
-  // same sample as the first delivery and roots the whole trace.
-  EXPECT_EQ(span->name, "Src.emit");
-  EXPECT_EQ(span->sample_producer, provenance.back().first);
-  EXPECT_EQ(span->sample_sequence, provenance.back().second);
-  EXPECT_EQ(span->parent, 0u);
+  EXPECT_EQ(walked, provenance);
+
+  // The Chrome trace joins each of the four hops with one flow arrow.
+  EXPECT_EQ(expect_arrows_join_emit_to_deliver(
+                graph.flight_recorder()->dump_chrome_trace()),
+            4u);
+}
+
+TEST(FlowTracing, FanOutGivesEachConsumerItsOwnFlow) {
+  core::ProcessingGraph graph;
+  graph.enable_observability(recording_only());
+  auto source = make_source();
+  const auto a = graph.add(source);
+  graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
+  graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
+  source->push(Value{1});
+
+  // One emission, two deliveries: two distinct arrows from the same emit.
+  EXPECT_EQ(expect_arrows_join_emit_to_deliver(
+                graph.flight_recorder()->dump_chrome_trace()),
+            2u);
 }
 
 TEST(FlowTracing, ChromeTraceJsonContainsEvents) {
   core::ProcessingGraph graph;
   obs::ObservabilityConfig cfg;
-  cfg.tracing = true;
+  cfg.recording = true;
   graph.enable_observability(cfg);
   auto source = make_source();
   const auto a = graph.add(source);
   graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
   source->push(Value{1});
 
-  const std::string json = graph.tracer()->to_chrome_trace_json();
+  const std::string json = graph.flight_recorder()->dump_chrome_trace();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("Application.on_input"), std::string::npos);
+  // Emit and deliver are zero-duration slices the flow arrow binds to.
+  EXPECT_NE(json.find("\"name\":\"emit\",\"ph\":\"X\",\"dur\":0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"deliver\",\"ph\":\"X\",\"dur\":0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"f\",\"bp\":\"e\""), std::string::npos);
+  EXPECT_NE(json.find("\"droppedEvents\":0"), std::string::npos);
 }
 
 TEST(FlowTracing, RingBufferBoundsRetainedSpans) {
   core::ProcessingGraph graph;
-  obs::ObservabilityConfig cfg;
-  cfg.tracing = true;
-  cfg.trace_capacity = 16;
+  obs::ObservabilityConfig cfg = recording_only();
+  cfg.recorder_capacity = 16;
   graph.enable_observability(cfg);
   auto source = make_source();
   const auto a = graph.add(source);
   graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
   for (int i = 0; i < 100; ++i) source->push(Value{i});
-  EXPECT_LE(graph.tracer()->spans().size(), 16u);
+
+  const obs::FlightRecorder& recorder = *graph.flight_recorder();
+  EXPECT_LE(recorder.merged_events().size(), 16u);
+  const std::uint64_t dropped = recorder.dropped(0);
+  EXPECT_GT(dropped, 0u);
+  const std::string json = recorder.dump_chrome_trace();
+  EXPECT_NE(json.find("\"droppedEvents\":" + std::to_string(dropped)),
+            std::string::npos);
+  // Only deliveries whose emission is still retained get an arrow.
+  const std::size_t arrows = expect_arrows_join_emit_to_deliver(json);
+  EXPECT_GT(arrows, 0u);
+  EXPECT_LE(arrows, 8u);
 }
 
 // --- PCL: Trace Channel Feature ---------------------------------------------
@@ -780,6 +885,20 @@ TEST(Histogram, ExemplarStampsTheObservedBucket) {
   EXPECT_NE(obs::to_json(snap).find("\"exemplars\""), std::string::npos);
 }
 
+TEST(Histogram, SampleExemplarRoundTrips) {
+  // Producer 0, sequence 0 still packs non-zero: 0 means "no exemplar".
+  EXPECT_NE(obs::pack_sample_exemplar(0, 0), 0u);
+  for (const auto& [producer, sequence] :
+       {std::pair<std::uint32_t, std::uint64_t>{0, 1},
+        {7, 42},
+        {(1u << 24) - 2, (std::uint64_t{1} << 40) - 1}}) {
+    const std::uint64_t packed = obs::pack_sample_exemplar(producer, sequence);
+    const obs::SampleKey key = obs::unpack_sample_exemplar(packed);
+    EXPECT_EQ(key.producer, producer);
+    EXPECT_EQ(key.sequence, sequence);
+  }
+}
+
 // --- End-to-end latency -------------------------------------------------------
 
 TEST(E2ELatency, SinkObservesIngestToSinkLatencyAndDeadlineMisses) {
@@ -798,7 +917,6 @@ TEST(E2ELatency, SinkObservesIngestToSinkLatencyAndDeadlineMisses) {
 
   obs::ObservabilityConfig cfg;
   cfg.latency = true;
-  cfg.tracing = true;        // Latency exemplars link to delivery spans.
   cfg.latency_slo_us = 10.0; // The 2 ms relay guarantees a miss.
   graph.enable_observability(cfg);
 
@@ -813,10 +931,17 @@ TEST(E2ELatency, SinkObservesIngestToSinkLatencyAndDeadlineMisses) {
   for (const auto b : h->buckets) count += b;
   EXPECT_EQ(count, 2u);
   EXPECT_GE(h->sum, 2 * 2000.0);  // Two traversals, >= 2 ms each.
-  // The bucket the observations landed in carries a span-id exemplar.
-  bool any_exemplar = false;
-  for (const auto e : h->exemplars) any_exemplar |= e != 0;
-  EXPECT_TRUE(any_exemplar);
+  // Each bucket an observation landed in names its last delivered sample:
+  // the relay's emission — the key of the sink's kDeliver flight event.
+  bool second = false;
+  for (const auto e : h->exemplars) {
+    if (e == 0) continue;
+    const obs::SampleKey key = obs::unpack_sample_exemplar(e);
+    EXPECT_EQ(key.producer, relay);
+    EXPECT_TRUE(key.sequence == 1 || key.sequence == 2) << key.sequence;
+    second |= key.sequence == 2;
+  }
+  EXPECT_TRUE(second);
 
   const auto* miss = snap.find_counter("perpos_e2e_deadline_miss_total",
                                        "component", id_str(sink));
@@ -836,33 +961,8 @@ TEST(E2ELatency, DisabledByDefault) {
   graph.connect(src, graph.add(std::make_shared<core::ApplicationSink>()));
   graph.enable_observability();  // Default config: no latency knob.
   graph.component_as<core::SourceComponent>(src)->push(Value{1});
-  EXPECT_EQ(graph.metrics().find_histogram("perpos_e2e_latency_us"), nullptr);
-}
-
-// --- Trace ring eviction accounting ------------------------------------------
-
-TEST(FlowTracing, RingEvictionIsCountedAsDroppedSpans) {
-  core::ProcessingGraph graph;
-  const auto src = graph.add(make_source());
-  graph.connect(src, graph.add(std::make_shared<core::ApplicationSink>()));
-
-  obs::ObservabilityConfig cfg;
-  cfg.tracing = true;
-  cfg.trace_capacity = 4;
-  graph.enable_observability(cfg);
-
-  auto* source = graph.component_as<core::SourceComponent>(src);
-  for (int i = 0; i < 20; ++i) source->push(Value{i});
-
-  ASSERT_NE(graph.tracer(), nullptr);
-  const std::uint64_t dropped = graph.tracer()->dropped();
-  EXPECT_GT(dropped, 0u);
-  const auto* counter =
-      graph.metrics().find_counter("perpos_obs_spans_dropped_total");
-  ASSERT_NE(counter, nullptr);
-  EXPECT_EQ(counter->value, dropped);
-  EXPECT_NE(graph.tracer()->to_chrome_trace_json().find("\"droppedSpans\":"),
-            std::string::npos);
+  const obs::MetricsSnapshot snap = graph.metrics();
+  EXPECT_EQ(snap.find_histogram("perpos_e2e_latency_us"), nullptr);
 }
 
 // --- Introspection ------------------------------------------------------------

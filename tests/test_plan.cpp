@@ -222,7 +222,6 @@ obs::ObservabilityConfig everything_on() {
   obs::ObservabilityConfig cfg;
   cfg.metrics = true;
   cfg.timing = true;
-  cfg.tracing = true;
   cfg.latency = true;
   cfg.latency_slo_us = 1.0;
   cfg.recording = true;
@@ -253,7 +252,7 @@ TEST(Plan, FrozenTranscriptMatchesInterpretedUnderFailureInjection) {
 }
 
 TEST(Plan, FreezeSucceedsAndGoldensHoldWithEveryObservabilityKnobOn) {
-  // Timing, tracing and latency only add instrumentation to the one
+  // Timing, latency and recording only add instrumentation to the one
   // executor: the gate arms and not a byte of the transcripts changes.
   const obs::ObservabilityConfig cfg = everything_on();
   expect_golden("rig_echo", run_scenario(true, 42, 400, true, 0, &cfg));
@@ -354,14 +353,14 @@ TEST(Plan, ConsumerlessEmittersKeepTheirInputAcrossEmissions) {
   // once, releasing the batch it claimed. C emits twice per input and then
   // reads its input again, which must still be intact — the input may not
   // live in a buffer the second emission's provenance recycles. Covered on
-  // both delivery paths (lean, and instrumented via tracing); ASan guards
+  // both delivery paths (lean, and instrumented via timing); ASan guards
   // the lifetime in CI.
-  for (const bool traced : {false, true}) {
-    SCOPED_TRACE(traced ? "instrumented delivery" : "lean delivery");
+  for (const bool timed : {false, true}) {
+    SCOPED_TRACE(timed ? "instrumented delivery" : "lean delivery");
     core::ProcessingGraph graph;
-    if (traced) {
+    if (timed) {
       obs::ObservabilityConfig cfg;
-      cfg.tracing = true;
+      cfg.timing = true;
       graph.enable_observability(cfg);
     }
     const auto src = graph.add(tick_source());
