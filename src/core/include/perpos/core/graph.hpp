@@ -39,12 +39,10 @@
 /// dispatch-stack slot, and a delivery nobody observes per hop (no consume
 /// hooks, no sentry, no timing / latency) consumes that slot in place,
 /// moving the sample straight into the consumer's pending inputs.
-/// Provenance buffers come from a graph-owned arena that recycles them
-/// once the last sample referencing them dies. A recycled buffer is
-/// cleared only when its slot is handed out again, so the samples and
-/// payloads of a dead provenance chain stay alive until then — at most
-/// the arena's 4096 buffers per graph (plus the one-shot buffers those
-/// samples reference) — rather than being destroyed with the last sample.
+/// Provenance buffers count their own references and return to the
+/// graph's ProvenancePool on their last release, from any thread (see
+/// provenance.hpp). A returned buffer is cleared only when it is reused or
+/// the graph dies, so a dead provenance chain's samples live until then.
 ///
 /// A ProcessingGraph is single-threaded by design: all mutation and all
 /// emission must come from one thread at a time. Concurrency lives one
@@ -300,6 +298,11 @@ class ProcessingGraph {
                     std::uint64_t b = 0,
                     std::string_view detail = {}) noexcept;
 
+  /// Most inputs a component keeps as the provenance of its next emission.
+  /// One that drops its inputs evicts the oldest half at the cap, leaving a
+  /// `provenance.evict` mark (component, evicted count) in the flight ring.
+  static constexpr std::size_t kMaxPendingInputs = 4096;
+
   // --- Used by ComponentContext / FeatureContext --------------------------
 
   /// Emit from a component (origin == kComponentOrigin) or from a feature
@@ -309,7 +312,6 @@ class ProcessingGraph {
  private:
   struct Entry;
   struct Obs;
-  struct ProvenanceArena;
 
   /// One queued delivery: `sample` waiting to enter `consumer`.
   struct PendingDelivery {
@@ -332,9 +334,11 @@ class ProcessingGraph {
                       Payload&& payload, OriginId origin);
   void count_rejection(Entry& c, ComponentId consumer);
   void count_delivery(Entry& c, ComponentId consumer, const Sample& sample);
-  /// Add an accepted sample to `c`'s pending inputs (moved in or copied)
-  /// and return the instance on_input should see.
-  const Sample& keep_pending(Entry& c, Sample& sample, bool move);
+  /// Add an accepted sample to `c`'s pending inputs (moved in or copied,
+  /// evicting the oldest half when full) and return the instance on_input
+  /// should see.
+  const Sample& keep_pending(Entry& c, ComponentId consumer, Sample& sample,
+                             bool move);
   /// Whether `c`'s input may move into its pending inputs: every emission
   /// of its on_input then stays queued, keeping the claimed batch alive.
   static bool pending_owns_input(const Entry& c) noexcept;
@@ -364,6 +368,9 @@ class ProcessingGraph {
   /// Walk the observers (feature attach/detach come here directly).
   void notify_observers(const GraphMutation& mutation);
 
+  /// Recycles the buffers behind Sample::inputs. Declared first so it is
+  /// closed last, after every sample the entries and the stack held.
+  std::unique_ptr<ProvenancePool, ProvenancePool::Closer> pool_;
   std::vector<std::unique_ptr<Entry>> entries_;
   std::vector<std::pair<std::size_t, std::function<void(const GraphMutation&)>>>
       observers_;
@@ -393,10 +400,6 @@ class ProcessingGraph {
   /// before on_input emissions, emissions in emit order, each subtree
   /// fully propagated before the next).
   std::size_t current_frame_base_ = 0;
-  /// Recycles the vector<Sample> buffers behind Sample::inputs. Buffers
-  /// are shared, so one kept by a sample after graph death is simply
-  /// freed by its last owner.
-  std::unique_ptr<ProvenanceArena> arena_;
   std::unique_ptr<Obs> obs_;
   /// Monotone handle-cache generation; bumped on every enable so stale
   /// handles from an earlier registry are never reused after re-enable.

@@ -2,12 +2,11 @@
 
 #include "perpos/core/origin.hpp"
 #include "perpos/core/payload.hpp"
+#include "perpos/core/provenance.hpp"
 #include "perpos/sim/clock.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
-#include <vector>
 
 /// \file sample.hpp
 /// A Sample is one data element travelling along a graph edge, together
@@ -39,15 +38,17 @@ struct Sample {
   std::uint64_t sequence = 0;             ///< 1-based logical time at producer.
   OriginId origin = kComponentOrigin;     ///< Interned feature-origin symbol.
 
-  /// The input samples this sample was derived from (empty for sources).
-  /// Shared so that provenance chains are cheap to copy with the sample.
-  std::shared_ptr<const std::vector<Sample>> inputs;
+  /// The input samples this sample was derived from (null for sources):
+  /// what its producer accepted since its previous emission, at most
+  /// ProcessingGraph::kMaxPendingInputs — after a long drop run the data
+  /// tree holds the newest inputs only. Refcounted (provenance.hpp), so
+  /// provenance chains are cheap to copy with the sample.
+  ProvenanceRef inputs;
 
   /// Cached logical-time range of `inputs`, stamped by the graph at emit
   /// time so DataTree construction never rescans the provenance vector.
-  /// 0 means "no inputs" (sequences are 1-based). Samples built by hand
-  /// (tests) may leave these 0; the accessors below then fall back to a
-  /// one-off scan.
+  /// 0 means "no inputs" (sequences are 1-based). Only the graph sets
+  /// `inputs`, and it always stamps this range with them.
   std::uint64_t cached_seq_min = 0;
   std::uint64_t cached_seq_max = 0;
 
@@ -70,31 +71,9 @@ struct Sample {
 
   /// Lowest input sequence number contributing to this sample, or 0 when
   /// there are no inputs.
-  std::uint64_t input_seq_min() const noexcept;
+  std::uint64_t input_seq_min() const noexcept { return cached_seq_min; }
   /// Highest input sequence number contributing, or 0 when no inputs.
-  std::uint64_t input_seq_max() const noexcept;
+  std::uint64_t input_seq_max() const noexcept { return cached_seq_max; }
 };
-
-inline std::uint64_t Sample::input_seq_min() const noexcept {
-  if (cached_seq_min != 0 || !inputs || inputs->empty()) {
-    return cached_seq_min;
-  }
-  std::uint64_t lo = inputs->front().sequence;
-  for (const Sample& s : *inputs) {
-    if (s.sequence < lo) lo = s.sequence;
-  }
-  return lo;
-}
-
-inline std::uint64_t Sample::input_seq_max() const noexcept {
-  if (cached_seq_max != 0 || !inputs || inputs->empty()) {
-    return cached_seq_max;
-  }
-  std::uint64_t hi = inputs->front().sequence;
-  for (const Sample& s : *inputs) {
-    if (s.sequence > hi) hi = s.sequence;
-  }
-  return hi;
-}
 
 }  // namespace perpos::core

@@ -61,9 +61,9 @@ class GraphSentry {
     (void)cascade;
   }
 
-  /// The provenance arena was about to reuse a buffer listed as free that
-  /// is still referenced — a release bookkeeping bug that would hand one
-  /// buffer to two samples. The arena skips the slot instead; this
+  /// The provenance pool was about to reuse a returned buffer that is
+  /// still referenced — a release bookkeeping bug that would hand one
+  /// buffer to two samples. The pool skips the buffer instead; this
   /// callback makes the bug visible (PPS003).
   virtual void on_pool_double_release() {}
 };

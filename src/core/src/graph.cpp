@@ -1,25 +1,9 @@
 #include "perpos/core/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <unordered_map>
-
-// TSan cannot see the happens-before edge implied by a shared_ptr use_count
-// observed at 1 plus the acquire fence the arena pairs with it, so buffer
-// reuse in the provenance arena is compiled out under TSan: every buffer is
-// freshly allocated and freed through the default deleter.
-#if defined(__SANITIZE_THREAD__)
-#define PERPOS_NO_ARENA_REUSE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PERPOS_NO_ARENA_REUSE 1
-#endif
-#endif
-#ifndef PERPOS_NO_ARENA_REUSE
-#define PERPOS_NO_ARENA_REUSE 0
-#endif
 
 namespace perpos::core {
 
@@ -36,197 +20,6 @@ struct ComponentMetricHandles {
   /// latency knob on (see deliver()).
   obs::Histogram* e2e_latency_us = nullptr;
   obs::Counter* deadline_miss = nullptr;
-};
-
-/// Recycles the vector<Sample> buffers behind Sample::inputs, so the steady
-/// state allocates neither a buffer nor a shared_ptr control block per
-/// emission. Buffers are shared, and reused when their use_count drops
-/// back to 1 (only the arena holds them). They are ordinary make_shared
-/// allocations, so buffers still referenced by application-retained
-/// samples simply outlive the arena (and the graph) through shared
-/// ownership. Touched only from the dispatch thread; releases from other
-/// lanes just decrement the atomic count.
-///
-/// Free slots are discovered deterministically, because provenance chains
-/// die one level at a time and a blind ring scan almost never lands on the
-/// one slot that just became free:
-///  * harvest(): when a delivered sample is about to be destroyed and holds
-///    the last non-arena reference to its buffer (the sink-side head of a
-///    dying chain),
-///  * per-component watch slots: when the dying sample's buffer is still
-///    referenced from outside (a sink retained the sample), the component
-///    remembers the slot and re-checks it right after its next on_input —
-///    the moment a latest-value sink replaces its stored sample and the
-///    previous chain head actually becomes free,
-///  * the cascade in acquire(): clearing a reused buffer destroys its
-///    samples, which releases the chain level below it.
-/// A bounded ring scan remains as a fallback for references that die out
-/// of band (multi-sample retention, rejected fan-out copies).
-struct ProcessingGraph::ProvenanceArena {
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  static constexpr std::size_t kMaxArena = 4096;
-  static constexpr std::size_t kMaxProbes = 64;
-
-  std::vector<std::shared_ptr<std::vector<Sample>>> arena;
-  std::vector<std::uint32_t> free_slots;
-  /// Parallel to `arena`: 1 while the slot sits in `free_slots`. Guards
-  /// against double-listing a slot that a stale watch and a harvest (or
-  /// the sweep) both notice.
-  std::vector<std::uint8_t> slot_free;
-  std::size_t scan_cursor = 0;
-
-  /// Buffer address -> arena slot. Open addressing with linear probing
-  /// over a fixed power-of-two table (2 * kMaxArena keeps the load factor
-  /// under one half; slots are never erased, the arena only grows).
-  /// Replaces unordered_map, whose prime-modulo bucket indexing costs an
-  /// integer division on every lookup.
-  static constexpr std::size_t kMapSize = kMaxArena * 2;
-  std::vector<const void*> map_keys;
-  std::vector<std::uint32_t> map_vals;
-
-  static std::size_t hash_ptr(const void* p) noexcept {
-    return static_cast<std::size_t>(
-        (reinterpret_cast<std::uintptr_t>(p) * 0x9E3779B97F4A7C15ull) >> 51);
-  }
-
-  std::uint32_t slot_lookup(const std::vector<Sample>* p) const noexcept {
-    if (map_keys.empty()) return kNoSlot;
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) {
-      if (map_keys[i] == p) return map_vals[i];
-      i = (i + 1) & (kMapSize - 1);
-    }
-    return kNoSlot;
-  }
-
-  void slot_insert(const std::vector<Sample>* p, std::uint32_t value) {
-    if (map_keys.empty()) {
-      map_keys.assign(kMapSize, nullptr);
-      map_vals.assign(kMapSize, 0);
-    }
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) i = (i + 1) & (kMapSize - 1);
-    map_keys[i] = p;
-    map_vals[i] = value;
-  }
-
-  void release_slot(std::uint32_t index) {
-    if (slot_free[index] == 0) {
-      slot_free[index] = 1;
-      free_slots.push_back(index);
-    }
-  }
-
-  /// `dying` is about to be destroyed: if it holds the last outside
-  /// reference to an arena buffer, queue that slot for reuse. use_count
-  /// == 2 means exactly {arena, dying}; the count can only have shrunk to
-  /// 2 after every other owner released, so the slot is free the moment
-  /// `dying` goes away, and nothing can revive it — only acquire() hands
-  /// arena slots out.
-  void harvest(const Sample& dying) {
-#if !PERPOS_NO_ARENA_REUSE
-    if (dying.inputs != nullptr && dying.inputs.use_count() == 2) {
-      const std::uint32_t slot = slot_lookup(dying.inputs.get());
-      if (slot != kNoSlot) release_slot(slot);
-    }
-#else
-    (void)dying;
-#endif
-  }
-
-  /// harvest(), plus: when the buffer is still referenced beyond
-  /// {arena, dying} — the consumer retained the delivered sample — park
-  /// the slot on the consumer's watch so its next delivery re-checks it.
-  void harvest_or_watch(const Sample& dying, std::uint32_t& watch_slot) {
-#if !PERPOS_NO_ARENA_REUSE
-    if (dying.inputs == nullptr) return;
-    const long uses = dying.inputs.use_count();
-    const std::uint32_t slot = slot_lookup(dying.inputs.get());
-    if (slot == kNoSlot) return;
-    if (uses == 2) {
-      release_slot(slot);
-    } else {
-      watch_slot = slot;
-    }
-#else
-    (void)dying;
-    (void)watch_slot;
-#endif
-  }
-
-  /// Called after a component's on_input: if the previously watched
-  /// buffer has lost its outside references (the sink replaced its stored
-  /// latest), queue it. release_slot() ignores slots the sweep already
-  /// recovered.
-  void check_watch(std::uint32_t& watch_slot) {
-#if !PERPOS_NO_ARENA_REUSE
-    if (watch_slot != kNoSlot && arena[watch_slot].use_count() == 1) {
-      release_slot(watch_slot);
-      watch_slot = kNoSlot;
-    }
-#else
-    (void)watch_slot;
-#endif
-  }
-
-  /// A cleared buffer for the next emission's provenance. A listed slot
-  /// that is still referenced (a release bookkeeping bug: reusing it would
-  /// hand one buffer to two samples) is skipped and reported to `sentry`
-  /// as PPS003.
-  std::shared_ptr<std::vector<Sample>> acquire(GraphSentry* sentry) {
-#if !PERPOS_NO_ARENA_REUSE
-    std::uint32_t index = kNoSlot;
-    while (index == kNoSlot && !free_slots.empty()) {
-      const std::uint32_t listed = free_slots.back();
-      free_slots.pop_back();
-      slot_free[listed] = 0;
-      if (arena[listed].use_count() == 1) {
-        index = listed;
-      } else if (sentry != nullptr) {
-        sentry->on_pool_double_release();
-      }
-    }
-    if (index == kNoSlot) {
-      // Clock sweep for slots whose last outside reference died invisibly
-      // (an application-retained sample being dropped). Finding just the
-      // head of a dying chain is enough: the cascade below recovers every
-      // level under it, so the sweep only needs one hit per chain.
-      const std::size_t n = arena.size();
-      std::size_t probes = n < kMaxProbes ? n : kMaxProbes;
-      while (probes-- > 0) {
-        const std::size_t k = scan_cursor;
-        scan_cursor = scan_cursor + 1 == n ? 0 : scan_cursor + 1;
-        if (arena[k].use_count() == 1) {
-          index = static_cast<std::uint32_t>(k);
-          break;
-        }
-      }
-    }
-    if (index != kNoSlot) {
-      std::shared_ptr<std::vector<Sample>>& slot = arena[index];
-      // Every sample reference is gone. Pair their releasing decrements
-      // with an acquire fence before touching the buffer's storage.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // Cascade: clearing this buffer destroys its samples, freeing the
-      // chain level each of them references (count 2 = {arena, sample}).
-      for (const Sample& s : *slot) harvest(s);
-      slot->clear();
-      return slot;
-    }
-    if (arena.size() < kMaxArena) {
-      arena.push_back(std::make_shared<std::vector<Sample>>());
-      slot_free.push_back(0);
-      slot_insert(arena.back().get(),
-                  static_cast<std::uint32_t>(arena.size() - 1));
-      return arena.back();
-    }
-#else
-    (void)sentry;
-#endif
-    // Arena exhausted (or TSan build): a one-shot buffer that is freed,
-    // not recycled, when its last sample dies.
-    return std::make_shared<std::vector<Sample>>();
-  }
 };
 
 struct ProcessingGraph::Entry {
@@ -252,22 +45,11 @@ struct ProcessingGraph::Entry {
   /// forever).
   bool records_provenance = false;
   bool live = false;
-  /// Arena slot whose buffer was still externally referenced when this
-  /// component's delivered sample died — typically a sink retaining the
-  /// latest sample. Re-checked after its next on_input.
-  std::uint32_t watch_slot = ProvenanceArena::kNoSlot;
 
-  /// Inputs accepted since the last emission; becomes the provenance of the
-  /// next emitted sample (Fig. 4 time ranges). The running sequence range
-  /// is tracked alongside so emission stamps Sample::cached_seq_min/max
-  /// without rescanning.
+  /// Inputs accepted since the last emission, at most kMaxPendingInputs;
+  /// becomes the provenance of the next emitted sample (Fig. 4 time
+  /// ranges).
   std::vector<Sample> pending_inputs;
-  std::uint64_t pending_seq_min = 0;
-  std::uint64_t pending_seq_max = 0;
-  /// Oldest (minimum) Sample::ingest_us among the pending inputs; 0 when
-  /// none carried one. Propagated onto the next emission so end-to-end
-  /// latency follows the slowest contributing input, without rescanning.
-  double pending_ingest_min = 0.0;
   /// The input currently being processed by on_input (nesting-safe via
   /// save/restore in invoke_on_input()); used as fallback provenance when a
   /// second emission happens after pending_inputs was consumed.
@@ -453,7 +235,7 @@ void ProcessingGraph::notify_observers(const GraphMutation& mutation) {
 }
 
 ProcessingGraph::ProcessingGraph(const sim::Clock* clock)
-    : clock_(clock), arena_(std::make_unique<ProvenanceArena>()) {}
+    : pool_(new ProvenancePool), clock_(clock) {}
 
 ProcessingGraph::~ProcessingGraph() {
   // Graph teardown: give every live component a chance to flush buffered
@@ -935,28 +717,25 @@ std::vector<DataSpec> ProcessingGraph::capabilities(ComponentId id) const {
 void ProcessingGraph::stamp_provenance(Entry& e, Sample& sample) {
   // Provenance: everything consumed since the previous emission; when that
   // was already claimed by an earlier emission in the same on_input call,
-  // fall back to the input being processed right now. Buffers come from
-  // the arena, so the steady state allocates nothing: the swap hands the
-  // accumulated samples to the outgoing buffer and leaves the (recycled)
-  // buffer's capacity behind for the next accumulation round.
-  if (!e.pending_inputs.empty()) {
-    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire(sentry_);
-    buffer->swap(e.pending_inputs);
-    sample.cached_seq_min = e.pending_seq_min;
-    sample.cached_seq_max = e.pending_seq_max;
-    sample.ingest_us = e.pending_ingest_min;
-    e.pending_seq_min = 0;
-    e.pending_seq_max = 0;
-    e.pending_ingest_min = 0.0;
-    sample.inputs = std::move(buffer);
-  } else if (e.current_input != nullptr) {
-    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire(sentry_);
-    buffer->push_back(*e.current_input);
-    sample.cached_seq_min = e.current_input->sequence;
-    sample.cached_seq_max = e.current_input->sequence;
-    sample.ingest_us = e.current_input->ingest_us;
-    sample.inputs = std::move(buffer);
+  // fall back to the input being processed right now. acquire() leaves a
+  // recycled buffer's capacity behind for the next accumulation round.
+  if (e.pending_inputs.empty()) {
+    if (e.current_input == nullptr) return;
+    e.pending_inputs.push_back(*e.current_input);
   }
+  // One pass stamps the inputs' logical-time range and the oldest ingest
+  // time, so end-to-end latency follows the slowest contributing input.
+  sample.cached_seq_min = sample.cached_seq_max =
+      e.pending_inputs.front().sequence;
+  for (const Sample& in : e.pending_inputs) {
+    sample.cached_seq_min = std::min(sample.cached_seq_min, in.sequence);
+    sample.cached_seq_max = std::max(sample.cached_seq_max, in.sequence);
+    if (in.ingest_us != 0.0 &&
+        (sample.ingest_us == 0.0 || in.ingest_us < sample.ingest_us)) {
+      sample.ingest_us = in.ingest_us;
+    }
+  }
+  sample.inputs = pool_->acquire(e.pending_inputs, sentry_);
 }
 
 void ProcessingGraph::enqueue_deliveries(Sample&& sample, const Entry& e) {
@@ -975,14 +754,13 @@ void ProcessingGraph::enqueue_deliveries(Sample&& sample, const Entry& e) {
                                                  consumers.front()});
     return;
   }
-  std::vector<PendingDelivery> block;
-  block.reserve(consumers.size());
-  for (std::size_t i = consumers.size(); i-- > 1;) {
-    block.push_back(PendingDelivery{sample, consumers[i]});
+  const std::size_t n = consumers.size();
+  PendingDelivery* block =
+      &*dispatch_stack_.insert(base, n, PendingDelivery{});
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    block[i] = PendingDelivery{sample, consumers[n - 1 - i]};
   }
-  block.push_back(PendingDelivery{std::move(sample), consumers.front()});
-  dispatch_stack_.insert(base, std::make_move_iterator(block.begin()),
-                         std::make_move_iterator(block.end()));
+  block[n - 1] = PendingDelivery{std::move(sample), consumers.front()};
 }
 
 void ProcessingGraph::drain_dispatch_stack() {
@@ -1052,17 +830,18 @@ void ProcessingGraph::count_delivery(Entry& c, ComponentId consumer,
   }
 }
 
-const Sample& ProcessingGraph::keep_pending(Entry& c, Sample& sample,
-                                           bool move) {
-  if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-    c.pending_seq_min = sample.sequence;
-  }
-  if (sample.sequence > c.pending_seq_max) {
-    c.pending_seq_max = sample.sequence;
-  }
-  if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                  sample.ingest_us < c.pending_ingest_min)) {
-    c.pending_ingest_min = sample.ingest_us;
+const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
+                                           Sample& sample, bool move) {
+  if (c.pending_inputs.size() == kMaxPendingInputs) {
+    // A component dropping its inputs evicts the oldest half: amortised
+    // O(1), and the push_back below then cannot reallocate.
+    constexpr std::size_t kEvicted = kMaxPendingInputs / 2;
+    c.pending_inputs.erase(c.pending_inputs.begin(),
+                           c.pending_inputs.begin() + kEvicted);
+    if (active_recorder_ != nullptr) {
+      record_flight(obs::FlightEventType::kMark, consumer, kEvicted, 0,
+                    "provenance.evict");
+    }
   }
   if (!move) {
     c.pending_inputs.push_back(sample);
@@ -1116,9 +895,6 @@ void ProcessingGraph::invoke_on_input(Entry& c, ComponentId consumer,
   }
   c.current_input = saved;
   current_frame_base_ = saved_frame_base;
-  // The previous delivery's watched buffer is released if on_input just
-  // dropped the retention (a latest-value sink replacing its stored fix).
-  arena_->check_watch(c.watch_slot);
 }
 
 /// Deliver the top of the dispatch stack, consuming the sample in place:
@@ -1131,13 +907,12 @@ void ProcessingGraph::deliver_top(Entry& c) {
   Sample& slot = dispatch_stack_.back().sample;
   if (!accepts(c.compiled_requirements, slot)) {
     count_rejection(c, consumer);
-    arena_->harvest(slot);
     dispatch_stack_.pop_back();
     return;
   }
   count_delivery(c, consumer, slot);
   if (c.records_provenance && pending_owns_input(c)) {
-    const Sample& input = keep_pending(c, slot, /*move=*/true);
+    const Sample& input = keep_pending(c, consumer, slot, /*move=*/true);
     dispatch_stack_.pop_back();
     // Same frame discipline as deliver(): everything this delivery
     // triggers inserts at this base and drains before previously-pending
@@ -1149,14 +924,10 @@ void ProcessingGraph::deliver_top(Entry& c) {
   }
   Sample input = std::move(slot);
   dispatch_stack_.pop_back();
-  if (c.records_provenance) keep_pending(c, input, /*move=*/false);
+  if (c.records_provenance) keep_pending(c, consumer, input, /*move=*/false);
   const std::size_t saved_frame_base = current_frame_base_;
   current_frame_base_ = dispatch_stack_.size();
   invoke_on_input(c, consumer, input, saved_frame_base);
-  // The consumed sample dies here; when it was the sink-side head of a
-  // provenance chain its buffer just became reusable — or, still retained
-  // by the component, becomes its watched slot.
-  arena_->harvest_or_watch(input, c.watch_slot);
 }
 
 bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
@@ -1230,11 +1001,9 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
     }
   } else {
     Sample sample;
-    if (!stamp_emission(e, producer, sample, std::move(payload), origin)) {
-      arena_->harvest(sample);
-      return;
+    if (stamp_emission(e, producer, sample, std::move(payload), origin)) {
+      enqueue_deliveries(std::move(sample), e);
     }
-    enqueue_deliveries(std::move(sample), e);
   }
   if (!dispatching_) drain_dispatch_stack();
 }
@@ -1243,7 +1012,6 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
   Entry& c = *entries_[consumer];
   if (!accepts(c.compiled_requirements, sample)) {
     count_rejection(c, consumer);
-    arena_->harvest(sample);
     return;
   }
   if (sentry_ != nullptr) {
@@ -1285,7 +1053,6 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
         obs->handles(c, consumer).consume_vetoed->inc();
       }
       current_frame_base_ = saved_frame_base;
-      arena_->harvest(sample);
       return;
     }
     if (sample.payload.type() != original_type) {
@@ -1319,14 +1086,14 @@ void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
   // sample moves in only where pending_owns_input() holds; otherwise
   // pending gets a copy and on_input reads this delivery's own sample.
   const Sample& input =
-      c.records_provenance ? keep_pending(c, sample, pending_owns_input(c))
-                           : sample;
+      c.records_provenance
+          ? keep_pending(c, consumer, sample, pending_owns_input(c))
+          : sample;
   const double t0 = timing ? now_wall_us() : 0.0;
   invoke_on_input(c, consumer, input, saved_frame_base);
   if (timing) {
     obs->handles(c, consumer).on_input_us->observe(now_wall_us() - t0);
   }
-  arena_->harvest_or_watch(sample, c.watch_slot);
 }
 
 }  // namespace perpos::core

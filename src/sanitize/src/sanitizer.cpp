@@ -260,10 +260,10 @@ void GraphSanitizer::on_graph_mutation(const core::GraphMutation& mutation) {
 
 void GraphSanitizer::on_pool_double_release() {
   record("PPS003", verify::Severity::kError, std::nullopt,
-         "the provenance arena found a buffer listed as free that is still "
-         "referenced (the slot was skipped, not reused)",
-         "audit the arena's release bookkeeping (harvest / watch slots) for "
-         "a slot listed while a sample still holds it");
+         "the provenance pool found a returned buffer that is still "
+         "referenced (the buffer was skipped, not reused)",
+         "audit the provenance reference counting (ProvenanceRef copies and "
+         "releases) for a buffer returned while a sample still holds it");
 }
 
 void GraphSanitizer::record(std::string rule_id, verify::Severity severity,

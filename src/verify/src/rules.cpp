@@ -1396,8 +1396,8 @@ const RuleRegistry& RuleRegistry::default_catalog() {
         Severity::kWarning));
     r->add(std::make_unique<RuntimeRule>(
         "PPS003", "pool-double-release",
-        "a provenance buffer listed as free was still referenced when the "
-        "arena went to reuse it (runtime sanitizer)",
+        "a provenance buffer returned to the pool was still referenced when "
+        "the pool went to reuse it (runtime sanitizer)",
         Severity::kError));
     r->add(std::make_unique<RuntimeRule>(
         "PPS004", "emission-depth",
@@ -1526,8 +1526,8 @@ constexpr ExplainSketch kSketches[] = {
      "  runtime: a producer re-emits an older timestamp / sequence on a\n"
      "  channel (clock stepped back, replayed sample)"},
     {"PPS003",
-     "  runtime: the arena lists a provenance slot as free while a sample\n"
-     "  still holds its buffer (one buffer would serve two samples)"},
+     "  runtime: a provenance buffer returns to the pool while a sample\n"
+     "  still holds it (one buffer would serve two samples)"},
     {"PPS004",
      "  runtime: one external emission cascades through emit() chains\n"
      "  past the configured delivery-depth bound"},

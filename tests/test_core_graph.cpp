@@ -4,6 +4,7 @@
 #include "perpos/core/components.hpp"
 #include "perpos/core/data_types.hpp"
 #include "perpos/core/graph.hpp"
+#include "perpos/obs/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -443,6 +444,59 @@ TEST(Graph, ProvenanceRecordsConsumedInputs) {
   EXPECT_EQ(out.input_seq_max(), 6u);
   ASSERT_TRUE(out.inputs);
   EXPECT_EQ(out.inputs->size(), 3u);
+}
+
+TEST(Graph, DroppingComponentKeepsAtMostTheCapOfPendingInputs) {
+  // A component that declares an output but drops its inputs (a filter
+  // during an outage) keeps only the newest kMaxPendingInputs of them as
+  // the provenance of its next emission, evicting the oldest half at a
+  // time and marking each eviction in the flight ring.
+  constexpr std::size_t kCap = core::ProcessingGraph::kMaxPendingInputs;
+  constexpr int kDropped = 3 * static_cast<int>(kCap) + 7;
+  core::ProcessingGraph g;
+  perpos::obs::ObservabilityConfig cfg;
+  cfg.metrics = false;
+  cfg.recording = true;
+  cfg.recorder_capacity = 1 << 15;  // Every event of the run stays.
+  g.enable_observability(cfg);
+  auto source = make_int_source();
+  auto sink = std::make_shared<core::ApplicationSink>();
+  int seen = 0;
+  const auto a = g.add(source);
+  const auto filter = g.add(std::make_shared<core::LambdaComponent>(
+      "DropAllButLast",
+      std::vector<core::InputRequirement>{core::require<IntValue>()},
+      std::vector<core::DataSpec>{core::provide<IntValue>()},
+      [&seen](const Sample& s, const core::ComponentContext& ctx) {
+        if (++seen > kDropped) ctx.emit(s.payload);
+      }));
+  const auto z = g.add(sink);
+  g.connect(a, filter);
+  g.connect(filter, z);
+  for (int i = 0; i <= kDropped; ++i) source->push(IntValue{i});
+
+  ASSERT_TRUE(sink->last().has_value());
+  const Sample& out = *sink->last();
+  ASSERT_TRUE(out.inputs);
+  EXPECT_LE(out.inputs->size(), kCap);
+  EXPECT_EQ(out.inputs->back().sequence,
+            static_cast<std::uint64_t>(kDropped + 1));
+  EXPECT_EQ(out.inputs->back().payload.as<IntValue>().value, kDropped);
+  EXPECT_EQ(out.cached_seq_min, out.inputs->front().sequence);
+  EXPECT_EQ(out.cached_seq_max, out.inputs->back().sequence);
+
+  std::size_t marks = 0;
+  for (const auto& e : g.flight_recorder()->merged_events()) {
+    if (e.type != perpos::obs::FlightEventType::kMark ||
+        std::string_view(e.detail) != "provenance.evict") {
+      continue;
+    }
+    ++marks;
+    EXPECT_EQ(e.component, filter);
+    EXPECT_EQ(e.a, kCap / 2);
+  }
+  // Evictions at delivery kCap + 1, then every kCap / 2 deliveries.
+  EXPECT_EQ(marks, 5u);
 }
 
 TEST(Graph, SampleTimestampsComeFromClock) {

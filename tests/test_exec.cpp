@@ -4,7 +4,8 @@
 //  - per-lane determinism across worker counts (byte-identical per-graph
 //    delivery sequences with 0, 1 and 8 workers),
 //  - the deep-pipeline regression (10k-component chain must not overflow
-//    the call stack now that dispatch is an explicit work queue),
+//    the call stack now that dispatch is an explicit work queue, nor when
+//    its provenance chain is freed),
 //  - multi-lane chaos: concurrent lane creation / posting / teardown of
 //    graphs while other lanes are draining (run under TSan in CI),
 //  - the scheduler hand-off (drive() drains lanes between events),
@@ -40,6 +41,9 @@ namespace sim = perpos::sim;
 namespace {
 
 struct Tick {
+  int value = 0;
+};
+struct Tock {
   int value = 0;
 };
 
@@ -280,6 +284,25 @@ TEST(DeepPipeline, TenThousandStageChainDoesNotOverflowTheStack) {
   // Sequence numbers are per-emitting-component and monotone, so the second
   // traversal arrives at the sink as sequence 2.
   EXPECT_EQ(rig.transcript.str(), "10000:1;10100:2;");
+}
+
+TEST(DeepPipeline, RetainedChainOutlivesTheGraphWithoutRecursion) {
+  // A sample the application keeps holds its whole 10k-level provenance
+  // chain. Dropping it after the graph died frees the chain iteratively.
+  core::Sample kept;
+  {
+    GraphRig rig(10'000);
+    rig.source->push(Tick{0});
+    kept = *rig.graph.component_as<core::ApplicationSink>(rig.sink_id)->last();
+  }
+  std::size_t levels = 0;
+  for (const core::Sample* node = &kept; node->inputs;
+       node = &node->inputs->front()) {
+    ++levels;
+  }
+  EXPECT_EQ(levels, 10'000u);
+  kept = core::Sample{};
+  EXPECT_FALSE(kept.inputs);
 }
 
 // --- Chaos: concurrent deploy/teardown while lanes drain ---------------------
@@ -709,17 +732,10 @@ TEST(EngineProfiler, AttachedHotPathDoesNotAllocate) {
 
 TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
   // Metrics, latency and an SLO take every delivery through the
-  // instrumented path; its provenance buffers come from the graph's arena
+  // instrumented path; its provenance buffers come from the graph's pool
   // and its handles are cached, so in steady state each hop allocates
   // exactly one object: the Payload it emits. Recording — the flow trace —
   // writes preallocated ring slots on the lean path and adds nothing.
-#if defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "arena reuse is compiled out under TSan";
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "arena reuse is compiled out under TSan";
-#endif
-#endif
   obs::ObservabilityConfig instrumented;
   instrumented.metrics = true;
   instrumented.timing = false;
@@ -748,7 +764,7 @@ TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
     graph.enable_observability(cfg);
     auto* source = graph.component_as<core::SourceComponent>(src);
 
-    // Warm-up: grow the dispatch stack, the pending buffers and the arena.
+    // Warm-up: grow the dispatch stack, the pending buffers and the pool.
     for (int i = 0; i < 64; ++i) source->push(Tick{i});
     constexpr int kPushes = 100;
     g_allocations.store(0, std::memory_order_relaxed);
@@ -760,6 +776,99 @@ TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
               static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
   }
+}
+
+TEST(DispatchHotPath, FanOutWithPartialRejectionAllocatesOnlyPayloads) {
+  // A stage fanning out to two consumers queues both deliveries in place
+  // on the dispatch stack. Its relay consumer rejects every other sample (a
+  // Tock it does not accept); the rejected copy returns its provenance to
+  // the pool. In steady state only the emitted payloads are allocated, on
+  // the lean and on the instrumented delivery path.
+  obs::ObservabilityConfig instrumented;
+  instrumented.metrics = true;
+  instrumented.timing = false;
+  instrumented.latency = true;
+  for (const bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "metrics+latency" : "lean");
+    core::ProcessingGraph graph;
+    const auto src = graph.add(tick_source());
+    const auto split = graph.add(std::make_shared<core::LambdaComponent>(
+        "TickTock", std::vector<core::InputRequirement>{core::require<Tick>()},
+        std::vector<core::DataSpec>{core::provide<Tick>(),
+                                    core::provide<Tock>()},
+        [](const core::Sample& s, const core::ComponentContext& ctx) {
+          const int v = s.payload.get<Tick>()->value;
+          if (v % 2 == 0) {
+            ctx.emit(core::Payload::make(Tick{v}));
+          } else {
+            ctx.emit(core::Payload::make(Tock{v}));
+          }
+        }));
+    const auto all = graph.add(std::make_shared<core::ApplicationSink>());
+    const auto relay = graph.add(add_one_stage());
+    int relayed = 0;
+    const auto tail = graph.add(std::make_shared<core::ApplicationSink>(
+        "Tail", std::vector<core::InputRequirement>{core::require<Tick>()},
+        [&relayed](const core::Sample&) { ++relayed; }));
+    graph.connect(src, split);
+    graph.connect(split, all);
+    graph.connect(split, relay);
+    graph.connect(relay, tail);
+    if (observed) graph.enable_observability(instrumented);
+    auto* source = graph.component_as<core::SourceComponent>(src);
+
+    for (int i = 0; i < 64; ++i) source->push(Tick{i});
+    constexpr int kPushes = 100;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_count_allocations.store(true, std::memory_order_relaxed);
+    for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
+    g_count_allocations.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(relayed, 32 + kPushes / 2);
+    // Source and split emit every push; the relay only the even half.
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
+              static_cast<std::uint64_t>(2 * kPushes + kPushes / 2));
+  }
+}
+
+TEST(DispatchHotPath, LatestValueSinkKeepsItsChainAndAllocatesOnlyPayloads) {
+  // An ApplicationSink keeps the last sample it received and, through it,
+  // that sample's whole provenance chain. Replacing it returns the previous
+  // chain to the pool, so the lean path recycles every buffer while the
+  // retained chain stays intact.
+  constexpr int kDepth = 16;
+  core::ProcessingGraph graph;
+  const auto src = graph.add(tick_source());
+  core::ComponentId prev = src;
+  for (int i = 0; i < kDepth; ++i) {
+    const auto stage = graph.add(add_one_stage());
+    graph.connect(prev, stage);
+    prev = stage;
+  }
+  auto sink = std::make_shared<core::ApplicationSink>();
+  graph.connect(prev, graph.add(sink));
+  auto* source = graph.component_as<core::SourceComponent>(src);
+
+  for (int i = 0; i < 64; ++i) source->push(Tick{i});
+  constexpr int kPushes = 100;
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
+            static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
+
+  ASSERT_TRUE(sink->last().has_value());
+  const core::Sample* node = &*sink->last();
+  EXPECT_EQ(node->payload.get<Tick>()->value, kPushes - 1 + kDepth);
+  int levels = 0;
+  while (node->inputs) {
+    ASSERT_EQ(node->inputs->size(), 1u);
+    node = &node->inputs->front();
+    ++levels;
+  }
+  EXPECT_EQ(levels, kDepth);
+  EXPECT_EQ(node->producer, src);
+  EXPECT_EQ(node->payload.get<Tick>()->value, kPushes - 1);
 }
 
 namespace {

@@ -8,8 +8,8 @@
 //  - freeze() succeeds whatever the observability settings; a mutation
 //    re-verifies incrementally (PSL edits, LiveReconfigurator hot-swap,
 //    rollback(epoch) and tee promotion),
-//  - provenance buffers outlive the graph, and feature mutation mid-dispatch
-//    is refused,
+//  - provenance buffers outlive the graph and return to its pool from
+//    foreign threads, and feature mutation mid-dispatch is refused,
 //  - a seeded chaos property test (random mutation/traffic interleavings,
 //    gated rig vs ungated twin); run under ASan/UBSan and TSan in CI.
 
@@ -23,15 +23,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace core = perpos::core;
@@ -322,8 +325,8 @@ TEST(Plan, FreezeAndThawMidStreamAreSeamless) {
 
 TEST(Plan, ProvenanceChainsSurviveFreezeThawAndGraphDeath) {
   // Samples retained by the application must keep their provenance buffers
-  // alive through graph destruction (arena buffers are shared, not owned)
-  // — ASan guards the lifetime claim in CI.
+  // alive through graph destruction (a buffer still referenced when its
+  // pool closes frees itself later) — ASan guards the lifetime claim in CI.
   core::Sample kept;
   {
     core::ProcessingGraph graph;
@@ -346,6 +349,85 @@ TEST(Plan, ProvenanceChainsSurviveFreezeThawAndGraphDeath) {
   ASSERT_NE(kept.inputs, nullptr);
   ASSERT_EQ(kept.inputs->size(), 1u);
   EXPECT_EQ(kept.inputs->front().payload.get<Tick>()->value, 51);
+}
+
+TEST(Plan, ForeignThreadReleasesKeepTheTranscriptAndOutliveTheGraph) {
+  // A sink hands copies of its samples to a foreign thread, which drops
+  // them while the graph keeps emitting on an engine lane: their buffers
+  // return to the graph's pool from that thread, concurrently with the
+  // pool reusing others. The graph then dies while the foreign thread still
+  // holds a batch, which frees itself when dropped. The transcript is the
+  // inline golden; ASan and TSan check the handoffs in CI.
+  struct Handoff {
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<core::Sample> batch;
+    bool finish = false;
+    bool reported = false;
+    bool holding = false;
+    bool graph_dead = false;
+  } h;
+  std::thread foreign([&h] {
+    std::vector<core::Sample> held;
+    std::unique_lock<std::mutex> lock(h.m);
+    for (;;) {
+      h.cv.wait(lock, [&h] { return !h.batch.empty() || h.finish; });
+      if (h.batch.empty()) break;
+      std::vector<core::Sample> taken;
+      taken.swap(h.batch);
+      lock.unlock();
+      held = std::move(taken);  // Drops the previous batch.
+      lock.lock();
+    }
+    h.reported = true;
+    h.holding = !held.empty();
+    h.cv.notify_all();
+    h.cv.wait(lock, [&h] { return h.graph_dead; });
+    lock.unlock();
+    held.clear();
+  });
+  // Releases and joins the foreign thread on every path out of the test.
+  struct Join {
+    Handoff& h;
+    std::thread& t;
+    ~Join() {
+      {
+        const std::lock_guard<std::mutex> lock(h.m);
+        h.finish = h.graph_dead = true;
+      }
+      h.cv.notify_all();
+      t.join();
+    }
+  } join{h, foreign};
+
+  exec::ExecutionEngine engine(1);
+  const exec::LaneId lane = engine.create_lane();
+  auto rig = std::make_unique<PlanRig>();
+  const auto handoff = rig->graph.add(std::make_shared<core::ApplicationSink>(
+      "Handoff", std::vector<core::InputRequirement>{core::require<Tick>()},
+      [&h](const core::Sample& s) {
+        {
+          const std::lock_guard<std::mutex> lock(h.m);
+          h.batch.push_back(s);
+        }
+        h.cv.notify_one();
+      }));
+  rig->graph.connect(rig->b_id, handoff);
+  rig->graph.connect(rig->c_id, handoff);
+  PlanRig* driven = rig.get();
+  engine.post(lane, [driven] { drive(*driven, 42, 400); });
+  engine.run_until_idle();
+  const std::string transcript = rig->transcript.str();
+
+  {
+    std::unique_lock<std::mutex> lock(h.m);
+    h.finish = true;
+    h.cv.notify_all();
+    h.cv.wait(lock, [&h] { return h.reported; });
+    EXPECT_TRUE(h.holding);
+  }
+  rig.reset();  // The graph dies; the foreign thread drops its batch after.
+  expect_golden("rig_echo", transcript);
 }
 
 TEST(Plan, ConsumerlessEmittersKeepTheirInputAcrossEmissions) {
