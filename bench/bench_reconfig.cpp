@@ -2,18 +2,20 @@
 //
 // BM_HotSwap measures one full replace() protocol round — fence, O(delta)
 // incremental re-verification, teardown-flush + state handoff, commit —
-// on an idle lane, with the verification gate on and off, so the gate's
-// share is the ratio between rows. BM_SwapUnderTraffic runs the same swap
-// while the lane drains queued samples (the fence has to wait out the
-// in-flight task and hold the backlog). BM_FenceCycle isolates the
-// quiesce primitive itself, and BM_Rollback measures one commit+rollback
-// round trip including the verifier re-prime.
+// on an idle lane: unverified (arg 0), verified (arg 1), and verified with
+// the graph's verify gate armed (arg 2), which re-verifies once as the
+// fence lifts; the ratios between rows are the staging check's and the
+// gate's shares. BM_SwapUnderTraffic runs the same swap while the lane
+// drains queued samples (the fence has to wait out the in-flight task and
+// hold the backlog). BM_FenceCycle isolates the quiesce primitive itself,
+// and BM_Rollback measures one commit+rollback round trip.
 
 #include "perpos/core/components.hpp"
 #include "perpos/core/data_types.hpp"
 #include "perpos/core/graph.hpp"
 #include "perpos/exec/engine.hpp"
 #include "perpos/reconfig/live_reconfigurator.hpp"
+#include "perpos/verify/incremental.hpp"
 
 #include "bench_metrics.hpp"
 
@@ -88,11 +90,15 @@ struct Rig {
 
 void BM_HotSwap(benchmark::State& state) {
   const bool verify = state.range(0) != 0;
+  const bool gated = state.range(0) == 2;
   Rig rig(0, 8);
   reconfig::ReconfigOptions options;
   options.verify = verify;
   reconfig::LiveReconfigurator reconf(rig.graph, rig.engine, rig.lane,
                                       options);
+  if (gated && !verify::IncrementalVerifier::of(rig.graph)->freeze().frozen) {
+    state.SkipWithError("freeze refused");
+  }
   bool flip = false;
   for (auto _ : state) {
     flip = !flip;
@@ -101,10 +107,10 @@ void BM_HotSwap(benchmark::State& state) {
     if (!result.ok()) state.SkipWithError(result.error.c_str());
     benchmark::DoNotOptimize(result.epoch);
   }
-  state.SetLabel(verify ? "verified" : "unverified");
+  state.SetLabel(gated ? "verified+gate" : verify ? "verified" : "unverified");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_HotSwap)->Arg(0)->Arg(1);
+BENCHMARK(BM_HotSwap)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SwapUnderTraffic(benchmark::State& state) {
   const std::size_t workers = static_cast<std::size_t>(state.range(0));

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Refreshes the checked-in machine-readable benchmark snapshot:
+# Refreshes the checked-in machine-readable benchmark snapshots:
 #
-#   BENCH_o1.json   — the O1 scalability experiment (pipeline depth,
-#                     multi-graph engine scaling)
+#   BENCH_o1.json       — the O1 scalability experiment (pipeline depth,
+#                         multi-graph engine scaling)
+#   BENCH_reconfig.json — live reconfiguration (hot swap unverified,
+#                         verified and verified with the gate armed; swap
+#                         under traffic, fence cycle, rollback)
 #
-# Usage: scripts/bench_snapshot.sh            # refresh BENCH_o1.json
-#        scripts/bench_snapshot.sh out.json   # same series, custom path
+# Usage: scripts/bench_snapshot.sh                  # refresh both
+#        scripts/bench_snapshot.sh o1.json re.json  # same series, custom paths
 #
 # Expects a Release build in ./build (cmake -B build -S .
 # -DCMAKE_BUILD_TYPE=Release && cmake --build build -j) and refuses any
@@ -15,11 +18,12 @@
 # (PerPos build type, num_cpus, host, date) says what produced the numbers
 # — read it before comparing snapshots from different machines.
 set -eu
-bench="build/bench/bench_o1_scalability"
-if [ ! -x "$bench" ]; then
-  echo "error: $bench not built (run: cmake --build build -j)" >&2
-  exit 1
-fi
+for bench in build/bench/bench_o1_scalability build/bench/bench_reconfig; do
+  if [ ! -x "$bench" ]; then
+    echo "error: $bench not built (run: cmake --build build -j)" >&2
+    exit 1
+  fi
+done
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
 if [ "$build_type" != "Release" ]; then
   echo "error: build/ is configured as CMAKE_BUILD_TYPE='$build_type', not" \
@@ -52,7 +56,7 @@ EOF
 }
 
 snap() {
-  local out="$1" filter="$2"
+  local bench="$1" out="$2" filter="$3"
   "$bench" \
     --benchmark_filter="$filter" \
     --benchmark_format=json \
@@ -62,4 +66,6 @@ snap() {
   report_context "$out"
 }
 
-snap "${1:-BENCH_o1.json}" 'BM_PipelineDepth/|BM_EngineMultiGraph/'
+snap build/bench/bench_o1_scalability "${1:-BENCH_o1.json}" \
+  'BM_PipelineDepth/|BM_EngineMultiGraph/'
+snap build/bench/bench_reconfig "${2:-BENCH_reconfig.json}" '.'

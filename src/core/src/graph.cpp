@@ -842,6 +842,14 @@ const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
       record_flight(obs::FlightEventType::kMark, consumer, kEvicted, 0,
                     "provenance.evict");
     }
+    if (obs_ != nullptr && obs_->config.metrics) {
+      // Registered on first eviction: graphs that never evict export none.
+      obs_->registry
+          .counter("perpos_provenance_evicted_total",
+                   {{"component", std::to_string(consumer)},
+                    {"kind", std::string(c.component->kind())}})
+          ->inc(kEvicted);
+    }
   }
   if (!move) {
     c.pending_inputs.push_back(sample);

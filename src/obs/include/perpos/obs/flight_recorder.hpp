@@ -15,9 +15,10 @@
 /// The "black box" of a PerPos deployment: a bounded, lock-free, per-lane
 /// ring of recent structured events (emissions, deliveries, mutations,
 /// failovers, sanitizer findings, task failures). In steady state it costs
-/// a handful of relaxed atomic stores per event and is never read; when
-/// something goes wrong — a GraphSanitizer PPS rule fires, a worker task
-/// throws, an operator asks — the recorder dumps a merged, time-ordered
+/// a handful of atomic stores (plain moves on x86) per event and is never
+/// read; when something goes wrong — a GraphSanitizer PPS rule fires, a
+/// worker task throws, an operator asks — the recorder dumps a merged,
+/// time-ordered
 /// snapshot of the last moments of every lane as JSON and as a Chrome
 /// trace_event file.
 ///
@@ -25,9 +26,9 @@
 /// driving that lane — the execution engine's at-most-one-worker-per-lane
 /// drain protocol provides this for free), so record() needs no CAS loop.
 /// Readers (dump paths) may run concurrently from any thread: every slot
-/// is a per-slot seqlock whose payload is stored through relaxed atomic
-/// words, so a torn read is detected and skipped rather than returned —
-/// and the scheme is data-race-free under TSan.
+/// is a fence-free per-slot seqlock whose payload is stored through
+/// release/acquire atomic words, so a torn read is detected and skipped
+/// rather than returned — and the scheme is data-race-free under TSan.
 
 namespace perpos::obs {
 

@@ -16,8 +16,8 @@ namespace {
 constexpr std::size_t kEventWords = sizeof(FlightEvent) / 8;
 
 /// Pack a FlightEvent into u64 words (and back) so ring slots can store
-/// the payload through relaxed atomics — torn reads become detectable
-/// seqlock retries instead of undefined behaviour.
+/// the payload through atomics — torn reads become detectable seqlock
+/// retries instead of undefined behaviour.
 void pack(const FlightEvent& event, std::uint64_t* words) noexcept {
   std::memcpy(words, &event, sizeof(FlightEvent));
 }
@@ -49,6 +49,11 @@ std::string_view flight_event_type_name(FlightEventType type) noexcept {
 /// the (single) writer rewrites the payload words, and 2*(n+1) once event
 /// n is stable — readers who see matching even sequences before and after
 /// copying the words hold a consistent event.
+///
+/// No fences (GCC's TSan rejects them): words are stored with release, so
+/// a reader whose acquire load sees a rewrite also sees the odd sequence
+/// stored before it, and its later re-read of the sequence fails. On x86
+/// these are the same plain moves as relaxed accesses.
 struct FlightRecorder::Ring {
   explicit Ring(std::string n, std::size_t capacity)
       : name(std::move(n)), slots(capacity) {}
@@ -66,11 +71,10 @@ struct FlightRecorder::Ring {
     const std::uint64_t h = head.load(std::memory_order_relaxed);
     Slot& slot = slots[h % slots.size()];
     slot.seq.store(2 * h + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     std::uint64_t words[kEventWords];
     pack(event, words);
     for (std::size_t w = 0; w < kEventWords; ++w) {
-      slot.words[w].store(words[w], std::memory_order_relaxed);
+      slot.words[w].store(words[w], std::memory_order_release);
     }
     slot.seq.store(2 * (h + 1), std::memory_order_release);
     head.store(h + 1, std::memory_order_release);
@@ -90,9 +94,8 @@ struct FlightRecorder::Ring {
       if (s1 != 2 * (n + 1)) continue;  // Overwritten or being rewritten.
       std::uint64_t words[kEventWords];
       for (std::size_t w = 0; w < kEventWords; ++w) {
-        words[w] = slot.words[w].load(std::memory_order_relaxed);
+        words[w] = slot.words[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;
       FlightEvent event;
       unpack(words, event);

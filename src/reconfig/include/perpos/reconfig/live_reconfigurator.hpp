@@ -31,9 +31,11 @@
 ///     order. Because a lane is drained by at most one worker, a returned
 ///     fence is a proof that nothing executes on the graph.
 ///  2. *Verify.* The successor is staged structurally (no state
-///     transfer), verify::IncrementalVerifier rechecks the mutation delta
-///     — O(delta), not O(graph) — and any error rejects the swap with the
-///     incumbent still installed and the transcript untouched.
+///     transfer), the graph's verify::IncrementalVerifier rechecks the
+///     delta — O(delta), not O(graph) — and any error rejects the swap
+///     with the incumbent installed and the transcript untouched. The
+///     fence is one verify transaction: an armed verify gate re-verifies
+///     once, just before the fence lifts.
 ///  3. *Cut over.* The incumbent's buffered state is flushed
 ///     (on_teardown), serialized (ProcessingComponent::serialize_state)
 ///     and restored into the successor; edges, features and the
@@ -81,8 +83,6 @@ struct ReconfigOptions {
   /// kDead inside the window rolls the swap back. 0 = no probation.
   /// Requires enable_probation().
   int probation_checks = 0;
-  /// Analyzer options for the verification gate.
-  verify::Options verify_options;
 };
 
 /// What a reconfiguration call did.
@@ -100,7 +100,7 @@ struct SwapResult {
   SwapOutcome outcome = SwapOutcome::kAborted;
   /// Graph epoch after the call (advanced only by commits/rollbacks).
   std::uint64_t epoch = 0;
-  /// Verifier findings (populated on the verify gate and on rollback).
+  /// Findings of replace()'s staging check of the successor.
   verify::Report report;
   /// Human-readable failure cause for kRejected / kAborted.
   std::string error;
@@ -211,7 +211,8 @@ class LiveReconfigurator {
   void record_phase(std::string_view phase, core::ComponentId victim,
                     std::uint64_t aux = 0);
   void dump(const std::string& reason);
-  void bump(const char* counter_name);
+  /// ++count, and the same on the named counter when metrics are on.
+  void bump(std::uint64_t& count, const char* counter_name);
   void observe_fence_us(double us);
   void arm_probation(core::ComponentId victim, std::uint64_t pre_epoch);
   void on_health_transition(core::ComponentId source, core::HealthState to,
@@ -221,7 +222,8 @@ class LiveReconfigurator {
   exec::ExecutionEngine& engine_;
   exec::LaneId lane_;
   ReconfigOptions options_;
-  std::unique_ptr<verify::IncrementalVerifier> verifier_;
+  /// The graph's verifier, shared with its verify gate.
+  std::shared_ptr<verify::IncrementalVerifier> verifier_;
   sanitize::GraphSanitizer* sanitizer_ = nullptr;
   health::Watchdog* watchdog_ = nullptr;
   std::size_t watchdog_token_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -64,17 +65,21 @@ struct LiveReconfigurator::TeeState {
 };
 
 /// RAII for the quiesce point: fence the lane (in-flight task finishes,
-/// queued samples held) and open the sanitizer's PPS006 window; both are
-/// undone on scope exit, releasing held samples into whatever the graph
-/// now looks like. Also feeds the fence-duration histogram.
+/// queued samples held), open the sanitizer's PPS006 window and a verify
+/// transaction; all are undone on scope exit — the transaction first, so
+/// an armed gate re-verifies while the lane is still fenced — releasing
+/// held samples into whatever the graph now looks like. Also feeds the
+/// fence-duration histogram.
 class LiveReconfigurator::FenceScope {
  public:
   explicit FenceScope(LiveReconfigurator& r) : r_(r), t0_(wall_us()) {
     r_.engine_.fence(r_.lane_);
     if (r_.sanitizer_ != nullptr) r_.sanitizer_->begin_quiesce();
+    transaction_.emplace(*r_.verifier_);
   }
 
   ~FenceScope() {
+    transaction_.reset();
     if (r_.sanitizer_ != nullptr) r_.sanitizer_->end_quiesce();
     r_.engine_.unfence(r_.lane_);
     r_.observe_fence_us(wall_us() - t0_);
@@ -86,18 +91,18 @@ class LiveReconfigurator::FenceScope {
  private:
   LiveReconfigurator& r_;
   double t0_;
+  std::optional<verify::IncrementalVerifier::Transaction> transaction_;
 };
 
 LiveReconfigurator::LiveReconfigurator(core::ProcessingGraph& graph,
                                        exec::ExecutionEngine& engine,
                                        exec::LaneId lane,
                                        ReconfigOptions options)
-    : graph_(graph), engine_(engine), lane_(lane), options_(options) {
-  if (options_.verify) {
-    verifier_ = std::make_unique<verify::IncrementalVerifier>(
-        graph_, options_.verify_options);
-  }
-}
+    : graph_(graph),
+      engine_(engine),
+      lane_(lane),
+      options_(options),
+      verifier_(verify::IncrementalVerifier::of(graph)) {}
 
 LiveReconfigurator::~LiveReconfigurator() { disable_probation(); }
 
@@ -131,6 +136,22 @@ SwapResult LiveReconfigurator::replace_locked(
     return result;
   }
   record_phase("staged", victim);
+  // A failed swap records its phase, dumps the black box and is counted.
+  const auto fail = [&](SwapOutcome outcome, std::string error,
+                        const char* cause, std::uint64_t aux = 0) {
+    const bool rejected = outcome == SwapOutcome::kRejected;
+    result.outcome = outcome;
+    result.error = std::move(error);
+    record_phase(rejected ? "rejected" : "aborted", victim, aux);
+    dump(std::string(rejected ? "reconfig rejected (" : "reconfig aborted (") +
+         cause + "): " + result.error);
+    if (rejected) {
+      bump(rejects_, "perpos_reconfig_rejects_total");
+    } else {
+      bump(aborts_, "perpos_reconfig_aborts_total");
+    }
+    return result;
+  };
 
   if (options_.verify) {
     // Stage structurally (no teardown, no state transfer): a rejected
@@ -138,29 +159,16 @@ SwapResult LiveReconfigurator::replace_locked(
     try {
       graph_.replace(victim, successor, core::ReplaceHandoff::kNone);
     } catch (const std::exception& e) {
-      result.outcome = SwapOutcome::kRejected;
-      result.error = e.what();
-      record_phase("rejected", victim);
-      dump("reconfig rejected (structural): " + result.error);
-      ++rejects_;
-      bump("perpos_reconfig_rejects_total");
-      return result;
+      return fail(SwapOutcome::kRejected, e.what(), "structural");
     }
     result.report = verifier_->recheck();
     // Un-stage either way; the real cutover below runs the handoff.
     graph_.replace(victim, incumbent, core::ReplaceHandoff::kNone);
     if (!result.report.ok()) {
-      verifier_->recheck();  // Re-prime the cache for the restored wiring.
-      result.outcome = SwapOutcome::kRejected;
-      std::ostringstream error;
-      error << "verifier rejected the successor: " << result.report.errors()
-            << " error(s)";
-      result.error = error.str();
-      record_phase("rejected", victim, result.report.errors());
-      dump("reconfig rejected (verifier): " + result.error);
-      ++rejects_;
-      bump("perpos_reconfig_rejects_total");
-      return result;
+      return fail(SwapOutcome::kRejected,
+                  "verifier rejected the successor: " +
+                      std::to_string(result.report.errors()) + " error(s)",
+                  "verifier", result.report.errors());
     }
   }
 
@@ -171,33 +179,21 @@ SwapResult LiveReconfigurator::replace_locked(
     // replace() installs the successor only after the handoff ran, so a
     // throwing serialize/restore leaves the incumbent in place (its
     // on_teardown flush has already reached downstream consumers).
-    result.outcome = SwapOutcome::kAborted;
-    result.error = e.what();
-    record_phase("aborted", victim);
-    dump("reconfig aborted (handoff): " + result.error);
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
-    return result;
+    return fail(SwapOutcome::kAborted, e.what(), "handoff");
   }
 
   if (sanitizer_ != nullptr && sanitizer_->violations() > pre_violations) {
     graph_.replace(victim, incumbent, core::ReplaceHandoff::kFlushOnly);
-    result.outcome = SwapOutcome::kAborted;
-    result.error = "sanitizer recorded new finding(s) during the cutover";
-    record_phase("aborted", victim,
-                 sanitizer_->violations() - pre_violations);
-    dump("reconfig aborted (sanitizer): " + result.error);
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
-    return result;
+    return fail(SwapOutcome::kAborted,
+                "sanitizer recorded new finding(s) during the cutover",
+                "sanitizer", sanitizer_->violations() - pre_violations);
   }
 
   result.epoch = graph_.advance_epoch();
   history_.push_back(UndoRecord{pre_epoch, victim, std::move(incumbent)});
   while (history_.size() > options_.history) history_.pop_front();
   record_phase("committed", victim, pre_epoch);
-  ++commits_;
-  bump("perpos_reconfig_commits_total");
+  bump(commits_, "perpos_reconfig_commits_total");
   arm_probation(victim, pre_epoch);
   result.outcome = SwapOutcome::kCommitted;
   return result;
@@ -249,16 +245,13 @@ SwapResult LiveReconfigurator::rollback(std::uint64_t to_epoch) {
     result.error = std::string("rollback failed after ") +
                    std::to_string(reversed) + " step(s): " + e.what();
     dump("reconfig rollback failed: " + result.error);
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
+    bump(aborts_, "perpos_reconfig_aborts_total");
     return result;
   }
   in_rollback_ = false;
   result.epoch = graph_.advance_epoch();
-  if (verifier_ != nullptr) result.report = verifier_->recheck();
   result.outcome = SwapOutcome::kCommitted;
-  ++rollbacks_;
-  bump("perpos_reconfig_rollbacks_total");
+  bump(rollbacks_, "perpos_reconfig_rollbacks_total");
   // Every rollback leaves a black box: the dump carries the kReconfig
   // rolled_back events plus whatever failure led here.
   dump("reconfig rollback to epoch " + std::to_string(to_epoch) + " (" +
@@ -316,8 +309,7 @@ SwapResult LiveReconfigurator::begin_tee(
     result.outcome = SwapOutcome::kAborted;
     result.error = e.what();
     record_phase("aborted", victim);
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
+    bump(aborts_, "perpos_reconfig_aborts_total");
     return result;
   }
   tee_ = std::move(state);
@@ -392,8 +384,7 @@ SwapResult LiveReconfigurator::teardown_tee_locked(SwapOutcome outcome,
     result.outcome = SwapOutcome::kAborted;
     result.error = "tee teardown failed: " + std::string(e.what());
     result.epoch = graph_.epoch();
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
+    bump(aborts_, "perpos_reconfig_aborts_total");
     return result;
   }
   result.outcome = outcome;
@@ -401,8 +392,7 @@ SwapResult LiveReconfigurator::teardown_tee_locked(SwapOutcome outcome,
   result.epoch = graph_.epoch();
   if (outcome == SwapOutcome::kAborted) {
     record_phase("aborted", state->victim);
-    ++aborts_;
-    bump("perpos_reconfig_aborts_total");
+    bump(aborts_, "perpos_reconfig_aborts_total");
     if (dump_on_exit) dump("reconfig tee aborted: " + result.error);
   }
   return result;
@@ -488,7 +478,9 @@ void LiveReconfigurator::dump(const std::string& reason) {
   }
 }
 
-void LiveReconfigurator::bump(const char* counter_name) {
+void LiveReconfigurator::bump(std::uint64_t& count,
+                              const char* counter_name) {
+  ++count;
   if (obs::MetricsRegistry* registry = graph_.metrics_registry()) {
     registry->counter(counter_name)->inc();
   }

@@ -54,11 +54,13 @@
 /// from them is the caller's choice, keeping the config layer free of a
 /// dependency on perpos::reconfig.
 ///
-/// `plan` declares the GraphPlan verify-gate policy (see PlanSettings). As
-/// with `health` and `reconfig`, the parser only records the settings in
-/// ConfigResult::plan — constructing a plan::GraphPlan and calling
-/// freeze() is the caller's choice, keeping the config layer free of a
-/// dependency on perpos::plan.
+/// `plan` declares the verify-gate policy (see PlanSettings). As with
+/// `health` and `reconfig`, the parser only records the settings in
+/// ConfigResult::plan — arming the graph's verify gate
+/// (verify::IncrementalVerifier::of(graph)->freeze()) is the caller's
+/// choice, keeping the config layer free of a dependency on perpos::verify.
+/// Numbers in every settings line must be finite; counts must also be
+/// non-negative and at most 2^53.
 ///
 /// `host` declares the intended deployment partition: every named
 /// component is pinned to the given host. The parser only records the
@@ -161,10 +163,10 @@ struct ReconfigSettings {
                          const ReconfigSettings&) = default;
 };
 
-/// Verify-gate policy declared by a `plan` config line. Mirror of
-/// plan::PlanOptions plus the freeze request itself (plain bools keep the
-/// config layer independent of perpos::plan; the caller builds a
-/// plan::GraphPlan from them and calls freeze() after assembly).
+/// Verify-gate policy declared by a `plan` config line: the freeze request
+/// and the gate's auto_refreeze setting (plain bools keep the config layer
+/// independent of perpos::verify; the caller applies them to the graph's
+/// verify::IncrementalVerifier and calls freeze() after assembly).
 struct PlanSettings {
   bool freeze = true;         ///< Verify and arm the gate after assembly.
   bool auto_refreeze = true;  ///< Re-verify automatically after mutations.
@@ -246,7 +248,8 @@ ConfigResult assemble_from_config(const std::string& text,
 /// `budgets` emits one `budget` line per component with any annotation
 /// set, and a non-null `budget_defaults` a `budget *` line, so the
 /// quantitative model round-trips through export and re-parse. A non-null
-/// `plan` appends a `plan` line with every setting.
+/// `plan` appends a `plan` line with every setting. Numbers are written in
+/// 6 significant digits when that reads back exactly, else in 17.
 std::string export_config(const core::ProcessingGraph& graph,
                           const HealthSettings* health = nullptr,
                           const std::map<core::ComponentId, std::string>*

@@ -1,9 +1,44 @@
 #include "perpos/runtime/config.hpp"
 
+#include <climits>
+#include <cmath>
+#include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace perpos::runtime {
+
+namespace {
+
+/// All of `text` as a finite number (std::stod also takes "nan", "inf").
+bool parse_finite(const std::string& text, double& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stod(text, &used);
+    return used == text.size() && std::isfinite(out);
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// Largest count setting: 2^53, exact in a double and within size_t.
+constexpr double kMaxCount = 9007199254740992.0;
+constexpr double kMaxNumber = std::numeric_limits<double>::max();
+
+/// `v` in the fewest of 6 or 17 significant digits that read back exactly.
+std::string format_number(double v) {
+  std::ostringstream s;
+  s << v;
+  if (std::strtod(s.str().c_str(), nullptr) != v) {
+    s.str({});
+    s << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
+  }
+  return s.str();
+}
+
+}  // namespace
 
 void ComponentFactoryRegistry::register_kind(std::string kind,
                                              Factory factory) {
@@ -44,6 +79,30 @@ ConfigResult assemble_from_config(const std::string& text,
   const auto fail = [&](const std::string& message) {
     result.errors.push_back("line " + std::to_string(line_no) + ": " +
                             message);
+  };
+  // Settings lines are key=value tokens: apply(key, value) per token until
+  // one fails. Returns whether every token applied.
+  const auto for_each_setting = [&](std::istringstream& ls, const char* verb,
+                                    const auto& apply) {
+    std::string token;
+    while (ls >> token) {
+      const std::size_t eq = token.find('=');
+      if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
+        fail(std::string(verb) + " expects key=value tokens, got '" + token +
+             "'");
+        return false;
+      }
+      if (!apply(token.substr(0, eq), token.substr(eq + 1))) return false;
+    }
+    return true;
+  };
+  // `value` as a finite number in [lo, hi], else a bad-number error.
+  const auto number_in = [&](const char* verb, const std::string& key,
+                             const std::string& value, double lo, double hi,
+                             double& out) {
+    if (parse_finite(value, out) && out >= lo && out <= hi) return true;
+    fail(std::string(verb) + " " + key + ": bad number '" + value + "'");
+    return false;
   };
 
   // Pass 1: instantiate components and record directives.
@@ -161,108 +220,72 @@ ConfigResult assemble_from_config(const std::string& text,
         fail("budget needs <component-name> or '*' plus key=value tokens");
         continue;
       }
-      // Shared numeric parsing; `rate` additionally accepts lo..hi.
-      const auto parse_number = [&](const std::string& key,
-                                    const std::string& value, double& out) {
-        try {
-          std::size_t used = 0;
-          out = std::stod(value, &used);
-          if (used != value.size() || out < 0.0) {
-            throw std::invalid_argument(value);
-          }
-          return true;
-        } catch (const std::exception&) {
-          fail("budget " + key + ": bad number '" + value + "'");
-          return false;
-        }
-      };
-      bool bad = false;
       if (target == "*") {
         BudgetDefaults defaults =
             result.budget_defaults.value_or(BudgetDefaults{});
-        std::string token;
-        while (ls >> token) {
-          const std::size_t eq = token.find('=');
-          if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-            fail("budget expects key=value tokens, got '" + token + "'");
-            bad = true;
-            break;
-          }
-          const std::string key = token.substr(0, eq);
-          const std::string value = token.substr(eq + 1);
-          double number = 0.0;
-          if (!parse_number(key, value, number)) {
-            bad = true;
-            break;
-          }
-          if (key == "source_rate") {
-            defaults.source_rate_hz = number;
-          } else if (key == "burst") {
-            defaults.burst = number;
-          } else if (key == "watermark") {
-            defaults.queue_watermark = static_cast<std::size_t>(number);
-          } else if (key == "slo_us") {
-            defaults.latency_slo_us = number;
-          } else {
-            fail("unknown budget * key '" + key + "'");
-            bad = true;
-            break;
-          }
-        }
-        if (!bad) result.budget_defaults = defaults;
+        const bool ok = for_each_setting(
+            ls, "budget",
+            [&](const std::string& key, const std::string& value) {
+              double number = 0.0;
+              if (!number_in("budget", key, value, 0.0,
+                             key == "watermark" ? kMaxCount : kMaxNumber,
+                             number)) {
+                return false;
+              }
+              if (key == "source_rate") {
+                defaults.source_rate_hz = number;
+              } else if (key == "burst") {
+                defaults.burst = number;
+              } else if (key == "watermark") {
+                defaults.queue_watermark = static_cast<std::size_t>(number);
+              } else if (key == "slo_us") {
+                defaults.latency_slo_us = number;
+              } else {
+                fail("unknown budget * key '" + key + "'");
+                return false;
+              }
+              return true;
+            });
+        if (ok) result.budget_defaults = defaults;
         continue;
       }
       BudgetDecl decl;
       decl.line = line_no;
       decl.name = target;
-      std::string token;
+      BudgetAnnotation& a = decl.annotation;
       bool any = false;
-      while (ls >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-          fail("budget expects key=value tokens, got '" + token + "'");
-          bad = true;
-          break;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "rate") {
-          // A single rate or a lo..hi interval.
-          const std::size_t dots = value.find("..");
-          std::string lo = value, hi = value;
-          if (dots != std::string::npos) {
-            lo = value.substr(0, dots);
-            hi = value.substr(dots + 2);
-          }
-          if (!parse_number(key, lo, decl.annotation.rate_lo_hz) ||
-              !parse_number(key, hi, decl.annotation.rate_hi_hz)) {
-            bad = true;
-            break;
-          }
-          if (decl.annotation.rate_hi_hz < decl.annotation.rate_lo_hz ||
-              decl.annotation.rate_hi_hz <= 0.0) {
-            fail("budget rate: bad interval '" + value + "'");
-            bad = true;
-            break;
-          }
-        } else if (key == "cost_us") {
-          if (!parse_number(key, value, decl.annotation.cost_us)) {
-            bad = true;
-            break;
-          }
-        } else if (key == "min_rate") {
-          if (!parse_number(key, value, decl.annotation.min_rate_hz)) {
-            bad = true;
-            break;
-          }
-        } else {
-          fail("unknown budget key '" + key + "'");
-          bad = true;
-          break;
-        }
-        any = true;
-      }
-      if (bad) continue;
+      const bool ok = for_each_setting(
+          ls, "budget", [&](const std::string& key, const std::string& value) {
+            any = true;
+            if (key == "cost_us") {
+              return number_in("budget", key, value, 0.0, kMaxNumber,
+                               a.cost_us);
+            }
+            if (key == "min_rate") {
+              return number_in("budget", key, value, 0.0, kMaxNumber,
+                               a.min_rate_hz);
+            }
+            if (key != "rate") {
+              fail("unknown budget key '" + key + "'");
+              return false;
+            }
+            // A single rate or a lo..hi interval.
+            const std::size_t dots = value.find("..");
+            const std::string hi =
+                dots == std::string::npos ? value : value.substr(dots + 2);
+            if (!number_in("budget", key, value.substr(0, dots), 0.0,
+                           kMaxNumber, a.rate_lo_hz) ||
+                !number_in("budget", key, hi, 0.0, kMaxNumber,
+                           a.rate_hi_hz)) {
+              return false;
+            }
+            if (a.rate_hi_hz < a.rate_lo_hz || a.rate_hi_hz <= 0.0) {
+              fail("budget rate: bad interval '" + value + "'");
+              return false;
+            }
+            return true;
+          });
+      if (!ok) continue;
       if (!any) {
         fail("budget '" + target + "' sets no annotation");
         continue;
@@ -270,126 +293,79 @@ ConfigResult assemble_from_config(const std::string& text,
       budget_decls.push_back(std::move(decl));
     } else if (verb == "health") {
       HealthSettings settings = result.health.value_or(HealthSettings{});
-      bool bad = false;
-      std::string token;
-      while (ls >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-          fail("health expects key=value tokens, got '" + token + "'");
-          bad = true;
-          break;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        double number = 0.0;
-        try {
-          std::size_t used = 0;
-          number = std::stod(value, &used);
-          if (used != value.size()) throw std::invalid_argument(value);
-        } catch (const std::exception&) {
-          fail("health " + key + ": bad number '" + value + "'");
-          bad = true;
-          break;
-        }
-        if (key == "degraded_after_s") {
-          settings.degraded_after_s = number;
-        } else if (key == "stale_after_s") {
-          settings.stale_after_s = number;
-        } else if (key == "dead_after_s") {
-          settings.dead_after_s = number;
-        } else if (key == "recovery_s") {
-          settings.recovery_s = number;
-        } else if (key == "hold_s") {
-          settings.hold_s = number;
-        } else if (key == "check_interval_s") {
-          settings.check_interval_s = number;
-        } else if (key == "max_retries") {
-          settings.max_retries = static_cast<int>(number);
-        } else if (key == "ack_timeout_ms") {
-          settings.ack_timeout_ms = number;
-        } else {
-          fail("unknown health key '" + key + "'");
-          bad = true;
-          break;
-        }
-      }
-      if (!bad) result.health = settings;
+      const bool ok = for_each_setting(
+          ls, "health", [&](const std::string& key, const std::string& value) {
+            const double bound = key == "max_retries" ? INT_MAX : kMaxNumber;
+            double number = 0.0;
+            if (!number_in("health", key, value, -bound, bound, number)) {
+              return false;
+            }
+            if (key == "degraded_after_s") {
+              settings.degraded_after_s = number;
+            } else if (key == "stale_after_s") {
+              settings.stale_after_s = number;
+            } else if (key == "dead_after_s") {
+              settings.dead_after_s = number;
+            } else if (key == "recovery_s") {
+              settings.recovery_s = number;
+            } else if (key == "hold_s") {
+              settings.hold_s = number;
+            } else if (key == "check_interval_s") {
+              settings.check_interval_s = number;
+            } else if (key == "max_retries") {
+              settings.max_retries = static_cast<int>(number);
+            } else if (key == "ack_timeout_ms") {
+              settings.ack_timeout_ms = number;
+            } else {
+              fail("unknown health key '" + key + "'");
+              return false;
+            }
+            return true;
+          });
+      if (ok) result.health = settings;
     } else if (verb == "reconfig") {
       ReconfigSettings settings = result.reconfig.value_or(ReconfigSettings{});
-      bool bad = false;
-      std::string token;
-      while (ls >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-          fail("reconfig expects key=value tokens, got '" + token + "'");
-          bad = true;
-          break;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        double number = 0.0;
-        try {
-          std::size_t used = 0;
-          number = std::stod(value, &used);
-          if (used != value.size() || number < 0.0) {
-            throw std::invalid_argument(value);
-          }
-        } catch (const std::exception&) {
-          fail("reconfig " + key + ": bad number '" + value + "'");
-          bad = true;
-          break;
-        }
-        if (key == "verify") {
-          settings.verify = number != 0.0;
-        } else if (key == "history") {
-          settings.history = static_cast<std::size_t>(number);
-        } else if (key == "tee_samples") {
-          settings.tee_samples = static_cast<std::size_t>(number);
-        } else if (key == "probation_checks") {
-          settings.probation_checks = static_cast<std::size_t>(number);
-        } else {
-          fail("unknown reconfig key '" + key + "'");
-          bad = true;
-          break;
-        }
-      }
-      if (!bad) result.reconfig = settings;
+      const bool ok = for_each_setting(
+          ls, "reconfig",
+          [&](const std::string& key, const std::string& value) {
+            double number = 0.0;
+            if (!number_in("reconfig", key, value, 0.0, kMaxCount, number)) {
+              return false;
+            }
+            if (key == "verify") {
+              settings.verify = number != 0.0;
+            } else if (key == "history") {
+              settings.history = static_cast<std::size_t>(number);
+            } else if (key == "tee_samples") {
+              settings.tee_samples = static_cast<std::size_t>(number);
+            } else if (key == "probation_checks") {
+              settings.probation_checks = static_cast<std::size_t>(number);
+            } else {
+              fail("unknown reconfig key '" + key + "'");
+              return false;
+            }
+            return true;
+          });
+      if (ok) result.reconfig = settings;
     } else if (verb == "plan") {
       PlanSettings settings = result.plan.value_or(PlanSettings{});
-      bool bad = false;
-      std::string token;
-      while (ls >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-          fail("plan expects key=value tokens, got '" + token + "'");
-          bad = true;
-          break;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        double number = 0.0;
-        try {
-          std::size_t used = 0;
-          number = std::stod(value, &used);
-          if (used != value.size() || number < 0.0) {
-            throw std::invalid_argument(value);
-          }
-        } catch (const std::exception&) {
-          fail("plan " + key + ": bad number '" + value + "'");
-          bad = true;
-          break;
-        }
-        if (key == "freeze") {
-          settings.freeze = number != 0.0;
-        } else if (key == "auto_refreeze") {
-          settings.auto_refreeze = number != 0.0;
-        } else {
-          fail("unknown plan key '" + key + "'");
-          bad = true;
-          break;
-        }
-      }
-      if (!bad) result.plan = settings;
+      const bool ok = for_each_setting(
+          ls, "plan", [&](const std::string& key, const std::string& value) {
+            double number = 0.0;
+            if (!number_in("plan", key, value, 0.0, kMaxNumber, number)) {
+              return false;
+            }
+            if (key == "freeze") {
+              settings.freeze = number != 0.0;
+            } else if (key == "auto_refreeze") {
+              settings.auto_refreeze = number != 0.0;
+            } else {
+              fail("unknown plan key '" + key + "'");
+              return false;
+            }
+            return true;
+          });
+      if (ok) result.plan = settings;
     } else if (verb == "observe") {
       obs::ObservabilityConfig cfg;
       cfg.metrics = cfg.timing = false;
@@ -410,11 +386,7 @@ ConfigResult assemble_from_config(const std::string& text,
           cfg.metrics = cfg.timing = cfg.latency = cfg.recording = true;
         } else if (flag.rfind("slo_us=", 0) == 0) {
           const std::string value = flag.substr(7);
-          try {
-            std::size_t used = 0;
-            cfg.latency_slo_us = std::stod(value, &used);
-            if (used != value.size()) throw std::invalid_argument(value);
-          } catch (const std::exception&) {
+          if (!parse_finite(value, cfg.latency_slo_us)) {
             fail("observe slo_us: bad number '" + value + "'");
             bad = true;
             break;
@@ -580,12 +552,6 @@ std::string export_config(const core::ProcessingGraph& graph,
       };
   if (hosts != nullptr) emit_groups("host", *hosts);
   if (lanes != nullptr) emit_groups("lane", *lanes);
-  const auto number = [](double v) {
-    std::ostringstream s;
-    s << v;  // Default formatting drops trailing zeros; std::stod
-             // re-parses it exactly for the values we deal in.
-    return s.str();
-  };
   if (budgets != nullptr) {
     for (core::ComponentId id : ids) {
       const auto it = budgets->find(id);
@@ -597,19 +563,22 @@ std::string export_config(const core::ProcessingGraph& graph,
       if (!has_rate && !has_cost && !has_min) continue;
       out << "budget " << name_of(id);
       if (has_rate) {
-        out << " rate=" << number(a.rate_lo_hz);
-        if (a.rate_hi_hz != a.rate_lo_hz) out << ".." << number(a.rate_hi_hz);
+        out << " rate=" << format_number(a.rate_lo_hz);
+        if (a.rate_hi_hz != a.rate_lo_hz) {
+          out << ".." << format_number(a.rate_hi_hz);
+        }
       }
-      if (has_cost) out << " cost_us=" << number(a.cost_us);
-      if (has_min) out << " min_rate=" << number(a.min_rate_hz);
+      if (has_cost) out << " cost_us=" << format_number(a.cost_us);
+      if (has_min) out << " min_rate=" << format_number(a.min_rate_hz);
       out << "\n";
     }
   }
   if (budget_defaults != nullptr) {
-    out << "budget * source_rate=" << number(budget_defaults->source_rate_hz)
-        << " burst=" << number(budget_defaults->burst)
+    out << "budget * source_rate="
+        << format_number(budget_defaults->source_rate_hz)
+        << " burst=" << format_number(budget_defaults->burst)
         << " watermark=" << budget_defaults->queue_watermark
-        << " slo_us=" << number(budget_defaults->latency_slo_us) << "\n";
+        << " slo_us=" << format_number(budget_defaults->latency_slo_us) << "\n";
   }
   if (const obs::ObservabilityConfig* cfg = graph.observability_config()) {
     out << "observe";
@@ -618,21 +587,20 @@ std::string export_config(const core::ProcessingGraph& graph,
     if (cfg->latency) out << " latency";
     if (cfg->recording) out << " recording";
     if (cfg->latency_slo_us > 0.0) {
-      std::ostringstream s;
-      s << cfg->latency_slo_us;
-      out << " slo_us=" << s.str();
+      out << " slo_us=" << format_number(cfg->latency_slo_us);
     }
     out << "\n";
   }
   if (health != nullptr) {
-    out << "health degraded_after_s=" << number(health->degraded_after_s)
-        << " stale_after_s=" << number(health->stale_after_s)
-        << " dead_after_s=" << number(health->dead_after_s)
-        << " recovery_s=" << number(health->recovery_s)
-        << " hold_s=" << number(health->hold_s)
-        << " check_interval_s=" << number(health->check_interval_s)
+    out << "health degraded_after_s="
+        << format_number(health->degraded_after_s)
+        << " stale_after_s=" << format_number(health->stale_after_s)
+        << " dead_after_s=" << format_number(health->dead_after_s)
+        << " recovery_s=" << format_number(health->recovery_s)
+        << " hold_s=" << format_number(health->hold_s)
+        << " check_interval_s=" << format_number(health->check_interval_s)
         << " max_retries=" << health->max_retries
-        << " ack_timeout_ms=" << number(health->ack_timeout_ms) << "\n";
+        << " ack_timeout_ms=" << format_number(health->ack_timeout_ms) << "\n";
   }
   if (reconfig != nullptr) {
     out << "reconfig verify=" << (reconfig->verify ? 1 : 0)

@@ -4,12 +4,15 @@
 #include "perpos/verify/rules.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 /// \file incremental.hpp
-/// Incremental re-verification for adapting graphs.
+/// Incremental re-verification and the verify gate of an adapting graph.
 ///
 /// PerPos applications adapt the positioning process at runtime — a PSL
 /// insert here, a provider swap there — and each adaptation should be
@@ -29,16 +32,41 @@
 /// quantitative checks PPQ001, PPQ002) re-run on the full model every time —
 /// they are cheap near-linear passes. recheck() therefore always yields the
 /// same verdict multiset as a from-scratch verify().
+///
+/// Each graph has one verifier, shared through of() by the verify gate
+/// (freeze()/thaw(), the runtime counterpart of assemble_verified) and the
+/// LiveReconfigurator. An armed gate re-verifies after a lone PSL edit at
+/// once, and after a fenced reconfiguration (one Transaction) once.
 
 namespace perpos::verify {
 
+/// Outcome of a freeze attempt: on refusal, `reason` says "verification
+/// failed" and `report` holds the findings.
+struct FreezeResult {
+  bool frozen = false;
+  std::string reason;
+  Report report;
+};
+
+/// Verify-gate lifecycle counters, for introspection and tests.
+struct GateStats {
+  std::uint64_t freezes = 0;           ///< Clean checks (incl. re-verifies).
+  std::uint64_t freeze_rejections = 0; ///< freeze() calls that were refused.
+  std::uint64_t thaws = 0;             ///< Explicit thaw() calls that thawed.
+  std::uint64_t auto_thaws = 0;        ///< Mutations observed while armed.
+  std::uint64_t refreeze_failures = 0; ///< Re-verifies that found errors.
+};
+
 class IncrementalVerifier {
  public:
-  /// Subscribes to `graph`'s mutation observers; the graph must outlive
-  /// this object. Everything is dirty until the first full()/recheck().
-  /// Not thread-safe: drive it from the thread that mutates the graph.
-  explicit IncrementalVerifier(core::ProcessingGraph& graph,
-                               Options options = {});
+  /// The verifier of `graph`, created (subscribed to the graph's mutation
+  /// observers, default Options, gate disarmed) by the first call and
+  /// shared by every later one while any holder keeps it alive. The graph
+  /// must outlive every holder. Thread-safe lookup; the verifier itself is
+  /// not thread-safe: drive it from the thread that mutates the graph.
+  static std::shared_ptr<IncrementalVerifier> of(
+      core::ProcessingGraph& graph);
+
   ~IncrementalVerifier();
 
   IncrementalVerifier(const IncrementalVerifier&) = delete;
@@ -50,7 +78,8 @@ class IncrementalVerifier {
 
   /// Analyze only components marked dirty since the last full()/recheck();
   /// clean components replay their cached findings. Equivalent in verdicts
-  /// to full(), at O(dirty subgraph) analysis cost.
+  /// to full(), at O(dirty subgraph) analysis cost. Everything is dirty
+  /// until the first analysis.
   Report recheck();
 
   /// Nodes analyzed by subgraph-scoped (local-rule) analysis in the last
@@ -63,13 +92,6 @@ class IncrementalVerifier {
     return components_visited_;
   }
 
-  /// Components currently marked dirty (pending recheck).
-  std::size_t pending_dirty() const noexcept { return dirty_.size(); }
-
-  /// Drop the cache; the next recheck() analyzes everything (e.g. after
-  /// changing options).
-  void invalidate_all();
-
   /// Update one component's quantitative budget annotation and mark only
   /// that component dirty — the O(delta) path for rate/cost tuning, where
   /// set_options() would drop the whole cache. The next recheck()
@@ -79,12 +101,56 @@ class IncrementalVerifier {
   void annotate_budget(core::ComponentId id,
                        const BudgetAnnotation& annotation);
 
+  /// Replace the analyzer options and drop the cache: the next recheck()
+  /// analyzes everything.
   void set_options(Options options);
   const Options& options() const noexcept { return options_; }
 
+  // --- Verify gate -----------------------------------------------------------
+
+  /// Verify (incrementally) and arm the gate on a clean report. A refusal
+  /// is reported, never thrown; dispatch is unaffected either way.
+  FreezeResult freeze();
+  /// Disarm the gate. No-op when not frozen.
+  void thaw();
+  /// Armed, and the last check of the current structure was clean.
+  bool frozen() const noexcept { return armed_ && clean_; }
+  /// Whether a successful freeze() armed the gate (true even while a
+  /// mutation's re-verify found errors).
+  bool armed() const noexcept { return armed_; }
+
+  const GateStats& stats() const noexcept { return stats_; }
+
+  /// Re-verify automatically after mutations while the gate is armed (the
+  /// default). When off, a mutation leaves the gate armed but unverified
+  /// until the next freeze().
+  void set_auto_refreeze(bool on) noexcept { auto_refreeze_ = on; }
+
+  /// A verify transaction: while one is open, mutations only mark nodes
+  /// dirty, and when the outermost closes an armed gate that saw a mutation
+  /// re-verifies exactly once. Transactions nest.
+  class Transaction {
+   public:
+    explicit Transaction(IncrementalVerifier& verifier)
+        : verifier_(verifier) {
+      ++verifier_.transaction_depth_;
+    }
+    ~Transaction() { verifier_.close_transaction(); }
+    Transaction(const Transaction&) = delete;
+    Transaction& operator=(const Transaction&) = delete;
+
+   private:
+    IncrementalVerifier& verifier_;
+  };
+
  private:
+  explicit IncrementalVerifier(core::ProcessingGraph& graph);
+
   Report analyze(bool everything_dirty);
   void on_mutation(const core::GraphMutation& mutation);
+  void close_transaction();
+  /// The gate's re-verify (when auto_refreeze is on).
+  void refreeze();
 
   core::ProcessingGraph& graph_;
   std::size_t observer_token_ = 0;
@@ -99,6 +165,14 @@ class IncrementalVerifier {
   std::map<std::vector<core::ComponentId>, std::vector<Diagnostic>> cache_;
   std::size_t nodes_visited_ = 0;
   std::size_t components_visited_ = 0;
+
+  GateStats stats_;
+  bool armed_ = false;
+  bool clean_ = false;
+  bool auto_refreeze_ = true;
+  std::size_t transaction_depth_ = 0;
+  /// An armed gate saw a mutation inside the open transaction.
+  bool refreeze_pending_ = false;
 };
 
 }  // namespace perpos::verify

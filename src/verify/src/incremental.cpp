@@ -4,6 +4,8 @@
 #include "perpos/verify/scc.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <unordered_map>
 
 namespace perpos::verify {
 
@@ -40,22 +42,59 @@ bool rule_disabled(const Rule& rule, const Options& options) {
                    std::string(rule.id())) != options.disabled_rules.end();
 }
 
+/// Graph -> its verifier; leaked, so no static destructor races a lookup.
+struct Registry {
+  std::mutex mutex;
+  std::unordered_map<const core::ProcessingGraph*,
+                     std::weak_ptr<IncrementalVerifier>>
+      verifiers;
+};
+
+Registry& registry() {
+  static Registry* instance = new Registry;
+  return *instance;
+}
+
+std::string describe_failure(const Report& report) {
+  std::string out = "verification failed: " +
+                    std::to_string(report.errors()) + " error(s)";
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.severity != Severity::kError) continue;
+    out += "; first: [" + d.rule_id + "] " + d.message;
+    break;
+  }
+  return out;
+}
+
 }  // namespace
 
-IncrementalVerifier::IncrementalVerifier(core::ProcessingGraph& graph,
-                                         Options options)
-    : graph_(graph), options_(std::move(options)) {
-  if (!options_.encodable) {
-    options_.encodable = [](const core::DataSpec& spec) {
-      return runtime::is_encodable_spec(spec);
-    };
+std::shared_ptr<IncrementalVerifier> IncrementalVerifier::of(
+    core::ProcessingGraph& graph) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  std::weak_ptr<IncrementalVerifier>& slot = r.verifiers[&graph];
+  if (std::shared_ptr<IncrementalVerifier> existing = slot.lock()) {
+    return existing;
   }
+  std::shared_ptr<IncrementalVerifier> created(new IncrementalVerifier(graph));
+  slot = created;
+  return created;
+}
+
+IncrementalVerifier::IncrementalVerifier(core::ProcessingGraph& graph)
+    : graph_(graph) {
+  set_options({});
   observer_token_ = graph_.add_mutation_observer(
       [this](const core::GraphMutation& mutation) { on_mutation(mutation); });
 }
 
 IncrementalVerifier::~IncrementalVerifier() {
   graph_.remove_mutation_observer(observer_token_);
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  // Keep the entry of a verifier created since this one expired.
+  const auto it = r.verifiers.find(&graph_);
+  if (it != r.verifiers.end() && it->second.expired()) r.verifiers.erase(it);
 }
 
 Report IncrementalVerifier::full() { return analyze(/*everything_dirty=*/true); }
@@ -64,10 +103,6 @@ Report IncrementalVerifier::recheck() {
   return analyze(/*everything_dirty=*/all_dirty_);
 }
 
-void IncrementalVerifier::invalidate_all() {
-  cache_.clear();
-  all_dirty_ = true;
-}
 
 void IncrementalVerifier::annotate_budget(core::ComponentId id,
                                           const BudgetAnnotation& annotation) {
@@ -86,7 +121,8 @@ void IncrementalVerifier::set_options(Options options) {
       return runtime::is_encodable_spec(spec);
     };
   }
-  invalidate_all();
+  cache_.clear();
+  all_dirty_ = true;
 }
 
 Report IncrementalVerifier::analyze(bool everything_dirty) {
@@ -164,6 +200,55 @@ Report IncrementalVerifier::analyze(bool everything_dirty) {
 void IncrementalVerifier::on_mutation(const core::GraphMutation& mutation) {
   if (mutation.a != core::kInvalidComponent) dirty_.insert(mutation.a);
   if (mutation.b != core::kInvalidComponent) dirty_.insert(mutation.b);
+  if (!armed_) return;
+  ++stats_.auto_thaws;
+  clean_ = false;
+  if (transaction_depth_ > 0) {
+    refreeze_pending_ = true;
+    return;
+  }
+  refreeze();
+}
+
+void IncrementalVerifier::close_transaction() {
+  if (--transaction_depth_ > 0 || !refreeze_pending_) return;
+  refreeze_pending_ = false;
+  if (armed_) refreeze();
+}
+
+void IncrementalVerifier::refreeze() {
+  if (!auto_refreeze_) return;
+  // A dirty result keeps the gate armed, so a later mutation that restores
+  // a clean graph is frozen again.
+  clean_ = recheck().ok();
+  ++(clean_ ? stats_.freezes : stats_.refreeze_failures);
+}
+
+FreezeResult IncrementalVerifier::freeze() {
+  FreezeResult result;
+  result.report = recheck();
+  if (!result.report.ok()) {
+    result.reason = describe_failure(result.report);
+    ++stats_.freeze_rejections;
+    return result;
+  }
+  armed_ = true;
+  clean_ = true;
+  ++stats_.freezes;
+  graph_.record_event(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
+                      "plan.freeze");
+  result.frozen = true;
+  return result;
+}
+
+void IncrementalVerifier::thaw() {
+  const bool was_frozen = frozen();
+  armed_ = false;
+  clean_ = false;
+  if (!was_frozen) return;
+  ++stats_.thaws;
+  graph_.record_event(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
+                      "plan.thaw");
 }
 
 }  // namespace perpos::verify

@@ -458,6 +458,59 @@ plan freeze
   EXPECT_FALSE(bad.plan.has_value());
 }
 
+TEST(Config, SettingsRejectNonFiniteAndOutOfRangeNumbers) {
+  // Each line would otherwise store NaN/inf or cast a value no integer
+  // setting can hold.
+  const auto registry = make_registry();
+  core::ProcessingGraph graph;
+  const auto result = rt::assemble_from_config(R"(
+reconfig history=1e300
+reconfig tee_samples=inf
+budget * watermark=18446744073709551616
+budget * slo_us=nan
+health max_retries=4294967296
+health hold_s=-inf
+plan freeze=nan
+observe slo_us=inf
+)",
+                                               registry, graph);
+  ASSERT_EQ(result.errors.size(), 8u);
+  for (std::size_t i = 0; i < result.errors.size(); ++i) {
+    EXPECT_EQ(result.errors[i].rfind("line " + std::to_string(i + 2) + ": ",
+                                     0),
+              0u)
+        << result.errors[i];
+    EXPECT_NE(result.errors[i].find("bad number"), std::string::npos)
+        << result.errors[i];
+  }
+  EXPECT_FALSE(result.reconfig.has_value());
+  EXPECT_FALSE(result.budget_defaults.has_value());
+  EXPECT_FALSE(result.health.has_value());
+  EXPECT_FALSE(result.plan.has_value());
+  EXPECT_EQ(graph.observability_config(), nullptr);
+}
+
+TEST(Config, ExportedNumbersReadBackExactly) {
+  const auto registry = make_registry();
+  core::ProcessingGraph graph;
+  const auto first = rt::assemble_from_config(R"(
+health ack_timeout_ms=2147483648 stale_after_s=0.1234567890123
+budget * slo_us=123456789 burst=4
+)",
+                                              registry, graph);
+  ASSERT_TRUE(first.errors.empty()) << first.errors.front();
+  const std::string exported =
+      rt::export_config(graph, &*first.health, nullptr, nullptr, nullptr,
+                        nullptr, &*first.budget_defaults);
+  // Six digits where they suffice; all 17 only where they do not.
+  EXPECT_NE(exported.find(" burst=4 "), std::string::npos) << exported;
+  core::ProcessingGraph rebuilt;
+  const auto second = rt::assemble_from_config(exported, registry, rebuilt);
+  ASSERT_TRUE(second.errors.empty()) << second.errors.front();
+  EXPECT_EQ(second.health, first.health);
+  EXPECT_EQ(second.budget_defaults, first.budget_defaults);
+}
+
 TEST(Config, PlanRoundTripsThroughExport) {
   const auto registry = make_registry();
   core::ProcessingGraph graph;

@@ -450,12 +450,13 @@ TEST(Graph, DroppingComponentKeepsAtMostTheCapOfPendingInputs) {
   // A component that declares an output but drops its inputs (a filter
   // during an outage) keeps only the newest kMaxPendingInputs of them as
   // the provenance of its next emission, evicting the oldest half at a
-  // time and marking each eviction in the flight ring.
+  // time, marking each eviction in the flight ring and counting the
+  // evicted inputs in perpos_provenance_evicted_total.
   constexpr std::size_t kCap = core::ProcessingGraph::kMaxPendingInputs;
   constexpr int kDropped = 3 * static_cast<int>(kCap) + 7;
   core::ProcessingGraph g;
   perpos::obs::ObservabilityConfig cfg;
-  cfg.metrics = false;
+  cfg.metrics = true;
   cfg.recording = true;
   cfg.recorder_capacity = 1 << 15;  // Every event of the run stays.
   g.enable_observability(cfg);
@@ -497,6 +498,15 @@ TEST(Graph, DroppingComponentKeepsAtMostTheCapOfPendingInputs) {
   }
   // Evictions at delivery kCap + 1, then every kCap / 2 deliveries.
   EXPECT_EQ(marks, 5u);
+
+  const perpos::obs::MetricsSnapshot snap = g.metrics();
+  const auto* evicted = snap.find_counter("perpos_provenance_evicted_total",
+                                          "component",
+                                          std::to_string(filter));
+  ASSERT_NE(evicted, nullptr);
+  // Every input the filter received but its emission no longer cites.
+  EXPECT_EQ(evicted->value, kDropped + 1 - out.inputs->size());
+  EXPECT_EQ(evicted->value, marks * (kCap / 2));
 }
 
 TEST(Graph, SampleTimestampsComeFromClock) {

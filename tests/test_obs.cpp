@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -702,6 +703,54 @@ TEST(FlightRecorder, RingWraparoundKeepsNewestAndCountsDropped) {
   const auto merged = recorder.merged_events();
   ASSERT_EQ(merged.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(merged[i].a, 6u + i);
+}
+
+TEST(FlightRecorder, ConcurrentSnapshotsNeverReturnTornEvents) {
+  // One writer fills a small ring with self-checksummed events while a
+  // reader snapshots it in a loop: every event a snapshot returns must be
+  // whole (each word from the same record() call), and in record order.
+  constexpr std::uint64_t kEvents = 50000;
+  obs::FlightRecorder recorder(8);
+  const auto lane = recorder.add_lane("hot");
+  const auto event_for = [](std::uint64_t i) {
+    obs::FlightEvent e;
+    e.type = obs::FlightEventType::kEmit;
+    e.t_ns = i + 1;
+    e.a = i;
+    e.b = ~i * 0x9e3779b97f4a7c15ull;
+    e.component = static_cast<std::uint32_t>(i * 7);
+    e.set_detail("ev" + std::to_string(i));
+    return e;
+  };
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      recorder.record(lane, event_for(i));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::size_t snapshots = 0;
+  std::size_t checked = 0;
+  bool intact = true;
+  while (!done.load(std::memory_order_acquire) && intact) {
+    const auto events = recorder.merged_events();
+    ++snapshots;
+    for (std::size_t k = 0; k < events.size() && intact; ++k) {
+      const obs::FlightEvent want = event_for(events[k].a);
+      intact = events[k].t_ns == want.t_ns && events[k].b == want.b &&
+               events[k].component == want.component &&
+               std::string_view(events[k].detail) == want.detail &&
+               (k == 0 || events[k].a > events[k - 1].a);
+      ++checked;
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(intact) << "torn or reordered event after " << checked
+                      << " checked in " << snapshots << " snapshots";
+  EXPECT_GT(snapshots, 0u);
+  const auto final_events = recorder.merged_events();
+  ASSERT_EQ(final_events.size(), 8u);
+  EXPECT_EQ(final_events.back().a, kEvents - 1);
 }
 
 TEST(FlightRecorder, TriggerRecordsMarkAndInvokesHandler) {

@@ -5,9 +5,10 @@
 //    0/1/8 engine workers, metric counters, sentry counts, the flight
 //    recorder and seeded chaos runs — must match byte for byte, with and
 //    without the gate armed and with every observability knob on,
-//  - freeze() succeeds whatever the observability settings; a mutation
-//    re-verifies incrementally (PSL edits, LiveReconfigurator hot-swap,
-//    rollback(epoch) and tee promotion),
+//  - freeze() succeeds whatever the observability settings; a PSL edit
+//    re-verifies incrementally, and a LiveReconfigurator hot-swap,
+//    rollback(epoch), tee begin or tee promotion re-verifies once (the
+//    gate and the reconfigurator share the graph's one verifier),
 //  - provenance buffers outlive the graph and return to its pool from
 //    foreign threads, and feature mutation mid-dispatch is refused,
 //  - a seeded chaos property test (random mutation/traffic interleavings,
@@ -19,6 +20,7 @@
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/plan/graph_plan.hpp"
 #include "perpos/reconfig/live_reconfigurator.hpp"
+#include "perpos/verify/incremental.hpp"
 
 #include <gtest/gtest.h>
 
@@ -42,6 +44,7 @@ namespace exec = perpos::exec;
 namespace obs = perpos::obs;
 namespace plan = perpos::plan;
 namespace reconfig = perpos::reconfig;
+namespace verify = perpos::verify;
 
 namespace {
 
@@ -708,8 +711,9 @@ TEST(Plan, HotSwapRollbackAndTeeKeepGateVerified) {
   for (int i = 0; i < 5; ++i) rig.source->push(Tick{i});
   const std::uint64_t mutations_before = policy.stats().auto_thaws;
 
-  // Verified hot-swap: fence -> verify -> handoff -> commit. Every one of
-  // those graph mutations re-verifies; the gate is frozen after the commit.
+  // Verified hot-swap: fence -> verify -> handoff -> commit. The fence is
+  // one verify transaction: its mutations invalidate the gate's check, and
+  // the gate re-verifies once before the fence lifts.
   const auto swap = reconf.replace(rig.c_id, c_successor());
   ASSERT_TRUE(swap.ok()) << swap.error;
   engine.run_until_idle();
@@ -722,7 +726,7 @@ TEST(Plan, HotSwapRollbackAndTeeKeepGateVerified) {
   engine.run_until_idle();
   EXPECT_TRUE(policy.frozen()) << "verified after rollback";
 
-  // A/B tee: staging the shadow mutates the graph (re-verify), and the
+  // A/B tee: staging the shadow mutates the graph (one re-verify), and the
   // promotion goes through the normal verified swap.
   auto begun = reconf.begin_tee(rig.c_id, c_successor(), /*compare=*/{},
                                 /*quota=*/3);
@@ -750,6 +754,147 @@ TEST(Plan, HotSwapRollbackAndTeeKeepGateVerified) {
     twin.source->push(Tick{500 + i});
   }
   EXPECT_EQ(rig.transcript.str(), twin.transcript.str());
+}
+
+namespace {
+
+/// A relay whose local-coordinate frames are declared, so a successor
+/// emitting another frame is structurally installable but a PPV007 error.
+class FramedRelay final : public core::LambdaComponent,
+                          public core::FrameAware {
+ public:
+  FramedRelay(std::string input_frame, std::string output_frame)
+      : core::LambdaComponent(
+            "Framed",
+            std::vector<core::InputRequirement>{core::require<Tick>()},
+            std::vector<core::DataSpec>{core::provide<Tick>()},
+            [](const core::Sample& s, const core::ComponentContext& ctx) {
+              ctx.emit(s.payload);
+            }),
+        input_frame_(std::move(input_frame)),
+        output_frame_(std::move(output_frame)) {}
+
+  std::string input_frame() const override { return input_frame_; }
+  std::string output_frame() const override { return output_frame_; }
+
+ private:
+  std::string input_frame_;
+  std::string output_frame_;
+};
+
+}  // namespace
+
+TEST(Plan, EachFencedReconfigurationIsOneGateReverify) {
+  PlanRig rig(/*with_feature=*/false);
+  exec::ExecutionEngine engine(0);
+  const exec::LaneId lane = engine.create_lane();
+  plan::GraphPlan policy(rig.graph);
+  reconfig::LiveReconfigurator reconf(rig.graph, engine, lane);
+  ASSERT_TRUE(policy.freeze().frozen);
+  const auto freezes = [&policy] { return policy.stats().freezes; };
+
+  std::uint64_t before = freezes();
+  ASSERT_TRUE(reconf.replace(rig.c_id, c_successor()).ok());
+  EXPECT_EQ(freezes(), before + 1) << "replace";
+  EXPECT_TRUE(policy.frozen());
+
+  before = freezes();
+  ASSERT_TRUE(reconf.rollback(0).ok());
+  EXPECT_EQ(freezes(), before + 1) << "rollback";
+  EXPECT_TRUE(policy.frozen());
+
+  before = freezes();
+  ASSERT_EQ(reconf.begin_tee(rig.c_id, c_successor(), {}, 2).outcome,
+            reconfig::SwapOutcome::kTeeing);
+  EXPECT_EQ(freezes(), before + 1) << "begin_tee";
+  EXPECT_TRUE(policy.frozen());
+
+  // A poll that only compares mutates nothing and verifies nothing.
+  before = freezes();
+  ASSERT_EQ(reconf.poll_tee().outcome, reconfig::SwapOutcome::kTeeing);
+  EXPECT_EQ(freezes(), before);
+
+  for (int i = 0; i < 2; ++i) rig.source->push(Tick{i});
+  before = freezes();
+  ASSERT_TRUE(reconf.poll_tee().ok());
+  EXPECT_EQ(freezes(), before + 1) << "poll_tee promotion";
+  EXPECT_TRUE(policy.frozen());
+  EXPECT_EQ(policy.stats().refreeze_failures, 0u);
+
+  // Outside a fence, each PSL edit still re-verifies at once.
+  before = freezes();
+  rig.graph.disconnect(rig.c_id, rig.sink_id);
+  rig.graph.connect(rig.c_id, rig.sink_id);
+  EXPECT_EQ(freezes(), before + 2);
+
+  // Without auto-refreeze a swap leaves the gate armed but unverified.
+  policy.verifier().set_auto_refreeze(false);
+  before = freezes();
+  ASSERT_TRUE(reconf.replace(rig.c_id, c_successor()).ok());
+  EXPECT_EQ(freezes(), before);
+  EXPECT_TRUE(policy.armed());
+  EXPECT_FALSE(policy.frozen());
+  EXPECT_TRUE(policy.freeze().frozen);
+}
+
+TEST(Plan, VerifierRejectedSwapKeepsIncumbentAndGateFrozen) {
+  core::ProcessingGraph graph;
+  const auto src = graph.add(tick_source());
+  const auto emitter = graph.add(std::make_shared<FramedRelay>("", "siteA"));
+  const auto reader = graph.add(std::make_shared<FramedRelay>("siteA", ""));
+  graph.connect(src, emitter);
+  graph.connect(emitter, reader);
+  exec::ExecutionEngine engine(0);
+  const exec::LaneId lane = engine.create_lane();
+  reconfig::LiveReconfigurator reconf(graph, engine, lane);
+  plan::GraphPlan policy(graph);
+  ASSERT_TRUE(policy.freeze().frozen);
+  const auto incumbent = graph.component_ptr(emitter);
+  const verify::GateStats before = policy.stats();
+
+  const auto swap =
+      reconf.replace(emitter, std::make_shared<FramedRelay>("", "siteB"));
+  EXPECT_EQ(swap.outcome, reconfig::SwapOutcome::kRejected) << swap.error;
+  EXPECT_FALSE(swap.report.by_rule("PPV007").empty());
+  EXPECT_EQ(graph.component_ptr(emitter), incumbent);
+  EXPECT_EQ(graph.epoch(), 0u);
+  // The staged successor was verified (and refused) inside the fence; the
+  // gate only ever saw the restored incumbent.
+  EXPECT_TRUE(policy.frozen());
+  EXPECT_EQ(policy.stats().freezes, before.freezes + 1);
+  EXPECT_EQ(policy.stats().refreeze_failures, before.refreeze_failures);
+}
+
+TEST(Plan, GateAndReconfiguratorShareOneVerifierInEitherOrder) {
+  for (const bool gate_first : {true, false}) {
+    SCOPED_TRACE(gate_first ? "gate first" : "reconfigurator first");
+    PlanRig rig(/*with_feature=*/false);
+    exec::ExecutionEngine engine(0);
+    const exec::LaneId lane = engine.create_lane();
+    std::optional<plan::GraphPlan> policy;
+    std::optional<reconfig::LiveReconfigurator> reconf;
+    if (gate_first) policy.emplace(rig.graph);
+    reconf.emplace(rig.graph, engine, lane);
+    if (!gate_first) policy.emplace(rig.graph);
+
+    const std::shared_ptr<verify::IncrementalVerifier> shared =
+        verify::IncrementalVerifier::of(rig.graph);
+    EXPECT_EQ(&policy->verifier(), shared.get());
+    // The gate, the reconfigurator and this lookup hold the one verifier.
+    EXPECT_EQ(shared.use_count(), 3);
+
+    ASSERT_TRUE(policy->freeze().frozen);
+    const std::uint64_t before = policy->stats().freezes;
+    ASSERT_TRUE(reconf->replace(rig.c_id, c_successor()).ok());
+    EXPECT_EQ(policy->stats().freezes, before + 1);
+
+    // The verifier outlives whichever handle goes first.
+    policy.reset();
+    EXPECT_EQ(shared.use_count(), 2);
+    EXPECT_TRUE(shared->frozen());
+    ASSERT_TRUE(reconf->replace(rig.c_id, c_successor()).ok());
+    EXPECT_EQ(shared->stats().freezes, before + 2);
+  }
 }
 
 // --- Chaos property test -----------------------------------------------------

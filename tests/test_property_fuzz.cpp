@@ -1,6 +1,7 @@
 // Property and fuzz tests: randomized (but seeded, deterministic)
 // workloads checking structural invariants of the graph engine, parser
-// robustness against arbitrary bytes, and codec totality.
+// robustness against arbitrary bytes, codec totality, and the config
+// parser against mutated example configs.
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
@@ -8,15 +9,25 @@
 #include "perpos/core/graph.hpp"
 #include "perpos/nmea/generate.hpp"
 #include "perpos/nmea/stream_parser.hpp"
+#include "perpos/runtime/config.hpp"
 #include "perpos/runtime/payload_codec.hpp"
 #include "perpos/sim/random.hpp"
 
+#include "standard_registry.hpp"
+
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace core = perpos::core;
 namespace nmea = perpos::nmea;
+namespace rt = perpos::runtime;
 namespace sim = perpos::sim;
 
 namespace {
@@ -263,3 +274,249 @@ TEST_P(CodecFuzz, EncodeDecodeIsStableUnderRandomFixes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(5, 55, 555));
+
+// --- Config parser -----------------------------------------------------------
+
+namespace {
+
+std::vector<std::string> example_configs() {
+  std::vector<std::string> out;
+  for (const char* name :
+       {"gps_pipeline.conf", "wifi_room.conf", "distributed_gps.conf",
+        "fleet_budget.conf", "broken_pipeline.conf", "broken-lanes.cfg",
+        "broken-budget.cfg"}) {
+    std::ifstream in(std::string(PERPOS_CONFIG_DIR) + "/" + name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    out.push_back(text.str());
+  }
+  return out;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream in(line);
+  for (std::string token; in >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (const std::string& part : parts) {
+    if (!out.empty()) out += sep;
+    out += part;
+  }
+  return out;
+}
+
+/// Numbers no setting can hold, or that stod reads oddly.
+const std::vector<std::string> kOddNumbers = {
+    "1e309", "-1",  "1e300", "nan",     "inf",  "-inf", "-0",    "0x10",
+    "1e-320", "18446744073709551616", "2147483648", "0.1234567890123",
+    "123456789", "1..2", "5..1", "0..0", ""};
+
+const std::vector<std::pair<std::string, std::vector<std::string>>>
+    kSettingKeys = {
+        {"plan", {"freeze", "auto_refreeze", "thaw"}},
+        {"reconfig",
+         {"verify", "history", "tee_samples", "probation_checks", "teeth"}},
+        {"budget *", {"source_rate", "burst", "watermark", "slo_us", "rate"}},
+        {"health", {"stale_after_s", "max_retries", "ack_timeout_ms", "x"}},
+};
+
+/// One to three random edits of `text`: a dropped or duplicated token,
+/// random bytes, an out-of-range number, or a plan/reconfig/budget/health
+/// line (often with an unknown key or an odd value).
+std::string mutate(const std::string& text, sim::Random& random) {
+  std::vector<std::string> lines = split_lines(text);
+  const auto pick = [&random](std::size_t n) {
+    return static_cast<std::size_t>(
+        random.uniform_int(0, static_cast<int>(n) - 1));
+  };
+  const int edits = random.uniform_int(1, 3);
+  for (int e = 0; e < edits; ++e) {
+    if (lines.empty()) lines.emplace_back();
+    std::string& line = lines[pick(lines.size())];
+    std::vector<std::string> tokens = split_tokens(line);
+    switch (random.uniform_int(0, 5)) {
+      case 0:  // Drop a token.
+        if (!tokens.empty()) tokens.erase(tokens.begin() + pick(tokens.size()));
+        line = join(tokens, ' ');
+        break;
+      case 1:  // Duplicate a token in place.
+        if (!tokens.empty()) {
+          const std::size_t i = pick(tokens.size());
+          tokens.insert(tokens.begin() + i, tokens[i]);
+        }
+        line = join(tokens, ' ');
+        break;
+      case 2: {  // Overwrite a span with random bytes.
+        const int n = random.uniform_int(1, 8);
+        const std::size_t at = line.empty() ? 0 : pick(line.size());
+        std::string junk;
+        for (int i = 0; i < n; ++i) {
+          junk.push_back(static_cast<char>(random.uniform_int(0, 255)));
+        }
+        line.replace(at, std::min<std::size_t>(junk.size(), line.size() - at),
+                     junk);
+        break;
+      }
+      case 3: {  // An odd number in place of a value.
+        if (tokens.empty()) break;
+        std::string& token = tokens[pick(tokens.size())];
+        const std::size_t eq = token.find('=');
+        const std::string& odd = kOddNumbers[pick(kOddNumbers.size())];
+        token = eq == std::string::npos ? odd : token.substr(0, eq + 1) + odd;
+        line = join(tokens, ' ');
+        break;
+      }
+      default: {  // A settings line, values valid or odd, keys known or not.
+        const auto& [verb, keys] = kSettingKeys[pick(kSettingKeys.size())];
+        std::string added = verb;
+        const int n = random.uniform_int(0, 3);
+        for (int i = 0; i < n; ++i) {
+          const std::string value =
+              random.uniform_int(0, 2) == 0
+                  ? kOddNumbers[pick(kOddNumbers.size())]
+                  : std::to_string(random.uniform_int(0, 4)) + "." +
+                        std::to_string(random.uniform_int(0, 99));
+          added += " " + keys[pick(keys.size())] + "=" + value;
+        }
+        lines.insert(lines.begin() + pick(lines.size() + 1), added);
+        break;
+      }
+    }
+  }
+  return join(lines, '\n') + "\n";
+}
+
+/// Wraps the tools' standard registry and remembers which kind and
+/// arguments built each component kind() name, so an export (which names
+/// kinds by kind()) re-assembles to the same components.
+struct KindMemo {
+  std::map<std::string, std::pair<std::string, std::vector<std::string>>>
+      by_kind;
+  bool ambiguous = false;
+};
+
+rt::ComponentFactoryRegistry recording_registry(
+    const rt::ComponentFactoryRegistry& standard, KindMemo& memo) {
+  rt::ComponentFactoryRegistry registry;
+  for (const std::string& kind : standard.kinds()) {
+    registry.register_kind(
+        kind, [&standard, &memo, kind](const std::vector<std::string>& args) {
+          auto component = standard.create(kind, args);
+          const auto [it, inserted] = memo.by_kind.try_emplace(
+              std::string(component->kind()), kind, args);
+          if (!inserted && it->second != std::make_pair(kind, args)) {
+            memo.ambiguous = true;
+          }
+          return component;
+        });
+  }
+  return registry;
+}
+
+rt::ComponentFactoryRegistry replay_registry(
+    const rt::ComponentFactoryRegistry& standard, const KindMemo& memo) {
+  rt::ComponentFactoryRegistry registry;
+  for (const auto& [name, recipe] : memo.by_kind) {
+    registry.register_kind(name, [&standard, recipe = recipe](const auto&) {
+      return standard.create(recipe.first, recipe.second);
+    });
+  }
+  return registry;
+}
+
+/// export_config of an assembled config, its settings keyed by id.
+std::string export_assembled(const core::ProcessingGraph& graph,
+                             const rt::ConfigResult& result) {
+  std::map<std::string, core::ComponentId> ids;
+  for (const auto& [name, id] : result.report.instantiated) ids[name] = id;
+  std::map<core::ComponentId, std::string> hosts;
+  for (const auto& [name, host] : result.hosts) hosts[ids.at(name)] = host;
+  std::map<core::ComponentId, std::string> lanes;
+  for (const auto& [name, lane] : result.lanes) lanes[ids.at(name)] = lane;
+  std::map<core::ComponentId, rt::BudgetAnnotation> budgets;
+  for (const auto& [name, budget] : result.budgets) {
+    budgets[ids.at(name)] = budget;
+  }
+  const auto ptr = [](const auto& optional) {
+    return optional.has_value() ? &*optional : nullptr;
+  };
+  return rt::export_config(graph, ptr(result.health), &hosts, &lanes,
+                           ptr(result.reconfig), &budgets,
+                           ptr(result.budget_defaults), ptr(result.plan));
+}
+
+}  // namespace
+
+class ConfigFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ConfigFuzz, MutatedExampleConfigsReportPerLineAndRoundTrip) {
+  sim::Random random(GetParam());
+  perpos::tools::Fixtures fixtures;
+  const rt::ComponentFactoryRegistry standard =
+      perpos::tools::standard_registry(fixtures);
+  const std::vector<std::string> configs = example_configs();
+  std::size_t accepted = 0;
+  for (int round = 0; round < 150; ++round) {
+    const std::string& base = configs[static_cast<std::size_t>(
+        random.uniform_int(0, static_cast<int>(configs.size()) - 1))];
+    ASSERT_FALSE(base.empty());
+    const std::string text = mutate(base, random);
+    SCOPED_TRACE("config:\n" + text);
+    const std::size_t line_count = split_lines(text).size();
+
+    KindMemo memo;
+    const rt::ComponentFactoryRegistry recording =
+        recording_registry(standard, memo);
+    core::ProcessingGraph graph;
+    rt::ConfigResult result;
+    ASSERT_NO_THROW(result = rt::assemble_from_config(text, recording, graph));
+    for (const std::string& error : result.errors) {
+      std::size_t line = 0;
+      std::size_t used = 0;
+      ASSERT_EQ(error.rfind("line ", 0), 0u) << error;
+      ASSERT_NO_THROW(line = std::stoul(error.substr(5), &used)) << error;
+      EXPECT_EQ(error.substr(5 + used, 2), ": ") << error;
+      EXPECT_GE(line, 1u) << error;
+      EXPECT_LE(line, line_count) << error;
+    }
+    if (!result.ok() || memo.ambiguous) continue;
+    ++accepted;
+
+    // An accepted config exports, re-parses and exports again unchanged,
+    // with every setting equal.
+    const std::string exported = export_assembled(graph, result);
+    const rt::ComponentFactoryRegistry replay = replay_registry(standard, memo);
+    core::ProcessingGraph rebuilt;
+    rt::ConfigResult again;
+    ASSERT_NO_THROW(again =
+                        rt::assemble_from_config(exported, replay, rebuilt));
+    ASSERT_TRUE(again.errors.empty())
+        << again.errors.front() << "\nexported:\n" << exported;
+    EXPECT_EQ(export_assembled(rebuilt, again), exported);
+    EXPECT_EQ(again.health, result.health);
+    EXPECT_EQ(again.reconfig, result.reconfig);
+    EXPECT_EQ(again.plan, result.plan);
+    EXPECT_EQ(again.budget_defaults, result.budget_defaults);
+    EXPECT_EQ(again.budgets.size(), result.budgets.size());
+    EXPECT_EQ(again.hosts.size(), result.hosts.size());
+    EXPECT_EQ(again.lanes.size(), result.lanes.size());
+    EXPECT_EQ(rebuilt.components().size(), graph.components().size());
+  }
+  // Some mutants are harmless (a comment edit, a valid settings line), so
+  // the round trip is exercised on every seed.
+  EXPECT_GT(accepted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzz,
+                         ::testing::Values(3, 31, 314, 3141, 31415));

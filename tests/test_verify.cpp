@@ -1372,11 +1372,11 @@ TEST(Incremental, FullPassMatchesPlainVerify) {
   g.connect(src, sink);
   g.add(make_sink<V1>("Starved"));  // Independent, deliberately broken.
 
-  vfy::IncrementalVerifier iv(g);
-  const vfy::Report incremental = iv.full();
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  const vfy::Report incremental = iv->full();
   EXPECT_EQ(verdicts(incremental), verdicts(vfy::verify(g)));
-  EXPECT_EQ(iv.nodes_visited(), 3u);
-  EXPECT_EQ(iv.components_visited(), 2u);
+  EXPECT_EQ(iv->nodes_visited(), 3u);
+  EXPECT_EQ(iv->components_visited(), 2u);
 }
 
 TEST(Incremental, CleanRecheckReplaysCacheWithoutVisiting) {
@@ -1386,13 +1386,13 @@ TEST(Incremental, CleanRecheckReplaysCacheWithoutVisiting) {
   g.connect(src, sink);
   g.add(make_sink<V1>("Starved"));
 
-  vfy::IncrementalVerifier iv(g);
-  const vfy::Report first = iv.full();
-  const vfy::Report second = iv.recheck();
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  const vfy::Report first = iv->full();
+  const vfy::Report second = iv->recheck();
   EXPECT_EQ(verdicts(first), verdicts(second));
   // Nothing mutated: every component replays from cache.
-  EXPECT_EQ(iv.nodes_visited(), 0u);
-  EXPECT_EQ(iv.components_visited(), 0u);
+  EXPECT_EQ(iv->nodes_visited(), 0u);
+  EXPECT_EQ(iv->components_visited(), 0u);
 }
 
 TEST(Incremental, RecheckAfterInsertVisitsOnlyTheDirtySubgraph) {
@@ -1405,18 +1405,18 @@ TEST(Incremental, RecheckAfterInsertVisitsOnlyTheDirtySubgraph) {
   const auto sink_b = g.add(make_sink<V1>("AppB"));
   g.connect(src_b, sink_b);
 
-  vfy::IncrementalVerifier iv(g);
-  iv.full();
-  EXPECT_EQ(iv.nodes_visited(), 4u);
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  iv->full();
+  EXPECT_EQ(iv->nodes_visited(), 4u);
 
   // The PSL-style adaptation: splice a filter into pipeline A's edge.
   const auto filter = g.add(make_transform<V0, V0>("Filter"));
   g.insert_between(filter, src_a, sink_a);
 
-  const vfy::Report after = iv.recheck();
+  const vfy::Report after = iv->recheck();
   // Only pipeline A (now 3 nodes) was analyzed; pipeline B replayed.
-  EXPECT_EQ(iv.components_visited(), 1u);
-  EXPECT_EQ(iv.nodes_visited(), 3u);
+  EXPECT_EQ(iv->components_visited(), 1u);
+  EXPECT_EQ(iv->nodes_visited(), 3u);
   // ...and the verdicts are exactly a full re-verification's.
   EXPECT_EQ(verdicts(after), verdicts(vfy::verify(g)));
 }
@@ -1435,14 +1435,14 @@ TEST(Incremental, FeatureDetachDirtiesTheHostComponent) {
   g.attach_feature(src, std::make_shared<TestFeature>(
                             "Smoother", std::vector<std::string>{"Outliers"}));
 
-  vfy::IncrementalVerifier iv(g);
-  EXPECT_TRUE(iv.full().by_rule("PPV015").empty());
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  EXPECT_TRUE(iv->full().by_rule("PPV015").empty());
 
   g.detach_feature(src, "Outliers");
-  const vfy::Report after = iv.recheck();
+  const vfy::Report after = iv->recheck();
   ASSERT_EQ(after.by_rule("PPV015").size(), 1u);
-  EXPECT_EQ(iv.components_visited(), 1u);
-  EXPECT_EQ(iv.nodes_visited(), 2u);
+  EXPECT_EQ(iv->components_visited(), 1u);
+  EXPECT_EQ(iv->nodes_visited(), 2u);
   EXPECT_EQ(verdicts(after), verdicts(vfy::verify(g)));
 }
 
@@ -1460,12 +1460,13 @@ TEST(Incremental, NonLocalRulesStillRunOnCleanComponents) {
   vfy::Options options;
   for (const auto id : sinks) options.lanes.emplace(id, "hot");
 
-  vfy::IncrementalVerifier iv(g, options);
-  EXPECT_EQ(iv.full().by_rule("PPV014").size(), 1u);
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  iv->set_options(options);
+  EXPECT_EQ(iv->full().by_rule("PPV014").size(), 1u);
   // No mutations: everything replays, yet the lane total still fires.
-  const vfy::Report again = iv.recheck();
+  const vfy::Report again = iv->recheck();
   EXPECT_EQ(again.by_rule("PPV014").size(), 1u);
-  EXPECT_EQ(iv.nodes_visited(), 0u);
+  EXPECT_EQ(iv->nodes_visited(), 0u);
 }
 
 // --- PPQ quantitative budget rules -------------------------------------------
@@ -1541,7 +1542,8 @@ TEST(BudgetRules, QueueBoundGatedOnWatermark) {
   // Unwatermarked: PPQ002 has nothing to check against.
   EXPECT_TRUE(vfy::verify(g, options).by_rule("PPQ002").empty());
   options.budget.queue_watermark = 8;
-  const auto findings = vfy::verify(g, options).by_rule("PPQ002");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ002");
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kWarning);
   options.budget.queue_watermark = 4096;
@@ -1560,7 +1562,8 @@ TEST(BudgetRules, InfeasibleLatencySloIsError) {
   slow.cost_us = 9000.0;
   options.budget.annotations.emplace(mid, slow);
   options.budget.latency_slo_us = 5000.0;
-  const auto findings = vfy::verify(g, options).by_rule("PPQ003");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ003");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kError);
   // Anchored at the path's sink, where the latency is owed.
@@ -1585,7 +1588,8 @@ TEST(BudgetRules, RateStarvedSinkIsWarning) {
   vfy::BudgetAnnotation need;
   need.min_rate_hz = 2.0;
   options.budget.annotations.emplace(sink, need);
-  const auto findings = vfy::verify(g, options).by_rule("PPQ004");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ004");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kWarning);
   EXPECT_EQ(findings[0]->component, sink);
@@ -1609,7 +1613,8 @@ TEST(BudgetRules, CriticalFeedbackGainIsError) {
   model.edges.push_back({2, 1});
   vfy::Options options;
   options.budget.queue_watermark = 64;
-  const auto findings = vfy::verify_model(model, options).by_rule("PPQ005");
+  const vfy::Report report = vfy::verify_model(model, options);
+  const auto findings = report.by_rule("PPQ005");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kError);
   // A damped loop (gain < 1) has a finite geometric bound: clean.
@@ -1660,19 +1665,19 @@ TEST(Incremental, BudgetAnnotationDirtiesOnlyTheAnnotatedComponent) {
   const auto sink_b = g.add(make_sink<V1>("AppB"));
   g.connect(src_b, sink_b);
 
-  vfy::IncrementalVerifier iv(g);
-  EXPECT_TRUE(iv.full().by_rule("PPQ004").empty());
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  EXPECT_TRUE(iv->full().by_rule("PPQ004").empty());
 
   // Demand more rate than the default 1 Hz source supplies.
   vfy::BudgetAnnotation need;
   need.min_rate_hz = 5.0;
-  iv.annotate_budget(sink_a, need);
-  const vfy::Report after = iv.recheck();
+  iv->annotate_budget(sink_a, need);
+  const vfy::Report after = iv->recheck();
   ASSERT_EQ(after.by_rule("PPQ004").size(), 1u);
   EXPECT_EQ(after.by_rule("PPQ004")[0]->component, sink_a);
   // Only pipeline A was re-analyzed; pipeline B replayed from cache.
-  EXPECT_EQ(iv.components_visited(), 1u);
-  EXPECT_EQ(iv.nodes_visited(), 2u);
+  EXPECT_EQ(iv->components_visited(), 1u);
+  EXPECT_EQ(iv->nodes_visited(), 2u);
 
   // The incremental verdicts match a from-scratch verification with the
   // same annotations.
@@ -1699,12 +1704,13 @@ TEST(Incremental, LanePPQRulesRunViaTheNonLocalPath) {
   cost.cost_us = 1500.0;
   options.budget.annotations.emplace(sink, cost);
 
-  vfy::IncrementalVerifier iv(g, options);
-  EXPECT_EQ(iv.full().by_rule("PPQ001").size(), 1u);
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  iv->set_options(options);
+  EXPECT_EQ(iv->full().by_rule("PPQ001").size(), 1u);
   // No mutations: everything replays, yet the lane total still fires.
-  const vfy::Report again = iv.recheck();
+  const vfy::Report again = iv->recheck();
   EXPECT_EQ(again.by_rule("PPQ001").size(), 1u);
-  EXPECT_EQ(iv.nodes_visited(), 0u);
+  EXPECT_EQ(iv->nodes_visited(), 0u);
 }
 
 TEST(Incremental, CostAnnotationFlipsTheLaneVerdictOnRecheck) {
@@ -1722,11 +1728,12 @@ TEST(Incremental, CostAnnotationFlipsTheLaneVerdictOnRecheck) {
   rate.rate_lo_hz = rate.rate_hi_hz = 2000.0;
   options.budget.annotations.emplace(src, rate);
 
-  vfy::IncrementalVerifier iv(g, options);
-  EXPECT_TRUE(iv.full().by_rule("PPQ001").empty());
+  const auto iv = vfy::IncrementalVerifier::of(g);
+  iv->set_options(options);
+  EXPECT_TRUE(iv->full().by_rule("PPQ001").empty());
 
   vfy::BudgetAnnotation cost;
   cost.cost_us = 1500.0;  // Profiler said: 1.5 ms per sample.
-  iv.annotate_budget(sink, cost);
-  EXPECT_EQ(iv.recheck().by_rule("PPQ001").size(), 1u);
+  iv->annotate_budget(sink, cost);
+  EXPECT_EQ(iv->recheck().by_rule("PPQ001").size(), 1u);
 }
