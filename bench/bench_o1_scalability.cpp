@@ -20,6 +20,7 @@
 #include "perpos/core/graph.hpp"
 #include "perpos/exec/engine.hpp"
 #include "perpos/fusion/metrics.hpp"
+#include "perpos/sanitize/sanitizer.hpp"
 
 #include "bench_metrics.hpp"
 
@@ -136,32 +137,33 @@ void BM_PipelineDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-/// Same pipeline with observability on: range(1) selects the level
-/// (1 = metrics, 2 = +timing, 3 = +recording).
+/// Same pipeline with observers on: range(1) selects the level, each adding
+/// one (1 = metrics, 2 = +timing, 3 = +recording, 4 = +latency,
+/// 5 = +sanitizer).
 void BM_PipelineDepthObserved(benchmark::State& state) {
+  static const char* const kLabels[] = {
+      "", "metrics", "metrics+timing", "metrics+timing+recording",
+      "metrics+timing+recording+latency",
+      "metrics+timing+recording+latency+sanitizer"};
   ChainRig rig(static_cast<int>(state.range(0)));
   obs::ObservabilityConfig cfg;
   cfg.metrics = true;
   cfg.timing = state.range(1) >= 2;
   cfg.recording = state.range(1) >= 3;
+  cfg.latency = state.range(1) >= 4;
   rig.graph.enable_observability(cfg);
+  sanitize::GraphSanitizer sanitizer;
+  if (state.range(1) >= 5) sanitizer.attach(rig.graph);
   int i = 0;
   for (auto _ : state) {
     rig.source->push(Value{i++});
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
-  state.SetLabel(state.range(1) == 1   ? "metrics"
-                 : state.range(1) == 2 ? "metrics+timing"
-                                       : "metrics+timing+recording");
+  state.SetLabel(kLabels[state.range(1)]);
 }
 BENCHMARK(BM_PipelineDepthObserved)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 3})
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 3});
+    ->ArgsProduct({{16, 64}, {1, 2, 3, 4, 5}});
 
 void BM_FanOutWidth(benchmark::State& state) {
   FanRig rig(static_cast<int>(state.range(0)));

@@ -132,10 +132,10 @@ class Channel {
 /// channel features (which survive structural changes and are re-bound to
 /// the new channel end-points), and the per-channel output tracking that
 /// powers time-scoped feature access.
-class ChannelManager {
+class ChannelManager : private GraphObserver {
  public:
   explicit ChannelManager(ProcessingGraph& graph);
-  ~ChannelManager();
+  ~ChannelManager() override;
 
   ChannelManager(const ChannelManager&) = delete;
   ChannelManager& operator=(const ChannelManager&) = delete;
@@ -169,12 +169,12 @@ class ChannelManager {
   using ChannelKey = std::pair<ComponentId, ComponentId>;  // (source, sink)
 
   void refresh();
+  void on_mutation(const GraphMutation& mutation) override;
 
   ProcessingGraph& graph_;
   std::uint64_t seen_revision_ = ~0ull;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::map<ChannelKey, std::shared_ptr<detail::ChannelRecord>> records_;
-  std::size_t observer_token_ = 0;
   bool refreshing_ = false;
 };
 

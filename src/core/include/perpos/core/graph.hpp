@@ -2,13 +2,12 @@
 
 #include "perpos/core/component.hpp"
 #include "perpos/core/feature.hpp"
-#include "perpos/core/sentry.hpp"
+#include "perpos/core/observer.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/metrics.hpp"
 #include "perpos/sim/clock.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,11 +33,14 @@
 /// There is one executor: emit and deliver run directly over the graph's
 /// own per-component records, so a mutation is in effect for the very next
 /// emission — no lowered copy of the structure exists that could go stale.
-/// Two fast paths keep the common hop cheap without a second dispatcher: a
-/// featureless single-consumer emission builds its sample in place in the
-/// dispatch-stack slot, and a delivery nobody observes per hop (no consume
-/// hooks, no sentry, no timing / latency) consumes that slot in place,
-/// moving the sample straight into the consumer's pending inputs.
+/// One delivery routine serves every hop: a featureless single-consumer
+/// emission builds its sample in place in the dispatch-stack slot, and a
+/// delivery to a consumer without consume hooks consumes that slot in
+/// place, moving the sample straight into the consumer's pending inputs.
+/// Only consume hooks, which may emit onto the stack, make a delivery pop
+/// its slot first. Instrumentation never picks the path: metrics, timing,
+/// latency, the flight feed and the sanitizer are GraphObservers told what
+/// happened (see observer.hpp).
 /// Provenance buffers count their own references and return to the
 /// graph's ProvenancePool on their last release, from any thread (see
 /// provenance.hpp). A returned buffer is cleared only when it is reused or
@@ -224,34 +226,29 @@ class ProcessingGraph {
   /// layer at commit points; harmless (but meaningless) elsewhere.
   std::uint64_t advance_epoch() noexcept { return ++epoch_; }
 
-  /// Register a mutation observer, invoked after every mutation with what
-  /// happened (see GraphMutation): structural changes and feature
-  /// attach/detach. The Channel layer uses it to keep its derived view
-  /// causally connected, the incremental verifier to mark dirty regions at
-  /// O(delta). Observers run in registration order. Returns a token for
-  /// remove_mutation_observer.
-  std::size_t add_mutation_observer(
-      std::function<void(const GraphMutation&)> observer);
-  void remove_mutation_observer(std::size_t token);
-
-  /// Install the dispatch sentry (the runtime sanitizer seam; see
-  /// sentry.hpp). At most one sentry at a time; nullptr detaches. The
-  /// sentry must stay valid until detached or the graph is destroyed.
-  /// When none is installed the dispatch path pays one null check.
-  void set_sentry(GraphSentry* sentry) noexcept;
-  GraphSentry* sentry() const noexcept { return sentry_; }
+  /// Register `observer`: on_mutation after every mutation (structural
+  /// changes and feature attach/detach), plus the GraphObserver::Events in
+  /// `events`. Observers run in registration order. A callback may add or
+  /// remove observers, itself included: a removed one is not called again,
+  /// an added one hears from the next event on. The observer must stay
+  /// valid until removed or the graph dies. Throws std::invalid_argument
+  /// when `observer` is already registered.
+  void add_observer(GraphObserver& observer,
+                    unsigned events = GraphObserver::kMutations);
+  void remove_observer(GraphObserver& observer) noexcept;
+  bool has_observer(const GraphObserver& observer) const noexcept;
 
   const sim::Clock* clock() const noexcept { return clock_; }
 
   // --- Observability -------------------------------------------------------
   //
-  // When enabled, the graph records per-component runtime behaviour into an
-  // obs::MetricsRegistry (samples emitted / delivered / rejected, hook
-  // vetoes, on_input and feature-hook wall-time histograms) and — with
-  // `recording` on — every emit and deliver into a flight ring, whose
+  // When enabled, the graph registers two GraphObservers: one records
+  // per-component runtime behaviour into an obs::MetricsRegistry (samples
+  // emitted / delivered / rejected, hook vetoes, on_input and feature-hook
+  // wall-time histograms, end-to-end latency), the other — with
+  // `recording` on — feeds every emit and deliver into a flight ring, whose
   // Chrome trace links each delivery to its emission along the provenance
-  // chain. When disabled (the default) the dispatch path pays a single
-  // null-pointer check.
+  // chain. When disabled (the default) neither is registered.
 
   /// Start (or reconfigure) observability. Metrics accumulated so far are
   /// kept when called repeatedly. Rejected during dispatch.
@@ -311,7 +308,8 @@ class ProcessingGraph {
 
  private:
   struct Entry;
-  struct Obs;
+  class MetricsObserver;
+  class FlightFeed;
 
   /// One queued delivery: `sample` waiting to enter `consumer`.
   struct PendingDelivery {
@@ -319,31 +317,33 @@ class ProcessingGraph {
     ComponentId consumer;
   };
 
+  struct ObserverSlot {
+    GraphObserver* observer;  ///< Null: a tombstone.
+    unsigned events;
+  };
+
   Entry& entry(ComponentId id);
   const Entry& entry(ComponentId id) const;
   bool would_cycle(ComponentId producer, ComponentId consumer) const;
-  /// The instrumented delivery: consume hooks, sentry, timing and
-  /// latency. Takes the sample popped off the dispatch stack.
-  void deliver(Sample&& sample, ComponentId consumer);
-  /// The lean delivery of the dispatch-stack top to `c` (see
-  /// drain_dispatch_stack() for when it applies).
-  void deliver_top(Entry& c);
+  /// Deliver the top of the dispatch stack to `c` (its consumer). The
+  /// slot is consumed in place unless `c` has consume hooks, which may
+  /// emit onto the stack: then the sample is popped into a local first.
+  void deliver(Entry& c);
+  /// Run `e`'s produce or consume hooks on `sample` (timed for timing
+  /// observers); false when one vetoed it. A hook may modify the sample
+  /// but not its data type.
+  bool run_hooks(Entry& e, ComponentId host, Sample& sample, bool produce);
   /// Fill `sample` for an emission from `e`: logical time, provenance,
   /// produce hooks and emit bookkeeping. False when a hook vetoed it.
   bool stamp_emission(Entry& e, ComponentId producer, Sample& sample,
                       Payload&& payload, OriginId origin);
-  void count_rejection(Entry& c, ComponentId consumer);
-  void count_delivery(Entry& c, ComponentId consumer, const Sample& sample);
   /// Add an accepted sample to `c`'s pending inputs (moved in or copied,
   /// evicting the oldest half when full) and return the instance on_input
   /// should see.
   const Sample& keep_pending(Entry& c, ComponentId consumer, Sample& sample,
                              bool move);
-  /// Whether `c`'s input may move into its pending inputs: every emission
-  /// of its on_input then stays queued, keeping the claimed batch alive.
-  static bool pending_owns_input(const Entry& c) noexcept;
   /// Run on_input with current_input set, restoring it and the frame base
-  /// afterwards (also on a throw, which is recorded as a flight event).
+  /// afterwards (also on a throw, which observers hear about).
   void invoke_on_input(Entry& c, ComponentId consumer, const Sample& input,
                        std::size_t saved_frame_base);
   /// Push deliveries of `sample` to every consumer of `e` onto the work
@@ -356,30 +356,30 @@ class ProcessingGraph {
   /// (pending inputs, or the in-flight input as fallback).
   void stamp_provenance(Entry& e, Sample& sample);
   void check_not_dispatching(const char* op) const;
-  /// Cold half of flight-event recording; callers gate on
-  /// `active_recorder_ != nullptr` so the disabled path is one null check.
-  void record_flight(obs::FlightEventType type, std::uint32_t component,
-                     std::uint64_t a = 0, std::uint64_t b = 0,
-                     std::string_view detail = {}) noexcept;
-  /// Re-derive `active_recorder_` after enable/disable/set calls.
-  void refresh_active_recorder() noexcept;
-  /// Structural mutation: counts and records it, then notifies observers.
+  /// Call `call(observer)` for every observer subscribed to all `events`.
+  template <typename Call>
+  void notify(unsigned events, const Call& call);
+  /// notify(kDispatch, call) behind one branch: the dispatch event sites.
+  template <typename Call>
+  void observe(const Call& call);
+  /// Structural mutation or feature attach/detach: tell every observer.
   void notify_mutation(const GraphMutation& mutation);
-  /// Walk the observers (feature attach/detach come here directly).
-  void notify_observers(const GraphMutation& mutation);
+  /// Drop tombstoned slots and recompute `observed_`.
+  void compact_observers() noexcept;
 
   /// Recycles the buffers behind Sample::inputs. Declared first so it is
   /// closed last, after every sample the entries and the stack held.
   std::unique_ptr<ProvenancePool, ProvenancePool::Closer> pool_;
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::vector<std::pair<std::size_t, std::function<void(const GraphMutation&)>>>
-      observers_;
-  std::size_t next_observer_token_ = 1;
-  /// Depth of in-flight observer notifications. While non-zero,
-  /// remove_mutation_observer tombstones entries (null fn) instead of
-  /// erasing, so an observer that detaches itself — or any other observer
-  /// — cannot invalidate the notifying iteration; the vector compacts when
-  /// the outermost notification returns.
+  std::vector<ObserverSlot> observers_;
+  /// Union of the observers' events (tombstones count until compacted):
+  /// each dispatch event site tests its bit, so a graph without dispatch
+  /// observers pays one branch.
+  unsigned observed_ = GraphObserver::kMutations;
+  /// Depth of in-flight notifications. While non-zero, remove_observer
+  /// tombstones slots instead of erasing, so an observer that removes
+  /// itself — or any other observer — cannot invalidate the notifying
+  /// walk; the list compacts when the outermost notification returns.
   std::size_t notify_depth_ = 0;
   bool observers_tombstoned_ = false;
   const sim::Clock* clock_;
@@ -388,9 +388,8 @@ class ProcessingGraph {
   std::uint64_t deliveries_ = 0;
   std::size_t live_count_ = 0;
   bool dispatching_ = false;
-  GraphSentry* sentry_ = nullptr;
   /// Accepted deliveries since the external emission that started the
-  /// current drain; reported to the sentry as the cascade size.
+  /// current drain; reported to observers as the cascade size.
   std::uint64_t drain_cascade_ = 0;
   std::vector<PendingDelivery> dispatch_stack_;
   /// Stack index where the current dispatch frame began — a frame spans
@@ -400,17 +399,11 @@ class ProcessingGraph {
   /// before on_input emissions, emissions in emit order, each subtree
   /// fully propagated before the next).
   std::size_t current_frame_base_ = 0;
-  std::unique_ptr<Obs> obs_;
-  /// Monotone handle-cache generation; bumped on every enable so stale
-  /// handles from an earlier registry are never reused after re-enable.
-  std::uint64_t obs_generation_ = 0;
-  /// Flight recorder wiring. `active_recorder_` caches "where do events
-  /// go right now" (external > owned > none) so the hot path pays a single
-  /// null check; the others remember the external attachment.
-  obs::FlightRecorder* active_recorder_ = nullptr;
-  obs::FlightRecorder* external_recorder_ = nullptr;
-  std::uint32_t rec_lane_ = 0;
-  std::uint32_t graph_tag_ = 0;
+  /// enable_observability's config, registry and owned recorder; null
+  /// while observability is disabled.
+  std::unique_ptr<MetricsObserver> metrics_;
+  /// The flight-event observer, created on first use.
+  std::unique_ptr<FlightFeed> flight_;
 };
 
 }  // namespace perpos::core

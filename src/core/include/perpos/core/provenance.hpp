@@ -14,7 +14,6 @@
 namespace perpos::core {
 
 struct Sample;
-class GraphSentry;
 class ProvenancePool;
 
 struct ProvenanceBuffer {
@@ -77,9 +76,12 @@ class ProvenancePool {
  public:
   /// Moves `batch` into a buffer with one reference, leaving the buffer's
   /// cleared storage in `batch`. A returned buffer is cleared only here. One
-  /// still referenced (a counting bug) is skipped and reported to `sentry`
-  /// as PPS003. Owner thread only.
-  ProvenanceRef acquire(std::vector<Sample>& batch, GraphSentry* sentry);
+  /// still referenced (a counting bug) is skipped and counted for
+  /// take_skipped(). Owner thread only.
+  ProvenanceRef acquire(std::vector<Sample>& batch);
+
+  /// Buffers acquire() skipped since the last call (PPS003 findings).
+  std::size_t take_skipped() noexcept { return std::exchange(skipped_, 0); }
 
   /// The owner's teardown once none of its samples is left: frees returned
   /// buffers until the stack stays empty and marks it closed. A buffer
@@ -104,6 +106,7 @@ class ProvenancePool {
 
   std::atomic<ProvenanceBuffer*> returned_{nullptr};
   ProvenanceBuffer* local_ = nullptr;  ///< Owner-only free list.
+  std::size_t skipped_ = 0;
   std::atomic<std::uint32_t> refs_{1};
 };
 

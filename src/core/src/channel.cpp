@@ -73,20 +73,18 @@ std::optional<Sample> Channel::last_output() const {
 // --- ChannelManager ----------------------------------------------------------
 
 ChannelManager::ChannelManager(ProcessingGraph& graph) : graph_(graph) {
-  // Channels follow the structure only: the adapters this manager attaches
-  // report feature attach/detach, which must not re-derive the view.
-  observer_token_ =
-      graph_.add_mutation_observer([this](const GraphMutation& m) {
-        if (m.kind != GraphMutation::Kind::kFeatureAttach &&
-            m.kind != GraphMutation::Kind::kFeatureDetach) {
-          refresh();
-        }
-      });
+  graph_.add_observer(*this);
   refresh();
 }
 
+void ChannelManager::on_mutation(const GraphMutation& m) {
+  // Channels follow the structure only: the adapters this manager attaches
+  // report feature attach/detach, which must not re-derive the view.
+  if (m.structural()) refresh();
+}
+
 ChannelManager::~ChannelManager() {
-  graph_.remove_mutation_observer(observer_token_);
+  graph_.remove_observer(*this);
   // Detach any adapters still installed.
   for (auto& [key, record] : records_) {
     if (record->adapter_host != kInvalidComponent &&

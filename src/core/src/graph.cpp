@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace perpos::core {
-
-/// Cached metric handles of one component; filled lazily after
-/// enable_observability so the hot path never does a registry lookup.
-struct ComponentMetricHandles {
-  obs::Counter* emitted = nullptr;
-  obs::Counter* delivered = nullptr;
-  obs::Counter* rejected = nullptr;
-  obs::Counter* produce_vetoed = nullptr;
-  obs::Counter* consume_vetoed = nullptr;
-  obs::Histogram* on_input_us = nullptr;
-  /// End-to-end ingest→sink latency; created only for sinks with the
-  /// latency knob on (see deliver()).
-  obs::Histogram* e2e_latency_us = nullptr;
-  obs::Counter* deadline_miss = nullptr;
-};
 
 struct ProcessingGraph::Entry {
   // Dispatch-hot fields first: the accept check, provenance recording and
@@ -58,80 +43,6 @@ struct ProcessingGraph::Entry {
   std::uint64_t emitted = 0;
 
   std::vector<ComponentId> producers;
-  ComponentMetricHandles metric_handles;
-  std::uint64_t metric_epoch = 0;  ///< Matches Obs::epoch when handles valid.
-};
-
-/// Per-feature hook-timing histograms, keyed by feature object.
-struct FeatureMetricHandles {
-  obs::Histogram* produce_us = nullptr;
-  obs::Histogram* consume_us = nullptr;
-};
-
-struct ProcessingGraph::Obs {
-  obs::ObservabilityConfig config;
-  obs::MetricsRegistry registry;
-  /// Owned flight recorder (config.recording); one "graph" ring.
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  std::uint32_t rec_lane = 0;
-  std::uint64_t epoch = 1;  ///< Bumped when handles must be re-resolved.
-  std::unordered_map<const ComponentFeature*, FeatureMetricHandles>
-      feature_handles;
-  obs::Counter* deliveries_total = nullptr;
-  obs::Counter* rejections_total = nullptr;
-  obs::Counter* mutations_total = nullptr;
-  obs::Gauge* components_gauge = nullptr;
-  /// Timing or latency is on: every delivery takes the instrumented path
-  /// of deliver(). Metrics and recording stay on deliver_top().
-  bool per_delivery = false;
-
-  ComponentMetricHandles& handles(Entry& e, ComponentId id) {
-    if (e.metric_epoch != epoch) {
-      const obs::Labels labels{{"component", std::to_string(id)},
-                               {"kind", std::string(e.component->kind())}};
-      e.metric_handles.emitted =
-          registry.counter("perpos_component_emitted_total", labels);
-      e.metric_handles.delivered =
-          registry.counter("perpos_component_delivered_total", labels);
-      e.metric_handles.rejected =
-          registry.counter("perpos_component_rejected_total", labels);
-      e.metric_handles.produce_vetoed =
-          registry.counter("perpos_component_produce_vetoed_total", labels);
-      e.metric_handles.consume_vetoed =
-          registry.counter("perpos_component_consume_vetoed_total", labels);
-      // Without timing no latency is ever observed; don't pollute exports
-      // with an empty histogram. (All uses are gated on config.timing.)
-      e.metric_handles.on_input_us =
-          config.timing ? registry.histogram("perpos_component_on_input_us",
-                                             labels)
-                        : nullptr;
-      // End-to-end latency is observed at sinks only; same lazy logic.
-      e.metric_handles.e2e_latency_us =
-          config.latency ? registry.histogram("perpos_e2e_latency_us", labels)
-                         : nullptr;
-      e.metric_handles.deadline_miss =
-          config.latency && config.latency_slo_us > 0.0
-              ? registry.counter("perpos_e2e_deadline_miss_total", labels)
-              : nullptr;
-      e.metric_epoch = epoch;
-    }
-    return e.metric_handles;
-  }
-
-  FeatureMetricHandles& handles(const Entry& e, ComponentId id,
-                                const ComponentFeature& feature) {
-    auto [it, inserted] = feature_handles.try_emplace(&feature);
-    if (inserted) {
-      const obs::Labels labels{{"component", std::to_string(id)},
-                               {"kind", std::string(e.component->kind())},
-                               {"feature", std::string(feature.name())}};
-      it->second.produce_us =
-          registry.histogram("perpos_feature_produce_us", labels);
-      it->second.consume_us =
-          registry.histogram("perpos_feature_consume_us", labels);
-    }
-    return it->second;
-  }
 };
 
 namespace {
@@ -153,85 +64,298 @@ std::string current_exception_message() {
   }
 }
 
-}  // namespace
-
-namespace {
-
-void erase_id(std::vector<ComponentId>& v, ComponentId id) {
-  v.erase(std::remove(v.begin(), v.end(), id), v.end());
+/// An edge is realizable when some capability satisfies some requirement.
+bool realizable(const std::vector<DataSpec>& caps,
+                const std::vector<InputRequirement>& reqs) {
+  for (const DataSpec& cap : caps) {
+    for (const InputRequirement& r : reqs) {
+      if (r.accepts(cap.type, cap.feature_tag)) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
 
-std::size_t ProcessingGraph::add_mutation_observer(
-    std::function<void(const GraphMutation&)> observer) {
-  const std::size_t token = next_observer_token_++;
-  observers_.emplace_back(token, std::move(observer));
-  return token;
-}
+/// enable_observability's state — the config, the registry and the flight
+/// recorder `recording` owns — and the observer that turns dispatch events
+/// into per-component counters, hook / on_input wall-time histograms and
+/// end-to-end latency. Handles resolve on first use, so the hot path never
+/// looks a metric up.
+class ProcessingGraph::MetricsObserver final : public GraphObserver {
+ public:
+  explicit MetricsObserver(ProcessingGraph& graph)
+      : graph_(graph),
+        deliveries_total_(registry.counter("perpos_graph_deliveries_total")),
+        rejections_total_(registry.counter("perpos_graph_rejections_total")),
+        mutations_total_(registry.counter("perpos_graph_mutations_total")),
+        components_gauge_(registry.gauge("perpos_graph_components")) {}
 
-void ProcessingGraph::remove_mutation_observer(std::size_t token) {
-  // Mid-notification removal (an observer detaching itself or a peer from
-  // inside its callback) must not invalidate the notifying iteration:
-  // tombstone the slot and let notify_observers() compact once the walk is
-  // done.
-  if (notify_depth_ > 0) {
-    for (auto& [t, fn] : observers_) {
-      if (t == token && fn) {
-        fn = nullptr;
-        observers_tombstoned_ = true;
+  /// Adopt `cfg` and return the events it needs. Every cached handle is
+  /// dropped: a new config can change which handles exist.
+  unsigned configure(const obs::ObservabilityConfig& cfg) {
+    config = cfg;
+    components_.clear();
+    features_.clear();
+    if (!cfg.recording) {
+      recorder.reset();
+    } else if (!recorder) {
+      recorder = std::make_unique<obs::FlightRecorder>(cfg.recorder_capacity);
+      lane = recorder->add_lane("graph");
+    }
+    components_gauge_->set(static_cast<double>(graph_.live_count_));
+    return (cfg.metrics || cfg.timing || cfg.latency ? kDispatch : 0u) |
+           (cfg.timing ? kTiming : 0u) | (cfg.latency ? kIngestTime : 0u);
+  }
+
+  obs::ObservabilityConfig config;
+  obs::MetricsRegistry registry;
+  std::unique_ptr<obs::FlightRecorder> recorder;  ///< config.recording's.
+  std::uint32_t lane = 0;
+
+  void on_mutation(const GraphMutation& m) override {
+    // A new implementation or feature set changes the labels: re-resolve.
+    if (m.kind == GraphMutation::Kind::kReplace ||
+        m.kind == GraphMutation::Kind::kFeatureDetach) {
+      if (m.a < components_.size()) components_[m.a] = Handles{};
+      features_.erase(features_.lower_bound({m.a, nullptr}),
+                      features_.lower_bound({m.a + 1, nullptr}));
+    }
+    if (!config.metrics || !m.structural()) return;
+    mutations_total_->inc();
+    components_gauge_->set(static_cast<double>(graph_.live_count_));
+  }
+
+  void on_emit(const Sample& sample) override {
+    count(sample.producer, kEmitted);
+  }
+  void on_veto(ComponentId host, bool produce) override {
+    count(host, produce ? kProduceVetoed : kConsumeVetoed);
+  }
+  void on_reject(const Sample&, ComponentId consumer) override {
+    count(consumer, kRejected, rejections_total_);
+  }
+
+  void on_deliver(const Sample& sample, ComponentId consumer) override {
+    count(consumer, kDelivered, deliveries_total_);
+    // End-to-end latency is observed when the sample arrives at a sink:
+    // ingest→sink covers every upstream hop but not the sink's own
+    // on_input (that is what on_input_us measures). The exemplar is the
+    // delivered sample's identity — the key of its kDeliver flight event.
+    if (!config.latency || sample.ingest_us == 0.0 ||
+        !graph_.entries_[consumer]->consumers.empty()) {
+      return;
+    }
+    const Handles& h = handles(consumer);
+    const double e2e = now_wall_us() - sample.ingest_us;
+    h.e2e_latency_us->observe_with_exemplar(
+        e2e, obs::pack_sample_exemplar(sample.producer, sample.sequence));
+    if (h.deadline_miss != nullptr && e2e > config.latency_slo_us) {
+      h.deadline_miss->inc();
+    }
+  }
+
+  void on_evict(ComponentId consumer, std::size_t evicted) override {
+    if (!config.metrics) return;
+    // Registered on first eviction: graphs that never evict export none.
+    registry
+        .counter("perpos_provenance_evicted_total",
+                 {{"component", std::to_string(consumer)},
+                  {"kind", kind(consumer)}})
+        ->inc(evicted);
+  }
+
+  void on_input_time(ComponentId consumer, double us) override {
+    handles(consumer).on_input_us->observe(us);
+  }
+
+  void on_hook_time(ComponentId host, const ComponentFeature& feature,
+                    bool produce, double us) override {
+    auto [it, inserted] = features_.try_emplace({host, &feature});
+    if (inserted) {
+      const obs::Labels labels{{"component", std::to_string(host)},
+                               {"kind", kind(host)},
+                               {"feature", std::string(feature.name())}};
+      it->second = {registry.histogram("perpos_feature_produce_us", labels),
+                    registry.histogram("perpos_feature_consume_us", labels)};
+    }
+    (produce ? it->second.first : it->second.second)->observe(us);
+  }
+
+ private:
+  /// Per-component counters, in registration order.
+  enum Tally { kEmitted, kDelivered, kRejected, kProduceVetoed,
+               kConsumeVetoed, kTallies };
+  /// One component's metric handles; all null until resolved.
+  struct Handles {
+    obs::Counter* tallies[kTallies] = {};
+    obs::Histogram* on_input_us = nullptr;
+    obs::Histogram* e2e_latency_us = nullptr;
+    obs::Counter* deadline_miss = nullptr;
+  };
+
+  std::string kind(ComponentId id) const {
+    return std::string(graph_.entries_[id]->component->kind());
+  }
+
+  /// Count `tally` for component `id` (and the graph-wide `total`).
+  void count(ComponentId id, Tally tally, obs::Counter* total = nullptr) {
+    if (!config.metrics) return;
+    handles(id).tallies[tally]->inc();
+    if (total != nullptr) total->inc();
+  }
+
+  Handles& handles(ComponentId id) {
+    static constexpr const char* kNames[kTallies] = {
+        "perpos_component_emitted_total", "perpos_component_delivered_total",
+        "perpos_component_rejected_total",
+        "perpos_component_produce_vetoed_total",
+        "perpos_component_consume_vetoed_total"};
+    if (id >= components_.size()) components_.resize(id + 1);
+    Handles& h = components_[id];
+    if (h.tallies[kEmitted] != nullptr) return h;
+    const obs::Labels labels{{"component", std::to_string(id)},
+                             {"kind", kind(id)}};
+    for (int t = 0; t < kTallies; ++t) {
+      h.tallies[t] = registry.counter(kNames[t], labels);
+    }
+    // Histograms only for the knobs that observe them, so exports carry no
+    // empty series.
+    if (config.timing) {
+      h.on_input_us =
+          registry.histogram("perpos_component_on_input_us", labels);
+    }
+    if (config.latency) {
+      h.e2e_latency_us = registry.histogram("perpos_e2e_latency_us", labels);
+      if (config.latency_slo_us > 0.0) {
+        h.deadline_miss =
+            registry.counter("perpos_e2e_deadline_miss_total", labels);
       }
     }
-    return;
+    return h;
   }
-  observers_.erase(
-      std::remove_if(observers_.begin(), observers_.end(),
-                     [&](const auto& p) { return p.first == token; }),
-      observers_.end());
-}
 
-void ProcessingGraph::set_sentry(GraphSentry* sentry) noexcept {
-  sentry_ = sentry;
-}
+  ProcessingGraph& graph_;
+  obs::Counter* deliveries_total_;
+  obs::Counter* rejections_total_;
+  obs::Counter* mutations_total_;
+  obs::Gauge* components_gauge_;
+  std::vector<Handles> components_;  ///< By component id.
+  /// Per-feature hook histograms (produce, consume), by (host, feature).
+  std::map<std::pair<ComponentId, const ComponentFeature*>,
+           std::pair<obs::Histogram*, obs::Histogram*>>
+      features_;
+};
 
-void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
-  if (obs_ && obs_->config.metrics) {
-    obs_->mutations_total->inc();
-    obs_->components_gauge->set(static_cast<double>(live_count_));
+/// Feeds the graph's flight events — emit, deliver, mutation, on_input
+/// failure, provenance eviction — into one recorder ring: the one
+/// set_flight_recorder attached, else the one `recording` owns.
+class ProcessingGraph::FlightFeed final : public GraphObserver {
+ public:
+  obs::FlightRecorder* recorder = nullptr;
+  std::uint32_t lane = 0;
+  std::uint32_t tag = 0;
+  bool external = false;  ///< Attached by set_flight_recorder.
+
+  void record(obs::FlightEventType type, std::uint32_t component,
+              std::uint64_t a = 0, std::uint64_t b = 0,
+              std::string_view detail = {}) noexcept {
+    obs::FlightEvent event{
+        .a = a, .b = b, .graph = tag, .component = component, .type = type};
+    if (!detail.empty()) event.set_detail(detail);
+    recorder->record(lane, event);
   }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kMutation, mutation.a,
-                  static_cast<std::uint64_t>(mutation.kind), mutation.b);
-  }
-  notify_observers(mutation);
-}
 
-void ProcessingGraph::notify_observers(const GraphMutation& mutation) {
-  // Walk by index up to the count captured at entry: observers may
-  // register new observers (not notified for this mutation — the vector
-  // may reallocate, so no iterator survives) or remove existing ones
-  // (tombstoned to null by remove_mutation_observer, skipped here). Each
-  // function object is copied out before the call: a reallocating
-  // registration would otherwise move the object mid-execution.
+  void on_mutation(const GraphMutation& m) override {
+    if (!m.structural()) return;
+    record(obs::FlightEventType::kMutation, m.a,
+           static_cast<std::uint64_t>(m.kind), m.b);
+  }
+  void on_emit(const Sample& sample) override {
+    record(obs::FlightEventType::kEmit, sample.producer, sample.sequence);
+  }
+  void on_deliver(const Sample& sample, ComponentId consumer) override {
+    record(obs::FlightEventType::kDeliver, consumer, sample.producer,
+           sample.sequence);
+  }
+  void on_input_failed(ComponentId consumer, ComponentId producer,
+                       std::uint64_t sequence, std::string_view what) override {
+    record(obs::FlightEventType::kTaskFailed, consumer, producer, sequence,
+           what);
+  }
+  void on_evict(ComponentId consumer, std::size_t evicted) override {
+    record(obs::FlightEventType::kMark, consumer, evicted, 0,
+           "provenance.evict");
+  }
+};
+
+// Out of line: the walk stays off the dispatch fast path's code.
+template <typename Call>
+[[gnu::noinline]] void ProcessingGraph::notify(unsigned events,
+                                               const Call& call) {
+  // Walk by index up to the count captured at entry: observers may add
+  // observers (not called for this event — the vector may reallocate, so
+  // no iterator survives) or remove them (tombstoned by remove_observer,
+  // skipped here).
   struct Level {
     ProcessingGraph& g;
     explicit Level(ProcessingGraph& graph) : g(graph) { ++g.notify_depth_; }
-    // Leaving the outermost level compacts the tombstoned slots.
     ~Level() {
-      if (--g.notify_depth_ != 0 || !g.observers_tombstoned_) return;
-      g.observers_.erase(
-          std::remove_if(g.observers_.begin(), g.observers_.end(),
-                         [](const auto& p) { return !p.second; }),
-          g.observers_.end());
-      g.observers_tombstoned_ = false;
+      if (--g.notify_depth_ == 0 && g.observers_tombstoned_) {
+        g.compact_observers();
+      }
     }
   } level(*this);
   const std::size_t count = observers_.size();
   for (std::size_t i = 0; i < count; ++i) {
-    if (!observers_[i].second) continue;
-    const auto fn = observers_[i].second;
-    fn(mutation);
+    const ObserverSlot slot = observers_[i];
+    if (slot.observer != nullptr && (slot.events & events) == events) {
+      call(*slot.observer);
+    }
   }
+}
+
+template <typename Call>
+void ProcessingGraph::observe(const Call& call) {
+  if ((observed_ & GraphObserver::kDispatch) != 0) {
+    notify(GraphObserver::kDispatch, call);
+  }
+}
+
+void ProcessingGraph::add_observer(GraphObserver& observer, unsigned events) {
+  if (has_observer(observer)) {
+    throw std::invalid_argument("add_observer: already registered");
+  }
+  observers_.push_back(ObserverSlot{&observer, events});
+  observed_ |= events;
+}
+
+void ProcessingGraph::remove_observer(GraphObserver& observer) noexcept {
+  for (ObserverSlot& slot : observers_) {
+    if (slot.observer == &observer) slot.observer = nullptr;
+  }
+  observers_tombstoned_ = true;
+  if (notify_depth_ == 0) compact_observers();
+}
+
+bool ProcessingGraph::has_observer(
+    const GraphObserver& observer) const noexcept {
+  return std::any_of(
+      observers_.begin(), observers_.end(),
+      [&](const ObserverSlot& s) { return s.observer == &observer; });
+}
+
+void ProcessingGraph::compact_observers() noexcept {
+  std::erase_if(observers_,
+                [](const ObserverSlot& s) { return s.observer == nullptr; });
+  observers_tombstoned_ = false;
+  observed_ = GraphObserver::kMutations;
+  for (const ObserverSlot& slot : observers_) observed_ |= slot.events;
+}
+
+void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
+  notify(GraphObserver::kMutations,
+         [&](GraphObserver& o) { o.on_mutation(mutation); });
 }
 
 ProcessingGraph::ProcessingGraph(const sim::Clock* clock)
@@ -252,104 +376,72 @@ ProcessingGraph::~ProcessingGraph() {
 
 void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
   check_not_dispatching("enable_observability");
-  if (!obs_) {
-    obs_ = std::make_unique<Obs>();
-    obs_->deliveries_total =
-        obs_->registry.counter("perpos_graph_deliveries_total");
-    obs_->rejections_total =
-        obs_->registry.counter("perpos_graph_rejections_total");
-    obs_->mutations_total =
-        obs_->registry.counter("perpos_graph_mutations_total");
-    obs_->components_gauge = obs_->registry.gauge("perpos_graph_components");
-  }
-  obs_->config = config;
-  obs_->per_delivery = config.timing || config.latency;
-  // Invalidate every cached handle set: entries may hold pointers into a
-  // previous registry (destroyed by disable_observability), and a config
-  // change can alter which handles exist (e.g. the timing histogram). The
-  // generation counter lives on the graph so it survives obs_ teardown.
-  obs_->epoch = ++obs_generation_;
-  if (config.recording) {
-    if (!obs_->recorder) {
-      obs_->recorder =
-          std::make_unique<obs::FlightRecorder>(config.recorder_capacity);
-      obs_->rec_lane = obs_->recorder->add_lane("graph");
-    }
+  if (metrics_) {
+    remove_observer(*metrics_);
   } else {
-    obs_->recorder.reset();
+    metrics_ = std::make_unique<MetricsObserver>(*this);
   }
-  refresh_active_recorder();
-  obs_->components_gauge->set(static_cast<double>(live_count_));
+  // Metrics accumulated so far stay in the registry.
+  add_observer(*metrics_, metrics_->configure(config));
+  if (!flight_ || !flight_->external) set_flight_recorder(nullptr, 0);
 }
 
 void ProcessingGraph::disable_observability() {
   check_not_dispatching("disable_observability");
-  obs_.reset();
-  refresh_active_recorder();
+  if (!metrics_) return;
+  remove_observer(*metrics_);
+  const std::unique_ptr<MetricsObserver> dropped = std::move(metrics_);
+  if (!flight_->external) set_flight_recorder(nullptr, 0);
 }
 
 void ProcessingGraph::set_flight_recorder(obs::FlightRecorder* recorder,
                                           std::uint32_t lane,
                                           std::uint32_t graph_tag) noexcept {
-  external_recorder_ = recorder;
+  if (!flight_) flight_ = std::make_unique<FlightFeed>();
+  flight_->external = recorder != nullptr;
   if (recorder != nullptr) {
-    rec_lane_ = lane;
-    graph_tag_ = graph_tag;
+    flight_->tag = graph_tag;
+  } else if (metrics_) {  // Revert to the recorder `recording` owns.
+    recorder = metrics_->recorder.get();
+    lane = metrics_->lane;
   }
-  refresh_active_recorder();
+  if (recorder == nullptr) {
+    remove_observer(*flight_);
+  } else if (flight_->recorder == nullptr) {
+    add_observer(*flight_, GraphObserver::kDispatch);
+  }
+  flight_->recorder = recorder;
+  flight_->lane = lane;
 }
 
 obs::FlightRecorder* ProcessingGraph::flight_recorder() const noexcept {
-  return active_recorder_;
+  return flight_ ? flight_->recorder : nullptr;
 }
 
 void ProcessingGraph::record_event(obs::FlightEventType type,
                                    std::uint32_t component, std::uint64_t a,
                                    std::uint64_t b,
                                    std::string_view detail) noexcept {
-  if (active_recorder_ != nullptr) record_flight(type, component, a, b, detail);
-}
-
-void ProcessingGraph::refresh_active_recorder() noexcept {
-  if (external_recorder_ != nullptr) {
-    active_recorder_ = external_recorder_;  // rec_lane_ set at attach time.
-  } else if (obs_ && obs_->recorder) {
-    active_recorder_ = obs_->recorder.get();
-    rec_lane_ = obs_->rec_lane;
-  } else {
-    active_recorder_ = nullptr;
+  if (flight_ && flight_->recorder != nullptr) {
+    flight_->record(type, component, a, b, detail);
   }
 }
 
-void ProcessingGraph::record_flight(obs::FlightEventType type,
-                                    std::uint32_t component, std::uint64_t a,
-                                    std::uint64_t b,
-                                    std::string_view detail) noexcept {
-  obs::FlightEvent event;
-  event.type = type;
-  event.graph = graph_tag_;
-  event.component = component;
-  event.a = a;
-  event.b = b;
-  if (!detail.empty()) event.set_detail(detail);
-  active_recorder_->record(rec_lane_, event);
-}
-
 bool ProcessingGraph::observability_enabled() const noexcept {
-  return obs_ != nullptr;
+  return metrics_ != nullptr;
 }
 
 const obs::ObservabilityConfig* ProcessingGraph::observability_config()
     const noexcept {
-  return obs_ ? &obs_->config : nullptr;
+  return metrics_ ? &metrics_->config : nullptr;
 }
 
 obs::MetricsRegistry* ProcessingGraph::metrics_registry() const noexcept {
-  return obs_ ? &obs_->registry : nullptr;
+  return metrics_ ? &metrics_->registry : nullptr;
 }
 
 obs::MetricsSnapshot ProcessingGraph::metrics() const {
-  return obs_ ? obs_->registry.snapshot() : obs::MetricsSnapshot{};
+  return metrics_ ? metrics_->registry.snapshot() : obs::MetricsSnapshot{};
 }
 
 ProcessingGraph::Entry& ProcessingGraph::entry(ComponentId id) {
@@ -407,8 +499,8 @@ void ProcessingGraph::remove(ComponentId id) {
   // data here still reaches its consumers.
   entry(id).component->on_teardown();
   Entry& e = entry(id);
-  for (ComponentId c : e.consumers) erase_id(entries_[c]->producers, id);
-  for (ComponentId p : e.producers) erase_id(entries_[p]->consumers, id);
+  for (ComponentId c : e.consumers) std::erase(entries_[c]->producers, id);
+  for (ComponentId p : e.producers) std::erase(entries_[p]->consumers, id);
   e.component->context_ = ComponentContext();
   for (auto& f : e.features) f->context_ = FeatureContext();
   e.live = false;
@@ -449,16 +541,7 @@ void ProcessingGraph::connect(ComponentId producer, ComponentId consumer) {
   }
   // Realizability: at least one capability of the producer must satisfy a
   // requirement of the consumer (paper Sec. 2.1).
-  const auto caps = capabilities(producer);
-  const auto reqs = c.component->input_requirements();
-  const bool realizable =
-      std::any_of(caps.begin(), caps.end(), [&](const DataSpec& cap) {
-        return std::any_of(reqs.begin(), reqs.end(),
-                           [&](const InputRequirement& r) {
-                             return r.accepts(cap.type, cap.feature_tag);
-                           });
-      });
-  if (!realizable) {
+  if (!realizable(capabilities(producer), c.component->input_requirements())) {
     throw std::invalid_argument(
         "connect: no capability of '" + std::string(p.component->kind()) +
         "' satisfies a requirement of '" + std::string(c.component->kind()) +
@@ -483,7 +566,7 @@ void ProcessingGraph::disconnect(ComponentId producer, ComponentId consumer) {
     throw std::invalid_argument("disconnect: edge does not exist");
   }
   p.consumers.erase(it);
-  erase_id(c.producers, producer);
+  std::erase(c.producers, producer);
   ++revision_;
   notify_mutation(
       GraphMutation{GraphMutation::Kind::kDisconnect, producer, consumer});
@@ -531,15 +614,7 @@ void ProcessingGraph::replace(ComponentId id,
   // requirement of each consumer. Same realizability rule as connect().
   const auto sreqs = successor->input_requirements();
   for (ComponentId p : e.producers) {
-    const auto caps = capabilities(p);
-    const bool realizable =
-        std::any_of(caps.begin(), caps.end(), [&](const DataSpec& cap) {
-          return std::any_of(sreqs.begin(), sreqs.end(),
-                             [&](const InputRequirement& r) {
-                               return r.accepts(cap.type, cap.feature_tag);
-                             });
-        });
-    if (!realizable) {
+    if (!realizable(capabilities(p), sreqs)) {
       throw std::invalid_argument(
           "replace: no capability of '" +
           std::string(entries_[p]->component->kind()) +
@@ -554,15 +629,7 @@ void ProcessingGraph::replace(ComponentId id,
     }
   }
   for (ComponentId c : e.consumers) {
-    const auto creqs = entries_[c]->component->input_requirements();
-    const bool realizable =
-        std::any_of(out_caps.begin(), out_caps.end(), [&](const DataSpec& cap) {
-          return std::any_of(creqs.begin(), creqs.end(),
-                             [&](const InputRequirement& r) {
-                               return r.accepts(cap.type, cap.feature_tag);
-                             });
-        });
-    if (!realizable) {
+    if (!realizable(out_caps, entries_[c]->component->input_requirements())) {
       throw std::invalid_argument(
           "replace: no capability of successor '" +
           std::string(successor->kind()) + "' satisfies a requirement of '" +
@@ -586,18 +653,17 @@ void ProcessingGraph::replace(ComponentId id,
   e.component = std::move(successor);
   e.component->context_ = ComponentContext(this, id);
   old->context_ = ComponentContext();
-  // Recompile the hot-path caches against the successor; invalidate the
-  // metric handles (the kind label changed). Logical time (sequence),
-  // emission count, pending provenance and the features carry over — that
-  // continuity is what makes a live cutover free of duplicated or dropped
-  // logical-time slots.
+  // Recompile the hot-path caches against the successor (observers
+  // re-label on kReplace). Logical time (sequence), emission count,
+  // pending provenance and the features carry over — that continuity is
+  // what makes a live cutover free of duplicated or dropped logical-time
+  // slots.
   e.compiled_requirements.clear();
   for (const InputRequirement& r : e.component->input_requirements()) {
     e.compiled_requirements.push_back(Entry::CompiledRequirement{
         r.type, intern_origin(r.feature_tag), r.any_type});
   }
   e.records_provenance = !e.component->output_capabilities().empty();
-  e.metric_epoch = 0;
   e.current_input = nullptr;
   ++revision_;
   notify_mutation(GraphMutation{GraphMutation::Kind::kReplace, id});
@@ -622,7 +688,7 @@ void ProcessingGraph::attach_feature(
   }
   feature->context_ = FeatureContext(this, host, name);
   e.features.push_back(std::move(feature));
-  notify_observers(GraphMutation{GraphMutation::Kind::kFeatureAttach, host});
+  notify_mutation(GraphMutation{GraphMutation::Kind::kFeatureAttach, host});
 }
 
 void ProcessingGraph::detach_feature(ComponentId host, std::string_view name) {
@@ -638,9 +704,8 @@ void ProcessingGraph::detach_feature(ComponentId host, std::string_view name) {
                                 "' not attached");
   }
   (*it)->context_ = FeatureContext();
-  if (obs_) obs_->feature_handles.erase(it->get());
   e.features.erase(it);
-  notify_observers(GraphMutation{GraphMutation::Kind::kFeatureDetach, host});
+  notify_mutation(GraphMutation{GraphMutation::Kind::kFeatureDetach, host});
 }
 
 ComponentFeature* ProcessingGraph::get_feature(ComponentId host,
@@ -735,7 +800,10 @@ void ProcessingGraph::stamp_provenance(Entry& e, Sample& sample) {
       sample.ingest_us = in.ingest_us;
     }
   }
-  sample.inputs = pool_->acquire(e.pending_inputs, sentry_);
+  sample.inputs = pool_->acquire(e.pending_inputs);
+  for (std::size_t n = pool_->take_skipped(); n != 0; --n) {
+    observe([](GraphObserver& o) { o.on_pool_double_release(); });
+  }
 }
 
 void ProcessingGraph::enqueue_deliveries(Sample&& sample, const Entry& e) {
@@ -768,18 +836,7 @@ void ProcessingGraph::drain_dispatch_stack() {
   drain_cascade_ = 0;
   try {
     while (!dispatch_stack_.empty()) {
-      PendingDelivery& top = dispatch_stack_.back();
-      Entry& c = *entries_[top.consumer];
-      // Deliveries nobody observes per hop — no consume hooks, no sentry,
-      // no timing / latency — consume the stack slot in place.
-      if (c.features.empty() && sentry_ == nullptr &&
-          (obs_ == nullptr || !obs_->per_delivery)) {
-        deliver_top(c);
-      } else {
-        PendingDelivery next = std::move(top);
-        dispatch_stack_.pop_back();
-        deliver(std::move(next.sample), next.consumer);
-      }
+      deliver(*entries_[dispatch_stack_.back().consumer]);
     }
   } catch (...) {
     // Mirror the old recursive unwinding: abandoned sibling deliveries are
@@ -810,26 +867,6 @@ bool accepts(const Requirements& reqs, const Sample& sample) noexcept {
 
 }  // namespace
 
-void ProcessingGraph::count_rejection(Entry& c, ComponentId consumer) {
-  if (obs_ != nullptr && obs_->config.metrics) {
-    obs_->handles(c, consumer).rejected->inc();
-    obs_->rejections_total->inc();
-  }
-}
-
-void ProcessingGraph::count_delivery(Entry& c, ComponentId consumer,
-                                     const Sample& sample) {
-  ++deliveries_;
-  if (obs_ != nullptr && obs_->config.metrics) {
-    obs_->handles(c, consumer).delivered->inc();
-    obs_->deliveries_total->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, consumer, sample.producer,
-                  sample.sequence);
-  }
-}
-
 const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
                                            Sample& sample, bool move) {
   if (c.pending_inputs.size() == kMaxPendingInputs) {
@@ -838,18 +875,7 @@ const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
     constexpr std::size_t kEvicted = kMaxPendingInputs / 2;
     c.pending_inputs.erase(c.pending_inputs.begin(),
                            c.pending_inputs.begin() + kEvicted);
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kMark, consumer, kEvicted, 0,
-                    "provenance.evict");
-    }
-    if (obs_ != nullptr && obs_->config.metrics) {
-      // Registered on first eviction: graphs that never evict export none.
-      obs_->registry
-          .counter("perpos_provenance_evicted_total",
-                   {{"component", std::to_string(consumer)},
-                    {"kind", std::string(c.component->kind())}})
-          ->inc(kEvicted);
-    }
+    observe([&](GraphObserver& o) { o.on_evict(consumer, kEvicted); });
   }
   if (!move) {
     c.pending_inputs.push_back(sample);
@@ -859,23 +885,12 @@ const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
   // stays valid across a nested emission claiming the pending batch:
   // vector::swap exchanges storage without moving elements, and the
   // claimed buffer outlives this delivery on the dispatch stack (see
-  // pending_owns_input()). No reallocation can invalidate it either —
+  // deliver()). No reallocation can invalidate it either —
   // further push_backs to this component's pending require another
   // delivery to it, and deliveries only start from the drain loop, never
   // inside on_input.
   c.pending_inputs.push_back(std::move(sample));
   return c.pending_inputs.back();
-}
-
-bool ProcessingGraph::pending_owns_input(const Entry& c) noexcept {
-  // Moving the input into pending_inputs is safe only while every emission
-  // on_input makes keeps the claimed batch referenced until on_input
-  // returns: it must sit queued on the dispatch stack. An emission with no
-  // consumer dies at once, and one vetoed by a produce hook dies too; the
-  // next emission's acquire() may then reuse — and clear — the buffer
-  // holding on_input's input. The topology and the hook chains cannot
-  // change mid-dispatch, so the test holds for the whole on_input.
-  return c.features.empty() && !c.consumers.empty();
 }
 
 void ProcessingGraph::invoke_on_input(Entry& c, ComponentId consumer,
@@ -890,52 +905,125 @@ void ProcessingGraph::invoke_on_input(Entry& c, ComponentId consumer,
   const std::uint64_t sequence = input.sequence;
   const Sample* saved = c.current_input;
   c.current_input = &input;
+  const bool timed = (observed_ & GraphObserver::kTiming) != 0;
+  const double t0 = timed ? now_wall_us() : 0.0;
   try {
     c.component->on_input(input);
   } catch (...) {
     c.current_input = saved;
     current_frame_base_ = saved_frame_base;
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, consumer, producer,
-                    sequence, current_exception_message());
+    if ((observed_ & GraphObserver::kDispatch) != 0) {
+      const std::string what = current_exception_message();
+      notify(GraphObserver::kDispatch, [&](GraphObserver& o) {
+        o.on_input_failed(consumer, producer, sequence, what);
+      });
     }
     throw;
   }
   c.current_input = saved;
   current_frame_base_ = saved_frame_base;
+  if (timed) {
+    const double us = now_wall_us() - t0;
+    notify(GraphObserver::kTiming,
+           [&](GraphObserver& o) { o.on_input_time(consumer, us); });
+  }
 }
 
-/// Deliver the top of the dispatch stack, consuming the sample in place:
-/// one move (stack slot -> pending_inputs or a local) instead of the
-/// pop-into-a-local round trip of deliver(). Only for deliveries without
-/// consume hooks, sentry or per-delivery instrumentation — none of which
-/// may run while the slot reference is live.
-void ProcessingGraph::deliver_top(Entry& c) {
-  const ComponentId consumer = dispatch_stack_.back().consumer;
-  Sample& slot = dispatch_stack_.back().sample;
-  if (!accepts(c.compiled_requirements, slot)) {
-    count_rejection(c, consumer);
+void ProcessingGraph::deliver(Entry& c) {
+  PendingDelivery& top = dispatch_stack_.back();
+  const ComponentId consumer = top.consumer;
+  if (!accepts(c.compiled_requirements, top.sample)) {
+    observe([&](GraphObserver& o) { o.on_reject(top.sample, consumer); });
     dispatch_stack_.pop_back();
     return;
   }
-  count_delivery(c, consumer, slot);
-  if (c.records_provenance && pending_owns_input(c)) {
-    const Sample& input = keep_pending(c, consumer, slot, /*move=*/true);
+  const std::uint64_t cascade = ++drain_cascade_;
+  if ((observed_ & GraphObserver::kAccept) != 0) {
+    notify(GraphObserver::kAccept, [&](GraphObserver& o) {
+      o.on_accept(top.sample, consumer, dispatch_stack_.size() - 1, cascade);
+    });
+  }
+  // One dispatch frame covers everything this delivery triggers: emissions
+  // made by consume hooks and by on_input both insert their delivery
+  // blocks at the stack size below this delivery, so they drain right
+  // after it — before any previously-pending delivery (e.g. to the
+  // emitter's other consumers). Consume-hook emissions enqueue first and
+  // therefore pop first (later blocks at the same base land below earlier
+  // ones), then on_input emissions, each in emit order — the relative
+  // order the old recursive dispatcher produced, which ran hook emissions
+  // before on_input even started.
+  const std::size_t saved_frame_base = current_frame_base_;
+
+  if (c.features.empty()) {
+    // No consume hooks: nothing can touch the stack before on_input, so
+    // the slot is consumed in place — moved into the pending inputs, or
+    // into a local when the pending inputs cannot own it.
+    ++deliveries_;
+    observe([&](GraphObserver& o) { o.on_deliver(top.sample, consumer); });
+    // The input may move into the pending inputs only while every emission
+    // of on_input stays queued, keeping the claimed batch referenced until
+    // on_input returns. An emission with no consumer dies at once (so does
+    // one a produce hook vetoes), and the next emission's acquire() may
+    // then reuse — and clear — the buffer holding on_input's input. The
+    // topology and the hook chains cannot change mid-dispatch.
+    if (c.records_provenance && !c.consumers.empty()) {
+      const Sample& input = keep_pending(c, consumer, top.sample, true);
+      dispatch_stack_.pop_back();
+      current_frame_base_ = dispatch_stack_.size();
+      invoke_on_input(c, consumer, input, saved_frame_base);
+      return;
+    }
+    Sample input = std::move(top.sample);
     dispatch_stack_.pop_back();
-    // Same frame discipline as deliver(): everything this delivery
-    // triggers inserts at this base and drains before previously-pending
-    // deliveries.
-    const std::size_t saved_frame_base = current_frame_base_;
+    if (c.records_provenance) keep_pending(c, consumer, input, false);
     current_frame_base_ = dispatch_stack_.size();
     invoke_on_input(c, consumer, input, saved_frame_base);
     return;
   }
-  Sample input = std::move(slot);
+
+  // Consume hooks may emit onto the stack: pop the slot first. The sample
+  // is owned by this delivery (the emitter queued one copy per consumer),
+  // so hooks mutate it in place — no defensive copy.
+  Sample sample = std::move(top.sample);
   dispatch_stack_.pop_back();
-  if (c.records_provenance) keep_pending(c, consumer, input, /*move=*/false);
-  const std::size_t saved_frame_base = current_frame_base_;
   current_frame_base_ = dispatch_stack_.size();
-  invoke_on_input(c, consumer, input, saved_frame_base);
+  if (!run_hooks(c, consumer, sample, /*produce=*/false)) {
+    // Emissions already made by earlier hooks stay queued (the recursive
+    // dispatcher had delivered them before the veto, too).
+    current_frame_base_ = saved_frame_base;
+    return;
+  }
+  ++deliveries_;
+  observe([&](GraphObserver& o) { o.on_deliver(sample, consumer); });
+  // Pending gets a copy: a hooked consumer's input stays this delivery's.
+  if (c.records_provenance) keep_pending(c, consumer, sample, false);
+  invoke_on_input(c, consumer, sample, saved_frame_base);
+}
+
+bool ProcessingGraph::run_hooks(Entry& e, ComponentId host, Sample& sample,
+                                bool produce) {
+  const bool timed = (observed_ & GraphObserver::kTiming) != 0;
+  const TypeInfo* original_type = sample.payload.type();
+  for (const auto& f : e.features) {
+    const double t0 = timed ? now_wall_us() : 0.0;
+    const bool keep = produce ? f->produce(sample) : f->consume(sample);
+    if (timed) {
+      const double us = now_wall_us() - t0;
+      notify(GraphObserver::kTiming, [&](GraphObserver& o) {
+        o.on_hook_time(host, *f, produce, us);
+      });
+    }
+    if (!keep) {
+      observe([&](GraphObserver& o) { o.on_veto(host, produce); });
+      return false;
+    }
+    if (sample.payload.type() != original_type) {
+      throw std::logic_error("feature '" + std::string(f->name()) +
+                             "' changed the data type in " +
+                             (produce ? "produce()" : "consume()"));
+    }
+  }
+  return true;
 }
 
 bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
@@ -947,46 +1035,18 @@ bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
   sample.sequence = ++e.sequence;
   sample.origin = origin;
   stamp_provenance(e, sample);
-
-  Obs* const obs = obs_.get();
-  // Latency tracking: a root emission (no inherited ingest stamp) marks the
-  // moment its data entered the graph; sinks subtract this in deliver().
-  if (obs != nullptr && obs->config.latency && sample.ingest_us == 0.0) {
+  // A root emission (no inherited ingest stamp) marks the moment its data
+  // entered the graph; latency observers subtract this at sinks.
+  if ((observed_ & GraphObserver::kIngestTime) != 0 &&
+      sample.ingest_us == 0.0) {
     sample.ingest_us = now_wall_us();
   }
 
-  // Produce hooks of the producing component's features. A hook may modify
-  // the sample but not its data type; returning false drops the emission.
-  const bool timing = obs != nullptr && obs->config.timing;
-  const TypeInfo* original_type = sample.payload.type();
-  for (const auto& f : e.features) {
-    bool keep = false;
-    if (timing) {
-      const double t0 = now_wall_us();
-      keep = f->produce(sample);
-      obs->handles(e, producer, *f).produce_us->observe(now_wall_us() - t0);
-    } else {
-      keep = f->produce(sample);
-    }
-    if (!keep) {
-      if (obs != nullptr && obs->config.metrics) {
-        obs->handles(e, producer).produce_vetoed->inc();
-      }
-      return false;
-    }
-    if (sample.payload.type() != original_type) {
-      throw std::logic_error("feature '" + std::string(f->name()) +
-                             "' changed the data type in produce()");
-    }
+  if (!e.features.empty() && !run_hooks(e, producer, sample, true)) {
+    return false;
   }
   ++e.emitted;
-  if (obs != nullptr && obs->config.metrics) {
-    obs->handles(e, producer).emitted->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-  }
-  if (sentry_ != nullptr) sentry_->on_emit(sample);
+  observe([&](GraphObserver& o) { o.on_emit(sample); });
   return true;
 }
 
@@ -1014,94 +1074,6 @@ void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
     }
   }
   if (!dispatching_) drain_dispatch_stack();
-}
-
-void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
-  Entry& c = *entries_[consumer];
-  if (!accepts(c.compiled_requirements, sample)) {
-    count_rejection(c, consumer);
-    return;
-  }
-  if (sentry_ != nullptr) {
-    sentry_->on_deliver(sample, consumer, dispatch_stack_.size(),
-                        ++drain_cascade_);
-  }
-
-  // One dispatch frame covers everything this delivery triggers: emissions
-  // made by consume hooks and by on_input both insert their delivery
-  // blocks at this base, so they drain immediately after this delivery —
-  // before any previously-pending delivery (e.g. to the emitter's other
-  // consumers). Consume-hook emissions enqueue first and therefore pop
-  // first (later blocks at the same base land below earlier ones), then
-  // on_input emissions, each in emit order — the relative order the old
-  // recursive dispatcher produced, which ran hook emissions before
-  // on_input even started.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
-
-  // Consume hooks of the receiving component's features. The sample is
-  // owned by this delivery (the emitter queued one copy per consumer), so
-  // hooks mutate it in place — no defensive copy.
-  Obs* const obs = obs_.get();
-  const bool timing = obs != nullptr && obs->config.timing;
-  const TypeInfo* original_type = sample.payload.type();
-  for (const auto& f : c.features) {
-    bool keep = false;
-    if (timing) {
-      const double t0 = now_wall_us();
-      keep = f->consume(sample);
-      obs->handles(c, consumer, *f).consume_us->observe(now_wall_us() - t0);
-    } else {
-      keep = f->consume(sample);
-    }
-    if (!keep) {
-      // Emissions already made by earlier hooks stay queued (the recursive
-      // dispatcher had delivered them before the veto, too).
-      if (obs != nullptr && obs->config.metrics) {
-        obs->handles(c, consumer).consume_vetoed->inc();
-      }
-      current_frame_base_ = saved_frame_base;
-      return;
-    }
-    if (sample.payload.type() != original_type) {
-      current_frame_base_ = saved_frame_base;
-      throw std::logic_error("feature '" + std::string(f->name()) +
-                             "' changed the data type in consume()");
-    }
-  }
-
-  count_delivery(c, consumer, sample);
-  // End-to-end latency is observed when the sample *arrives* at a sink,
-  // before it may move into the pending inputs: ingest→sink covers every
-  // upstream hop but not the sink's own on_input (that is what on_input_us
-  // measures). The exemplar is the delivered sample's identity — the key
-  // of this delivery's kDeliver event in a flight dump.
-  if (obs != nullptr && obs->config.latency && c.consumers.empty() &&
-      sample.ingest_us != 0.0) {
-    ComponentMetricHandles& h = obs->handles(c, consumer);
-    if (h.e2e_latency_us != nullptr) {
-      const double e2e = now_wall_us() - sample.ingest_us;
-      h.e2e_latency_us->observe_with_exemplar(
-          e2e, obs::pack_sample_exemplar(sample.producer, sample.sequence));
-      if (h.deadline_miss != nullptr && e2e > obs->config.latency_slo_us) {
-        h.deadline_miss->inc();
-      }
-    }
-  }
-
-  // Record provenance only for components that can emit; pure sinks
-  // (applications) would otherwise accumulate pending inputs forever. The
-  // sample moves in only where pending_owns_input() holds; otherwise
-  // pending gets a copy and on_input reads this delivery's own sample.
-  const Sample& input =
-      c.records_provenance
-          ? keep_pending(c, consumer, sample, pending_owns_input(c))
-          : sample;
-  const double t0 = timing ? now_wall_us() : 0.0;
-  invoke_on_input(c, consumer, input, saved_frame_base);
-  if (timing) {
-    obs->handles(c, consumer).on_input_us->observe(now_wall_us() - t0);
-  }
 }
 
 }  // namespace perpos::core

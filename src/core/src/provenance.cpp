@@ -1,7 +1,6 @@
 #include "perpos/core/provenance.hpp"
 
 #include "perpos/core/sample.hpp"
-#include "perpos/core/sentry.hpp"
 
 namespace perpos::core {
 
@@ -16,8 +15,7 @@ ProvenanceBuffer* closed_mark() noexcept {
 
 }  // namespace
 
-ProvenanceRef ProvenancePool::acquire(std::vector<Sample>& batch,
-                                      GraphSentry* sentry) {
+ProvenanceRef ProvenancePool::acquire(std::vector<Sample>& batch) {
   ProvenanceRef ref;
   while (ref.buffer_ == nullptr) {
     if (returned_.load(std::memory_order_relaxed) != nullptr) {
@@ -35,7 +33,7 @@ ProvenanceRef ProvenancePool::acquire(std::vector<Sample>& batch,
       refs_.fetch_add(1, std::memory_order_relaxed);
     } else if (local_->refs.load(std::memory_order_relaxed) != 0) {
       local_ = local_->next;
-      if (sentry != nullptr) sentry->on_pool_double_release();
+      ++skipped_;
     } else {
       // The chain level below goes onto the owner list, skipping the
       // stack's round trip; the next acquire clears it.

@@ -19,12 +19,12 @@
 ///
 /// The static analyzer proves properties of a snapshot; the sanitizer
 /// enforces the invariants those rules *assume* on the live graph, with
-/// cheap assertions hooked into the dispatch path (core::GraphSentry) and
-/// the execution engine's lane inboxes:
+/// cheap assertions hooked into the dispatch path (a core::GraphObserver)
+/// and the execution engine's lane inboxes:
 ///
 ///   PPS001  lane-ownership       the graph is driven by one bound thread
 ///   PPS002  time-regression      per-producer timestamps/logical time
-///                                never move backwards
+///                                never move backwards (per origin)
 ///   PPS003  pool-double-release  a provenance buffer is reused only once
 ///                                nothing references it
 ///   PPS004  emission-depth       one external emission cascades into a
@@ -59,12 +59,12 @@ struct SanitizerConfig {
 /// Watches one ProcessingGraph (and optionally one ExecutionEngine) and
 /// records invariant violations as verify diagnostics.
 ///
-/// Threading: the sentry callbacks run on the graph's dispatching thread;
+/// Threading: the observer callbacks run on the graph's dispatching thread;
 /// engine watermarks may arrive from any thread. All
 /// internal state is mutex-guarded, so report()/violations() may be read
 /// from anywhere. The sanitizer must be detached (or destroyed — the
 /// destructor detaches) before the graph it watches dies.
-class GraphSanitizer final : public core::GraphSentry {
+class GraphSanitizer final : public core::GraphObserver {
  public:
   explicit GraphSanitizer(SanitizerConfig config = {});
   ~GraphSanitizer() override;
@@ -72,7 +72,8 @@ class GraphSanitizer final : public core::GraphSentry {
   GraphSanitizer(const GraphSanitizer&) = delete;
   GraphSanitizer& operator=(const GraphSanitizer&) = delete;
 
-  /// Install this sanitizer as `graph`'s sentry (replacing any other).
+  /// Register this sanitizer as one of `graph`'s observers (detaching it
+  /// from any graph it watched before); other observers stay.
   void attach(core::ProcessingGraph& graph);
   void detach();
   bool attached() const noexcept { return graph_ != nullptr; }
@@ -118,12 +119,12 @@ class GraphSanitizer final : public core::GraphSentry {
   void clear();
 
   /// Peak dispatch-queue depth observed across all deliveries (the
-  /// queue_depth the graph reported to on_deliver). This is what the
+  /// queue_depth the graph reported to on_accept). This is what the
   /// static analyzer's queue bound (analyze_budget) promises to dominate;
   /// the cross-validation suite asserts static >= this runtime peak.
   std::size_t dispatch_queue_high_water() const;
   /// Peak per-emission delivery cascade observed (the cascade counter the
-  /// graph reported to on_deliver). Static counterpart: the per-source
+  /// graph reported to on_accept). Static counterpart: the per-source
   /// burst cascade in analyze_budget's queue model.
   std::uint64_t cascade_high_water() const;
 
@@ -137,10 +138,11 @@ class GraphSanitizer final : public core::GraphSentry {
   static std::unique_ptr<GraphSanitizer> install_from_env(
       core::ProcessingGraph& graph, SanitizerConfig config = {});
 
-  // --- core::GraphSentry ---------------------------------------------------
+  // --- core::GraphObserver -------------------------------------------------
+  void on_mutation(const core::GraphMutation& mutation) override;
   void on_emit(const core::Sample& sample) override;
-  void on_deliver(const core::Sample& sample, core::ComponentId consumer,
-                  std::size_t queue_depth, std::uint64_t cascade) override;
+  void on_accept(const core::Sample& sample, core::ComponentId consumer,
+                 std::size_t queue_depth, std::uint64_t cascade) override;
   void on_pool_double_release() override;
 
  private:
@@ -150,7 +152,6 @@ class GraphSanitizer final : public core::GraphSentry {
               std::string message, std::string fix_hint);
   std::string name_of(core::ComponentId id) const;
   void check_thread(core::ComponentId at);
-  void on_graph_mutation(const core::GraphMutation& mutation);
 
   mutable std::mutex mutex_;
   SanitizerConfig config_;
@@ -158,18 +159,18 @@ class GraphSanitizer final : public core::GraphSentry {
   /// Engine watched for PPS006 (in-flight tasks during a mutation) and
   /// PPS005; null until watch_engine().
   exec::ExecutionEngine* engine_ = nullptr;
-  /// Mutation-observer registration on the attached graph (0 = none).
-  std::size_t mutation_observer_token_ = 0;
   /// Open quiesce windows; mutations are PPS006-exempt while non-zero.
   int quiesce_depth_ = 0;
   bool bound_ = false;
   std::thread::id owner_;
-  /// Per-producer high-water marks: last timestamp and logical time seen.
-  std::map<core::ComponentId, std::pair<sim::SimTime, std::uint64_t>>
+  /// High-water marks per (producer, origin): last timestamp and logical
+  /// time seen.
+  std::map<std::pair<core::ComponentId, core::OriginId>,
+           std::pair<sim::SimTime, std::uint64_t>>
       last_emit_;
   std::set<std::string> reported_;  ///< Duplicate-suppression keys.
-  std::size_t queue_high_water_ = 0;     ///< Peak on_deliver queue_depth.
-  std::uint64_t cascade_high_water_ = 0; ///< Peak on_deliver cascade.
+  std::size_t queue_high_water_ = 0;     ///< Peak on_accept queue_depth.
+  std::uint64_t cascade_high_water_ = 0; ///< Peak on_accept cascade.
   std::vector<verify::Diagnostic> diagnostics_;
   /// Black-box hookup: events go to rec_lane_ under mutex_ (violations can
   /// surface from any thread; the lock serializes the single-producer ring).

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 namespace perpos::sanitize {
 
@@ -29,30 +30,21 @@ GraphSanitizer::~GraphSanitizer() { detach(); }
 
 void GraphSanitizer::attach(core::ProcessingGraph& graph) {
   detach();
-  std::lock_guard<std::mutex> lock(mutex_);
-  graph_ = &graph;
-  // PPS006 needs to see every structural mutation; the sentry seam only
-  // covers dispatch, so subscribe to the mutation observers as well.
-  mutation_observer_token_ = graph.add_mutation_observer(
-      [this](const core::GraphMutation& m) { on_graph_mutation(m); });
-  graph.set_sentry(this);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    graph_ = &graph;
+  }
+  graph.add_observer(*this, kDispatch | kAccept);
 }
 
 void GraphSanitizer::detach() {
   core::ProcessingGraph* graph = nullptr;
-  std::size_t token = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    graph = graph_;
-    graph_ = nullptr;
-    token = mutation_observer_token_;
-    mutation_observer_token_ = 0;
+    graph = std::exchange(graph_, nullptr);
   }
   // Release our mutex before calling back into the graph.
-  if (graph != nullptr) {
-    if (token != 0) graph->remove_mutation_observer(token);
-    if (graph->sentry() == this) graph->set_sentry(nullptr);
-  }
+  if (graph != nullptr) graph->remove_observer(*this);
 }
 
 void GraphSanitizer::watch_engine(exec::ExecutionEngine& engine,
@@ -157,12 +149,11 @@ void GraphSanitizer::on_emit(const core::Sample& sample) {
   std::string regression;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = last_emit_.find(sample.producer);
-    if (it == last_emit_.end()) {
-      last_emit_.emplace(sample.producer,
-                         std::make_pair(sample.timestamp, sample.sequence));
-      return;
-    }
+    // Each origin is its own stream: data a produce hook adds is stamped
+    // after the emission it rides on, but leaves the port first.
+    const auto [it, first] = last_emit_.try_emplace(
+        {sample.producer, sample.origin}, sample.timestamp, sample.sequence);
+    if (first) return;
     const auto [last_time, last_seq] = it->second;
     if (sample.timestamp < last_time || sample.sequence < last_seq) {
       const bool time_regressed = sample.timestamp < last_time;
@@ -191,11 +182,10 @@ void GraphSanitizer::on_emit(const core::Sample& sample) {
   }
 }
 
-void GraphSanitizer::on_deliver(const core::Sample& sample,
-                                core::ComponentId consumer,
-                                std::size_t queue_depth,
-                                std::uint64_t cascade) {
-  (void)sample;
+void GraphSanitizer::on_accept(const core::Sample&,
+                               core::ComponentId consumer,
+                               std::size_t queue_depth,
+                               std::uint64_t cascade) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_high_water_ = std::max(queue_high_water_, queue_depth);
@@ -233,7 +223,7 @@ void GraphSanitizer::end_quiesce() {
   if (quiesce_depth_ > 0) --quiesce_depth_;
 }
 
-void GraphSanitizer::on_graph_mutation(const core::GraphMutation& mutation) {
+void GraphSanitizer::on_mutation(const core::GraphMutation& mutation) {
   exec::ExecutionEngine* engine = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -19,7 +19,7 @@
 /// re-checked before (or right after) it takes effect. Re-running the full
 /// catalog on every mutation is O(graph) per change; for a middleware
 /// hosting many targets that adds up. This verifier instead tracks *dirty
-/// regions*: graph mutations (observed through the core's mutation-observer
+/// regions*: graph mutations (observed through the core's GraphObserver
 /// seam) mark the touched components, and recheck() re-analyzes only the
 /// weakly-connected components containing a dirty node — O(delta) for the
 /// typical adaptation that edits one pipeline among many — while replaying
@@ -57,7 +57,7 @@ struct GateStats {
   std::uint64_t refreeze_failures = 0; ///< Re-verifies that found errors.
 };
 
-class IncrementalVerifier {
+class IncrementalVerifier : private core::GraphObserver {
  public:
   /// The verifier of `graph`, created (subscribed to the graph's mutation
   /// observers, default Options, gate disarmed) by the first call and
@@ -67,7 +67,7 @@ class IncrementalVerifier {
   static std::shared_ptr<IncrementalVerifier> of(
       core::ProcessingGraph& graph);
 
-  ~IncrementalVerifier();
+  ~IncrementalVerifier() override;
 
   IncrementalVerifier(const IncrementalVerifier&) = delete;
   IncrementalVerifier& operator=(const IncrementalVerifier&) = delete;
@@ -147,13 +147,12 @@ class IncrementalVerifier {
   explicit IncrementalVerifier(core::ProcessingGraph& graph);
 
   Report analyze(bool everything_dirty);
-  void on_mutation(const core::GraphMutation& mutation);
+  void on_mutation(const core::GraphMutation& mutation) override;
   void close_transaction();
   /// The gate's re-verify (when auto_refreeze is on).
   void refreeze();
 
   core::ProcessingGraph& graph_;
-  std::size_t observer_token_ = 0;
   Options options_;
   /// Nodes touched by mutations since the last analysis. A set of node
   /// ids, not components: the partition is recomputed each pass.

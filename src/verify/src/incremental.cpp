@@ -84,12 +84,11 @@ std::shared_ptr<IncrementalVerifier> IncrementalVerifier::of(
 IncrementalVerifier::IncrementalVerifier(core::ProcessingGraph& graph)
     : graph_(graph) {
   set_options({});
-  observer_token_ = graph_.add_mutation_observer(
-      [this](const core::GraphMutation& mutation) { on_mutation(mutation); });
+  graph_.add_observer(*this);
 }
 
 IncrementalVerifier::~IncrementalVerifier() {
-  graph_.remove_mutation_observer(observer_token_);
+  graph_.remove_observer(*this);
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   // Keep the entry of a verifier created since this one expired.

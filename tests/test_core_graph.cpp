@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace core = perpos::core;
@@ -302,14 +305,29 @@ TEST(Graph, RevisionBumpsOnStructuralMutation) {
   EXPECT_GT(g.revision(), r2);
 }
 
+namespace {
+
+/// A mutation-only observer that forwards to `fn`.
+struct MutationProbe final : core::GraphObserver {
+  explicit MutationProbe(std::function<void(const core::GraphMutation&)> f)
+      : fn(std::move(f)) {}
+  void on_mutation(const core::GraphMutation& m) override { fn(m); }
+  std::function<void(const core::GraphMutation&)> fn;
+};
+
+}  // namespace
+
 TEST(Graph, MutationObserverFiresUntilRemoved) {
   core::ProcessingGraph g;
   int fired = 0;
-  const auto token =
-      g.add_mutation_observer([&](const core::GraphMutation&) { ++fired; });
+  MutationProbe probe([&](const core::GraphMutation&) { ++fired; });
+  g.add_observer(probe);
+  EXPECT_TRUE(g.has_observer(probe));
+  EXPECT_THROW(g.add_observer(probe), std::invalid_argument);
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
-  g.remove_mutation_observer(token);
+  g.remove_observer(probe);
+  EXPECT_FALSE(g.has_observer(probe));
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
 }
@@ -322,13 +340,15 @@ TEST(Graph, SelfRemovingObserverKeepsItsSuccessorNotified) {
   core::ProcessingGraph g;
   int fired = 0;
   int successor_fired = 0;
-  std::size_t token = 0;
-  token = g.add_mutation_observer([&](const core::GraphMutation&) {
+  MutationProbe self([&](const core::GraphMutation&) {});
+  self.fn = [&](const core::GraphMutation&) {
     ++fired;
-    g.remove_mutation_observer(token);  // Self-detach mid-walk.
-  });
-  g.add_mutation_observer(
+    g.remove_observer(self);  // Self-detach mid-walk.
+  };
+  MutationProbe successor(
       [&](const core::GraphMutation&) { ++successor_fired; });
+  g.add_observer(self);
+  g.add_observer(successor);
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(successor_fired, 1);  // The walk did not skip past the hole.
@@ -340,11 +360,12 @@ TEST(Graph, SelfRemovingObserverKeepsItsSuccessorNotified) {
 TEST(Graph, ObserverMaySelfRemoveDuringNotification) {
   core::ProcessingGraph g;
   int fired = 0;
-  std::size_t token = 0;
-  token = g.add_mutation_observer([&](const core::GraphMutation&) {
+  MutationProbe self([&](const core::GraphMutation&) {});
+  self.fn = [&](const core::GraphMutation&) {
     ++fired;
-    g.remove_mutation_observer(token);
-  });
+    g.remove_observer(self);
+  };
+  g.add_observer(self);
   g.add(make_int_source());
   EXPECT_EQ(fired, 1);
   g.add(make_int_source());
@@ -354,14 +375,13 @@ TEST(Graph, ObserverMaySelfRemoveDuringNotification) {
 TEST(Graph, DetachingLaterObserverSuppressesItsInvocation) {
   core::ProcessingGraph g;
   int second_fired = 0;
-  std::size_t second = 0;
-  g.add_mutation_observer([&](const core::GraphMutation&) {
-    // First observer removes the second before the walk reaches it: the
-    // second must not see this mutation (tombstones are skipped in-walk).
-    if (second != 0) g.remove_mutation_observer(second);
-  });
-  second = g.add_mutation_observer(
-      [&](const core::GraphMutation&) { ++second_fired; });
+  MutationProbe second([&](const core::GraphMutation&) { ++second_fired; });
+  // The first observer removes the second before the walk reaches it: the
+  // second must not see this mutation (tombstones are skipped in-walk).
+  MutationProbe first(
+      [&](const core::GraphMutation&) { g.remove_observer(second); });
+  g.add_observer(first);
+  g.add_observer(second);
   g.add(make_int_source());
   EXPECT_EQ(second_fired, 0);
 }
@@ -370,13 +390,14 @@ TEST(Graph, ObserverMayMutateGraphReentrantly) {
   core::ProcessingGraph g;
   std::vector<core::GraphMutation::Kind> seen;
   bool nested = false;
-  g.add_mutation_observer([&](const core::GraphMutation& m) {
+  MutationProbe probe([&](const core::GraphMutation& m) {
     seen.push_back(m.kind);
     if (!nested) {
       nested = true;
       g.add(make_int_source());  // Nested mutation from inside the walk.
     }
   });
+  g.add_observer(probe);
   g.add(make_int_source());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], core::GraphMutation::Kind::kAdd);
@@ -386,16 +407,95 @@ TEST(Graph, ObserverMayMutateGraphReentrantly) {
 TEST(Graph, ObserverRemovedByPeerMidWalkNeverFiresAgain) {
   core::ProcessingGraph g;
   int earlier_fired = 0;
-  const auto earlier = g.add_mutation_observer(
-      [&](const core::GraphMutation&) { ++earlier_fired; });
-  g.add_mutation_observer([&](const core::GraphMutation&) {
-    // Removes a peer the walk already visited.
-    g.remove_mutation_observer(earlier);
-  });
+  MutationProbe earlier([&](const core::GraphMutation&) { ++earlier_fired; });
+  // Removes a peer the walk already visited.
+  MutationProbe remover(
+      [&](const core::GraphMutation&) { g.remove_observer(earlier); });
+  g.add_observer(earlier);
+  g.add_observer(remover);
   g.add(make_int_source());
   EXPECT_EQ(earlier_fired, 1);
   g.add(make_int_source());
   EXPECT_EQ(earlier_fired, 1);  // Never fires again.
+}
+
+TEST(Graph, ObserverAddedDuringNotificationHearsTheNextMutation) {
+  core::ProcessingGraph g;
+  int late_fired = 0;
+  MutationProbe late([&](const core::GraphMutation&) { ++late_fired; });
+  MutationProbe adder([&](const core::GraphMutation&) {
+    if (!g.has_observer(late)) g.add_observer(late);
+  });
+  g.add_observer(adder);
+  g.add(make_int_source());
+  EXPECT_EQ(late_fired, 0);  // Registered mid-walk: not this mutation.
+  g.add(make_int_source());
+  EXPECT_EQ(late_fired, 1);
+}
+
+TEST(Graph, DispatchObserverSelfRemovesMidDispatch) {
+  // The same walk serves dispatch events: an observer that leaves from
+  // inside on_emit is not called again, and its peer keeps hearing.
+  core::ProcessingGraph g;
+  struct Probe final : core::GraphObserver {
+    core::ProcessingGraph* graph = nullptr;
+    bool leave = false;
+    int emits = 0;
+    void on_emit(const Sample&) override {
+      ++emits;
+      if (leave) graph->remove_observer(*this);
+    }
+  } leaver, stayer;
+  leaver.graph = stayer.graph = &g;
+  leaver.leave = true;
+  g.add_observer(leaver, core::GraphObserver::kDispatch);
+  g.add_observer(stayer, core::GraphObserver::kDispatch);
+  const auto src = g.add(make_int_source());
+  const auto sink = g.add(std::make_shared<core::ApplicationSink>());
+  g.connect(src, sink);
+  auto* source = g.component_as<core::SourceComponent>(src);
+  source->push(IntValue{1});
+  source->push(IntValue{2});
+  EXPECT_EQ(leaver.emits, 1);
+  EXPECT_EQ(stayer.emits, 2);
+  EXPECT_FALSE(g.has_observer(leaver));
+}
+
+TEST(Graph, ObserversHearOnlyTheEventsTheySubscribeTo) {
+  struct Probe final : core::GraphObserver {
+    int mutations = 0;
+    int emits = 0;
+    int accepts = 0;
+    int timings = 0;
+    void on_mutation(const core::GraphMutation&) override { ++mutations; }
+    void on_emit(const Sample&) override { ++emits; }
+    void on_accept(const Sample&, core::ComponentId, std::size_t,
+                   std::uint64_t) override {
+      ++accepts;
+    }
+    void on_input_time(core::ComponentId, double) override { ++timings; }
+  } structure, dispatch, accept_timed;
+  core::ProcessingGraph g;
+  g.add_observer(structure);
+  g.add_observer(dispatch, core::GraphObserver::kDispatch);
+  g.add_observer(accept_timed,
+                 core::GraphObserver::kAccept | core::GraphObserver::kTiming);
+  const auto src = g.add(make_int_source());
+  const auto mid = g.add(make_doubler());
+  g.connect(src, mid);
+  g.connect(mid, g.add(std::make_shared<core::ApplicationSink>()));
+  g.component_as<core::SourceComponent>(src)->push(IntValue{1});
+  // Every observer hears the five mutations; dispatch events only reach
+  // their subscribers (two emissions, two accepted deliveries).
+  for (const Probe* p : {&structure, &dispatch, &accept_timed}) {
+    EXPECT_EQ(p->mutations, 5);
+  }
+  EXPECT_EQ(structure.emits + structure.accepts + structure.timings, 0);
+  EXPECT_EQ(dispatch.emits, 2);
+  EXPECT_EQ(dispatch.accepts + dispatch.timings, 0);
+  EXPECT_EQ(accept_timed.emits, 0);
+  EXPECT_EQ(accept_timed.accepts, 2);
+  EXPECT_EQ(accept_timed.timings, 2);
 }
 
 TEST(Graph, LogicalTimeIsPerProducerSequence) {

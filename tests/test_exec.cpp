@@ -730,12 +730,25 @@ TEST(EngineProfiler, AttachedHotPathDoesNotAllocate) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
 }
 
+namespace {
+
+/// A consume hook that keeps every sample: it gives its host the hooked
+/// delivery shape (the slot is popped before the hooks run).
+class PassThrough final : public core::ComponentFeature {
+ public:
+  std::string_view name() const override { return "pass"; }
+  bool consume(core::Sample&) override { return true; }
+};
+
+}  // namespace
+
 TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
-  // Metrics, latency and an SLO take every delivery through the
-  // instrumented path; its provenance buffers come from the graph's pool
-  // and its handles are cached, so in steady state each hop allocates
-  // exactly one object: the Payload it emits. Recording — the flow trace —
-  // writes preallocated ring slots on the lean path and adds nothing.
+  // Metrics, latency and an SLO are observers: deliveries keep their shape
+  // — consumed in place, or popped first only for a consume-hooked
+  // consumer. Provenance buffers come from the graph's pool and metric
+  // handles are cached, so in steady state each hop allocates exactly one
+  // object: the Payload it emits. Recording — the flow trace — writes
+  // preallocated ring slots and adds nothing.
   obs::ObservabilityConfig instrumented;
   instrumented.metrics = true;
   instrumented.timing = false;
@@ -745,36 +758,42 @@ TEST(DispatchHotPath, InstrumentedRelayChainAllocatesOnlyPayloads) {
   recorded.metrics = false;
   recorded.timing = false;
   recorded.recording = true;
-  for (const obs::ObservabilityConfig& cfg : {instrumented, recorded}) {
-    SCOPED_TRACE(cfg.recording ? "recording" : "metrics+latency");
-    constexpr int kDepth = 16;
-    core::ProcessingGraph graph;
-    const auto src = graph.add(tick_source());
-    core::ComponentId prev = src;
-    for (int i = 0; i < kDepth; ++i) {
-      const auto stage = graph.add(add_one_stage());
-      graph.connect(prev, stage);
-      prev = stage;
-    }
-    int received = 0;
-    const auto sink = graph.add(std::make_shared<core::ApplicationSink>(
-        "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
-        [&received](const core::Sample&) { ++received; }));
-    graph.connect(prev, sink);
-    graph.enable_observability(cfg);
-    auto* source = graph.component_as<core::SourceComponent>(src);
+  for (const bool hooked : {false, true}) {
+    for (const obs::ObservabilityConfig& cfg : {instrumented, recorded}) {
+      SCOPED_TRACE(std::string(hooked ? "hooked, " : "in place, ") +
+                   (cfg.recording ? "recording" : "metrics+latency"));
+      constexpr int kDepth = 16;
+      core::ProcessingGraph graph;
+      const auto src = graph.add(tick_source());
+      core::ComponentId prev = src;
+      for (int i = 0; i < kDepth; ++i) {
+        const auto stage = graph.add(add_one_stage());
+        if (hooked) {
+          graph.attach_feature(stage, std::make_shared<PassThrough>());
+        }
+        graph.connect(prev, stage);
+        prev = stage;
+      }
+      int received = 0;
+      const auto sink = graph.add(std::make_shared<core::ApplicationSink>(
+          "Sink", std::vector<core::InputRequirement>{core::require<Tick>()},
+          [&received](const core::Sample&) { ++received; }));
+      graph.connect(prev, sink);
+      graph.enable_observability(cfg);
+      auto* source = graph.component_as<core::SourceComponent>(src);
 
-    // Warm-up: grow the dispatch stack, the pending buffers and the pool.
-    for (int i = 0; i < 64; ++i) source->push(Tick{i});
-    constexpr int kPushes = 100;
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_count_allocations.store(true, std::memory_order_relaxed);
-    for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
-    g_count_allocations.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(received, 64 + kPushes);
-    // One emission per hop: the source plus every relay.
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
-              static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
+      // Warm-up: grow the dispatch stack, the pending buffers and the pool.
+      for (int i = 0; i < 64; ++i) source->push(Tick{i});
+      constexpr int kPushes = 100;
+      g_allocations.store(0, std::memory_order_relaxed);
+      g_count_allocations.store(true, std::memory_order_relaxed);
+      for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
+      g_count_allocations.store(false, std::memory_order_relaxed);
+      EXPECT_EQ(received, 64 + kPushes);
+      // One emission per hop: the source plus every relay.
+      EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
+                static_cast<std::uint64_t>(kPushes * (kDepth + 1)));
+    }
   }
 }
 
@@ -782,51 +801,56 @@ TEST(DispatchHotPath, FanOutWithPartialRejectionAllocatesOnlyPayloads) {
   // A stage fanning out to two consumers queues both deliveries in place
   // on the dispatch stack. Its relay consumer rejects every other sample (a
   // Tock it does not accept); the rejected copy returns its provenance to
-  // the pool. In steady state only the emitted payloads are allocated, on
-  // the lean and on the instrumented delivery path.
+  // the pool. In steady state only the emitted payloads are allocated, bare
+  // and with metrics + latency on, in either delivery shape.
   obs::ObservabilityConfig instrumented;
   instrumented.metrics = true;
   instrumented.timing = false;
   instrumented.latency = true;
-  for (const bool observed : {false, true}) {
-    SCOPED_TRACE(observed ? "metrics+latency" : "lean");
-    core::ProcessingGraph graph;
-    const auto src = graph.add(tick_source());
-    const auto split = graph.add(std::make_shared<core::LambdaComponent>(
-        "TickTock", std::vector<core::InputRequirement>{core::require<Tick>()},
-        std::vector<core::DataSpec>{core::provide<Tick>(),
-                                    core::provide<Tock>()},
-        [](const core::Sample& s, const core::ComponentContext& ctx) {
-          const int v = s.payload.get<Tick>()->value;
-          if (v % 2 == 0) {
-            ctx.emit(core::Payload::make(Tick{v}));
-          } else {
-            ctx.emit(core::Payload::make(Tock{v}));
-          }
-        }));
-    const auto all = graph.add(std::make_shared<core::ApplicationSink>());
-    const auto relay = graph.add(add_one_stage());
-    int relayed = 0;
-    const auto tail = graph.add(std::make_shared<core::ApplicationSink>(
-        "Tail", std::vector<core::InputRequirement>{core::require<Tick>()},
-        [&relayed](const core::Sample&) { ++relayed; }));
-    graph.connect(src, split);
-    graph.connect(split, all);
-    graph.connect(split, relay);
-    graph.connect(relay, tail);
-    if (observed) graph.enable_observability(instrumented);
-    auto* source = graph.component_as<core::SourceComponent>(src);
+  for (const bool hooked : {false, true}) {
+    for (const bool observed : {false, true}) {
+      SCOPED_TRACE(std::string(hooked ? "hooked, " : "in place, ") +
+                   (observed ? "metrics+latency" : "bare"));
+      core::ProcessingGraph graph;
+      const auto src = graph.add(tick_source());
+      const auto split = graph.add(std::make_shared<core::LambdaComponent>(
+          "TickTock",
+          std::vector<core::InputRequirement>{core::require<Tick>()},
+          std::vector<core::DataSpec>{core::provide<Tick>(),
+                                      core::provide<Tock>()},
+          [](const core::Sample& s, const core::ComponentContext& ctx) {
+            const int v = s.payload.get<Tick>()->value;
+            if (v % 2 == 0) {
+              ctx.emit(core::Payload::make(Tick{v}));
+            } else {
+              ctx.emit(core::Payload::make(Tock{v}));
+            }
+          }));
+      const auto all = graph.add(std::make_shared<core::ApplicationSink>());
+      const auto relay = graph.add(add_one_stage());
+      if (hooked) graph.attach_feature(relay, std::make_shared<PassThrough>());
+      int relayed = 0;
+      const auto tail = graph.add(std::make_shared<core::ApplicationSink>(
+          "Tail", std::vector<core::InputRequirement>{core::require<Tick>()},
+          [&relayed](const core::Sample&) { ++relayed; }));
+      graph.connect(src, split);
+      graph.connect(split, all);
+      graph.connect(split, relay);
+      graph.connect(relay, tail);
+      if (observed) graph.enable_observability(instrumented);
+      auto* source = graph.component_as<core::SourceComponent>(src);
 
-    for (int i = 0; i < 64; ++i) source->push(Tick{i});
-    constexpr int kPushes = 100;
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_count_allocations.store(true, std::memory_order_relaxed);
-    for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
-    g_count_allocations.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(relayed, 32 + kPushes / 2);
-    // Source and split emit every push; the relay only the even half.
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
-              static_cast<std::uint64_t>(2 * kPushes + kPushes / 2));
+      for (int i = 0; i < 64; ++i) source->push(Tick{i});
+      constexpr int kPushes = 100;
+      g_allocations.store(0, std::memory_order_relaxed);
+      g_count_allocations.store(true, std::memory_order_relaxed);
+      for (int i = 0; i < kPushes; ++i) source->push(Tick{i});
+      g_count_allocations.store(false, std::memory_order_relaxed);
+      EXPECT_EQ(relayed, 32 + kPushes / 2);
+      // Source and split emit every push; the relay only the even half.
+      EXPECT_EQ(g_allocations.load(std::memory_order_relaxed),
+                static_cast<std::uint64_t>(2 * kPushes + kPushes / 2));
+    }
   }
 }
 

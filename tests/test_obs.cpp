@@ -321,6 +321,41 @@ TEST(GraphObservability, ProduceVetoCounterAndFeatureTiming) {
   EXPECT_EQ(hook->count, 6u);
 }
 
+TEST(GraphObservability, ReplaceRelabelsFeatureHookHistograms) {
+  // After replace() the host's hook histograms carry the successor's kind,
+  // like its component counters: one emission as Old, two as New.
+  struct Tag final : core::ComponentFeature {
+    std::string_view name() const override { return "Tag"; }
+  };
+  core::ProcessingGraph graph;
+  graph.enable_observability();
+  auto old_source = std::make_shared<core::SourceComponent>(
+      "Old", std::vector<core::DataSpec>{core::provide<Value>()});
+  const auto a = graph.add(old_source);
+  graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
+  graph.attach_feature(a, std::make_shared<Tag>());
+  old_source->push(Value{1});
+  auto new_source = std::make_shared<core::SourceComponent>(
+      "New", std::vector<core::DataSpec>{core::provide<Value>()});
+  graph.replace(a, new_source, core::ReplaceHandoff::kNone);
+  new_source->push(Value{2});
+  new_source->push(Value{3});
+
+  const obs::MetricsSnapshot snap = graph.metrics();
+  for (const auto& [kind, n] : {std::pair<const char*, std::uint64_t>{"Old", 1},
+                                {"New", 2}}) {
+    SCOPED_TRACE(kind);
+    const auto* emitted =
+        snap.find_counter("perpos_component_emitted_total", "kind", kind);
+    ASSERT_NE(emitted, nullptr);
+    EXPECT_EQ(emitted->value, n);
+    const auto* hook =
+        snap.find_histogram("perpos_feature_produce_us", "kind", kind);
+    ASSERT_NE(hook, nullptr);
+    EXPECT_EQ(hook->count, n);
+  }
+}
+
 TEST(GraphObservability, MutationCounterAndComponentsGauge) {
   core::ProcessingGraph graph;
   graph.enable_observability();

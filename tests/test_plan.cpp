@@ -2,7 +2,7 @@
 // the perpos::plan::GraphPlan verify gate:
 //  - transcripts recorded in tests/golden/plan — fan-out, nested
 //    FeatureContext::emit (consume and produce hooks), failure injection,
-//    0/1/8 engine workers, metric counters, sentry counts, the flight
+//    0/1/8 engine workers, metric counters, observer counts, the flight
 //    recorder and seeded chaos runs — must match byte for byte, with and
 //    without the gate armed and with every observability knob on,
 //  - freeze() succeeds whatever the observability settings; a PSL edit
@@ -20,6 +20,8 @@
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/plan/graph_plan.hpp"
 #include "perpos/reconfig/live_reconfigurator.hpp"
+#include "perpos/sanitize/sanitizer.hpp"
+#include "perpos/verify/emit.hpp"
 #include "perpos/verify/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -44,6 +46,7 @@ namespace exec = perpos::exec;
 namespace obs = perpos::obs;
 namespace plan = perpos::plan;
 namespace reconfig = perpos::reconfig;
+namespace san = perpos::sanitize;
 namespace verify = perpos::verify;
 
 namespace {
@@ -135,6 +138,14 @@ class EchoFeature final : public core::ComponentFeature {
   }
 };
 
+/// A consume hook that keeps every sample unchanged: it gives a consumer
+/// the hooked delivery shape without changing what it sees.
+class PassThrough final : public core::ComponentFeature {
+ public:
+  std::string_view name() const override { return "pass"; }
+  bool consume(core::Sample&) override { return true; }
+};
+
 /// Src -> A -> B[echo] -> Sink, with A also fanning out to C -> Sink and
 /// an echo-tagged side sink hanging off B. Every delivered value:sequence
 /// pair lands in the transcript, so any ordering, duplication or loss
@@ -223,7 +234,7 @@ std::string run_scenario(bool gated, std::uint64_t seed, int events,
   return rig.transcript.str();
 }
 
-/// Every observability knob on: the instrumented delivery path.
+/// Every observability knob on.
 obs::ObservabilityConfig everything_on() {
   obs::ObservabilityConfig cfg;
   cfg.metrics = true;
@@ -438,16 +449,11 @@ TEST(Plan, ConsumerlessEmittersKeepTheirInputAcrossEmissions) {
   // once, releasing the batch it claimed. C emits twice per input and then
   // reads its input again, which must still be intact — the input may not
   // live in a buffer the second emission's provenance recycles. Covered on
-  // both delivery paths (lean, and instrumented via timing); ASan guards
-  // the lifetime in CI.
-  for (const bool timed : {false, true}) {
-    SCOPED_TRACE(timed ? "instrumented delivery" : "lean delivery");
+  // both delivery shapes (in place, and popped first because C has a
+  // consume hook); ASan guards the lifetime in CI.
+  for (const bool hooked : {false, true}) {
+    SCOPED_TRACE(hooked ? "consume-hooked delivery" : "in-place delivery");
     core::ProcessingGraph graph;
-    if (timed) {
-      obs::ObservabilityConfig cfg;
-      cfg.timing = true;
-      graph.enable_observability(cfg);
-    }
     const auto src = graph.add(tick_source());
     std::vector<int> seen;
     const auto c = graph.add(std::make_shared<core::LambdaComponent>(
@@ -462,6 +468,7 @@ TEST(Plan, ConsumerlessEmittersKeepTheirInputAcrossEmissions) {
           seen.push_back(after != nullptr ? after->value : -1);
         }));
     graph.connect(src, c);
+    if (hooked) graph.attach_feature(c, std::make_shared<PassThrough>());
     auto* source = graph.component_as<core::SourceComponent>(src);
     std::vector<int> expected;
     for (int i = 0; i < 64; ++i) {
@@ -538,17 +545,22 @@ TEST(Plan, MetricCountersMatchInterpretedRun) {
 
 namespace {
 
-struct CountingSentry final : core::GraphSentry {
+struct CountingObserver final : core::GraphObserver {
   std::uint64_t emits = 0;
   std::uint64_t delivers = 0;
   std::uint64_t depth_sum = 0;
   std::uint64_t cascade_sum = 0;
   void on_emit(const core::Sample&) override { ++emits; }
-  void on_deliver(const core::Sample&, core::ComponentId,
-                  std::size_t queue_depth, std::uint64_t cascade) override {
+  void on_accept(const core::Sample&, core::ComponentId,
+                 std::size_t queue_depth, std::uint64_t cascade) override {
     ++delivers;
     depth_sum += queue_depth;
     cascade_sum += cascade;
+  }
+  std::string counts() const {
+    return std::to_string(emits) + " " + std::to_string(delivers) + " " +
+           std::to_string(depth_sum) + " " + std::to_string(cascade_sum) +
+           "\n";
   }
 };
 
@@ -556,16 +568,69 @@ struct CountingSentry final : core::GraphSentry {
 
 TEST(Plan, SentryObservesIdenticalDispatchFrozen) {
   PlanRig rig;
-  CountingSentry sentry;
-  rig.graph.set_sentry(&sentry);
+  CountingObserver counting;
+  rig.graph.add_observer(counting, core::GraphObserver::kDispatch |
+                                       core::GraphObserver::kAccept);
   plan::GraphPlan gate(rig.graph);
   ASSERT_TRUE(gate.freeze().frozen);
   drive(rig, 5678, 250);
-  rig.graph.set_sentry(nullptr);
-  expect_golden("sentry", std::to_string(sentry.emits) + " " +
-                              std::to_string(sentry.delivers) + " " +
-                              std::to_string(sentry.depth_sum) + " " +
-                              std::to_string(sentry.cascade_sum) + "\n");
+  rig.graph.remove_observer(counting);
+  expect_golden("sentry", counting.counts());
+}
+
+TEST(Plan, ObserversComposeOnOneGraph) {
+  // The counting observer, a GraphSanitizer and every observability knob
+  // share the graph's one observer list: none displaces another, every
+  // transcript and count stays golden, and the sanitizer finds nothing.
+  struct Composed {
+    explicit Composed(bool with_feature = true, int bomb_trip = 0)
+        : rig(with_feature, bomb_trip) {
+      rig.graph.add_observer(counting, core::GraphObserver::kDispatch |
+                                           core::GraphObserver::kAccept);
+      sanitizer.attach(rig.graph);
+      rig.graph.enable_observability(everything_on());
+      EXPECT_TRUE(gate.freeze().frozen);
+    }
+    PlanRig rig;
+    CountingObserver counting;
+    san::GraphSanitizer sanitizer;
+    plan::GraphPlan gate{rig.graph};
+  };
+  {
+    Composed c;
+    drive(c.rig, 5678, 250);
+    expect_golden("sentry", c.counting.counts());
+    EXPECT_EQ(c.sanitizer.violations(), 0u)
+        << verify::to_text(c.sanitizer.report());
+    EXPECT_GT(c.sanitizer.cascade_high_water(), 0u);
+
+    // Detaching one observer leaves the others live.
+    c.sanitizer.detach();
+    const std::uint64_t emits = c.counting.emits;
+    obs::MetricsSnapshot before = c.rig.graph.metrics();
+    const std::uint64_t delivered_before =
+        before.find_counter("perpos_graph_deliveries_total")->value;
+    c.rig.source->push(Tick{1});
+    EXPECT_GT(c.counting.emits, emits);
+    obs::MetricsSnapshot after = c.rig.graph.metrics();
+    EXPECT_GT(after.find_counter("perpos_graph_deliveries_total")->value,
+              delivered_before);
+    c.rig.graph.remove_observer(c.counting);
+    c.rig.graph.disable_observability();
+    c.rig.source->push(Tick{2});
+    EXPECT_FALSE(c.rig.graph.has_observer(c.counting));
+    EXPECT_TRUE(c.gate.frozen());  // The verifier's observer stayed too.
+  }
+  auto transcript = [](std::uint64_t seed, int events, bool with_feature,
+                       int bomb_trip) {
+    Composed c(with_feature, bomb_trip);
+    drive(c.rig, seed, events);
+    EXPECT_EQ(c.sanitizer.violations(), 0u);
+    return c.rig.transcript.str();
+  };
+  expect_golden("rig_echo", transcript(42, 400, true, 0));
+  expect_golden("rig_plain", transcript(7, 300, false, 0));
+  expect_golden("rig_failures", transcript(11, 400, true, 17));
 }
 
 namespace {

@@ -143,6 +143,37 @@ TEST(Sanitize, MonotonicClockIsClean) {
   EXPECT_FALSE(has_rule(sanitizer.report(), "PPS002"));
 }
 
+TEST(Sanitize, ProduceHookAddedDataIsNotATimeRegression) {
+  // A produce hook that adds data emits from inside its host's emission:
+  // the added sample is stamped after its parent but leaves the port
+  // first. Each origin stays monotonic, so PPS002 stays quiet.
+  struct AddOnProduce final : core::ComponentFeature {
+    std::string_view name() const override { return "added"; }
+    std::vector<const core::TypeInfo*> added_types() const override {
+      return {core::type_of<V0>()};
+    }
+    bool emits_in_produce() const override { return true; }
+    bool produce(core::Sample& sample) override {
+      if (!sample.feature_added()) {
+        context().emit(core::Payload::make(V0{0}));
+      }
+      return true;
+    }
+  };
+  sim::SimClock clock;
+  core::ProcessingGraph g(&clock);
+  const auto src = g.add(make_source());
+  g.connect(src, g.add(make_sink()));
+  g.attach_feature(src, std::make_shared<AddOnProduce>());
+  san::GraphSanitizer sanitizer;
+  sanitizer.attach(g);
+  for (int i = 0; i < 5; ++i) {
+    clock.advance_to(sim::SimTime::from_millis(i * 100));
+    g.component_as<core::SourceComponent>(src)->push(V0{i});
+  }
+  EXPECT_FALSE(has_rule(sanitizer.report(), "PPS002"));
+}
+
 // --- PPS004 emission-depth blowup ---------------------------------------------
 
 TEST(Sanitize, CascadeBlowupIsCaughtAndDeduped) {
@@ -192,8 +223,8 @@ TEST(Sanitize, PoolDoubleReleaseBecomesADiagnostic) {
   core::ProcessingGraph g;
   san::GraphSanitizer sanitizer;
   sanitizer.attach(g);
-  // The pool reports through the sentry seam; exercise the seam directly.
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
+  // The pool reports through the observer seam; exercise it directly.
+  static_cast<core::GraphObserver&>(sanitizer).on_pool_double_release();
   const vfy::Report report = sanitizer.report();
   ASSERT_TRUE(has_rule(report, "PPS003"));
   EXPECT_EQ(report.by_rule("PPS003")[0]->severity, vfy::Severity::kError);
@@ -243,9 +274,9 @@ TEST(Sanitize, DetachStopsObservation) {
 
   san::GraphSanitizer sanitizer;
   sanitizer.attach(g);
-  EXPECT_EQ(g.sentry(), &sanitizer);
+  EXPECT_TRUE(g.has_observer(sanitizer));
   sanitizer.detach();
-  EXPECT_EQ(g.sentry(), nullptr);
+  EXPECT_FALSE(g.has_observer(sanitizer));
 
   std::thread foreign(
       [&g, src] { g.component_as<core::SourceComponent>(src)->push(V0{1}); });
@@ -363,11 +394,11 @@ TEST(Sanitize, ClearResetsFindingsAndDedupe) {
   core::ProcessingGraph g;
   san::GraphSanitizer sanitizer;
   sanitizer.attach(g);
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
+  static_cast<core::GraphObserver&>(sanitizer).on_pool_double_release();
   EXPECT_EQ(sanitizer.violations(), 1u);
   sanitizer.clear();
   EXPECT_EQ(sanitizer.violations(), 0u);
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
+  static_cast<core::GraphObserver&>(sanitizer).on_pool_double_release();
   EXPECT_EQ(sanitizer.violations(), 1u);  // Dedupe key was cleared too.
 }
 
@@ -429,9 +460,11 @@ TEST(Sanitize, EnvironmentModeInstallsTheSanitizer) {
   EXPECT_TRUE(san::GraphSanitizer::env_enabled());
   auto installed = san::GraphSanitizer::install_from_env(g);
   ASSERT_NE(installed, nullptr);
-  EXPECT_EQ(g.sentry(), installed.get());
+  EXPECT_TRUE(g.has_observer(*installed));
   installed.reset();  // Destructor detaches.
-  EXPECT_EQ(g.sentry(), nullptr);
+  // A sanitizer still registered would hear this mutation after its death
+  // (a use-after-free under ASan).
+  g.add(make_source());
 
   ::setenv("PERPOS_SANITIZE", "foo, graph ,bar", 1);
   EXPECT_TRUE(san::GraphSanitizer::env_enabled());
