@@ -1,17 +1,18 @@
 // Overhead of the translucency plane on the execution-engine hot path.
 //
 // BM_ProfilerOverhead drives a fixed batch of trivial tasks through an
-// ExecutionEngine under four instrumentation configurations — bare,
-// metrics, metrics+profiler, and metrics+profiler+flight-recorder — so
-// the per-task cost of each observability layer can be read directly
-// from the ratio between rows. The engine runs with zero workers (the
-// caller drains inline), which makes the numbers deterministic and
-// keeps the comparison about instrumentation, not scheduling noise.
+// ExecutionEngine under three instrumentation configurations — bare,
+// metrics, and metrics+flight-recorder — so the per-task cost of each
+// observability layer can be read directly from the ratio between rows.
+// The engine's lane and worker counts are always on, so "bare" includes
+// them; metrics adds a scrape-time collector and nothing per task. The
+// engine runs with zero workers (the caller drains inline), which makes
+// the numbers deterministic and keeps the comparison about
+// instrumentation, not scheduling noise.
 
 #include "perpos/exec/engine.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/profiler.hpp"
 
 #include "bench_metrics.hpp"
 
@@ -29,16 +30,14 @@ namespace {
 enum Config : std::int64_t {
   kBare = 0,
   kMetrics = 1,
-  kMetricsProfiler = 2,
-  kMetricsProfilerRecorder = 3,
+  kMetricsRecorder = 2,
 };
 
 const char* config_name(std::int64_t c) {
   switch (c) {
     case kBare: return "bare";
     case kMetrics: return "metrics";
-    case kMetricsProfiler: return "metrics+profiler";
-    case kMetricsProfilerRecorder: return "metrics+profiler+recorder";
+    case kMetricsRecorder: return "metrics+recorder";
   }
   return "?";
 }
@@ -49,16 +48,12 @@ constexpr std::size_t kTasksPerLane = 256;
 struct Rig {
   exec::ExecutionEngine engine{0};
   obs::MetricsRegistry metrics;
-  obs::EngineProfiler profiler{0};
   obs::FlightRecorder recorder{4096};
   std::vector<exec::LaneId> lanes;
 
   explicit Rig(std::int64_t config) {
     if (config >= kMetrics) engine.enable_metrics(&metrics);
-    if (config >= kMetricsProfiler) engine.enable_profiler(&profiler);
-    if (config >= kMetricsProfilerRecorder) {
-      engine.set_flight_recorder(&recorder);
-    }
+    if (config >= kMetricsRecorder) engine.set_flight_recorder(&recorder);
     for (std::size_t i = 0; i < kLanes; ++i) {
       lanes.push_back(engine.create_lane("lane-" + std::to_string(i)));
     }
@@ -89,8 +84,7 @@ void BM_ProfilerOverhead(benchmark::State& state) {
 BENCHMARK(BM_ProfilerOverhead)
     ->Arg(kBare)
     ->Arg(kMetrics)
-    ->Arg(kMetricsProfiler)
-    ->Arg(kMetricsProfilerRecorder);
+    ->Arg(kMetricsRecorder);
 
 void print_report(const std::string& metrics_json_path) {
   std::printf("=== profiler overhead: engine hot path, 0 workers ===\n\n");
@@ -100,12 +94,12 @@ void print_report(const std::string& metrics_json_path) {
 
   if (metrics_json_path.empty()) return;
   // Observed pass: everything on, one batch, dump what the plane saw.
-  Rig rig(kMetricsProfilerRecorder);
+  Rig rig(kMetricsRecorder);
   rig.drain_batch();
-  const auto snap = rig.profiler.snapshot();
+  const auto snap = rig.engine.introspect();
   std::uint64_t tasks = 0;
   for (const auto& lane : snap.lanes) tasks += lane.tasks;
-  std::printf("profiler saw %llu tasks across %zu lanes\n",
+  std::printf("engine counted %llu tasks across %zu lanes\n",
               static_cast<unsigned long long>(tasks), snap.lanes.size());
   std::ofstream out(metrics_json_path);
   out << "{\"experiment\":\"profiler_overhead\",\"metrics\":"

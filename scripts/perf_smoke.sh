@@ -4,7 +4,7 @@
 # snapshot is well-formed and that the engine hot path stayed clean (no
 # task failures, no flight-ring events dropped from the flow trace of a
 # calm run), and leaves the
-# snapshots plus the profiler flight-recorder dump in an artifact
+# snapshots plus bench_profiler's flight-recorder dump in an artifact
 # directory for CI to upload.
 #
 # Usage: scripts/perf_smoke.sh [build_dir] [artifact_dir]
@@ -18,6 +18,7 @@ fail=0
 run_one() {
   name="$1"
   allow_drops="${2:-no}"
+  require="${3:-}"
   bench="$build/bench/bench_$name"
   json="$artifacts/$name.metrics.json"
   if [ ! -x "$bench" ]; then
@@ -33,9 +34,9 @@ run_one() {
     fail=1
     return
   }
-  python3 - "$json" "$name" "$allow_drops" <<'EOF' || fail=1
+  python3 - "$json" "$name" "$allow_drops" "$require" <<'EOF' || fail=1
 import json, sys
-path, name, allow_drops = sys.argv[1], sys.argv[2], sys.argv[3]
+path, name, allow_drops, require = sys.argv[1:5]
 try:
     with open(path) as f:
         doc = json.load(f)
@@ -55,6 +56,10 @@ if not counters:
     problems.append("no counters in snapshot")
 if failed:
     problems.append(f"{failed} failed engine tasks")
+# A gate on a series is only meaningful if the series is there: the run
+# named `require` must have counted work in it.
+if require and counters.get(require, 0) <= 0:
+    problems.append(f"{require} missing or zero")
 if dropped and allow_drops != "yes":
     problems.append(f"{dropped} dropped flight events")
 if problems:
@@ -66,12 +71,13 @@ EOF
 }
 
 # fig1 exercises the full pipeline with recording (its ring holds the whole
-# run); bench_profiler dumps the engine profiler + flight recorder; o1
-# covers the multi-worker engine.
+# run); bench_profiler dumps the engine's collected counts + flight
+# recorder, and must show executed tasks, or its failed-task gate would
+# pass on a missing series; o1 covers the multi-worker engine.
 run_one fig1_pipeline
 # o1's observed stress workload intentionally overflows the bounded flight
 # ring; eviction there is by design, so only the failure gate applies.
 run_one o1_scalability yes
-run_one profiler
+run_one profiler no perpos_exec_tasks_executed_total
 
 exit "$fail"

@@ -3,7 +3,6 @@
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/introspection.hpp"
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/profiler.hpp"
 #include "perpos/sim/scheduler.hpp"
 
 #include <cstdint>
@@ -115,8 +114,9 @@ class ExecutionEngine {
   std::function<void(Task)> executor(LaneId lane);
 
   /// Block until every posted task (including tasks posted by running
-  /// tasks) has finished. In inline mode this is what runs the tasks.
-  /// Not reentrant: do not call from inside a task.
+  /// tasks) has finished. In inline mode this is what runs the tasks, and
+  /// it must be called from one thread at a time (the caller is the
+  /// engine's only worker). Not reentrant: do not call from inside a task.
   ///
   /// If any task threw since the previous call, the first captured
   /// exception is rethrown here — after the engine reached idle, so the
@@ -134,30 +134,33 @@ class ExecutionEngine {
   /// As drive(), but stops at simulation time `limit`.
   std::size_t drive_until(sim::Scheduler& scheduler, sim::SimTime limit);
 
-  /// Publish engine metrics (tasks posted/executed, queue depth, lane and
-  /// worker counts) into `registry`. Pass nullptr to stop. The registry
-  /// must outlive the engine or the next enable_metrics call.
+  /// Publish the engine's counts in `registry`: registers a scrape-time
+  /// collector that appends perpos_exec_{tasks_posted_total,
+  /// tasks_executed_total, tasks_failed_total, queue_depth, lanes, workers}
+  /// to every registry.snapshot(). Nothing is pushed per task; only the
+  /// rare labelled perpos_exec_task_errors_total is written where a task
+  /// fails. Pass nullptr (or destroy the engine) to unregister; either
+  /// the engine or the registry may be destroyed first. Set while the
+  /// engine is idle; the registry must stay alive while tasks run with it
+  /// attached. Attach one engine per registry: a second one would append
+  /// unlabelled series of the same names.
   void enable_metrics(obs::MetricsRegistry* registry);
 
-  /// Attach a profiler: every lane (existing and future) gets a slot, and
-  /// workers account drained batches, queue-depth high-water marks and
-  /// idle wakeups into it. Pass nullptr to detach. Set while the engine is
-  /// idle; the profiler must outlive the engine or the next call. With no
-  /// profiler attached the hot path pays one null check per drained batch.
-  void enable_profiler(obs::EngineProfiler* profiler);
-
   /// Attach a flight recorder: the engine registers one "engine" ring and
-  /// records task failures (with the lane name and error message) and
-  /// watermark crossings into it — and trigger()s a black-box dump on the
-  /// first task failure of each idle cycle. Pass nullptr to detach. Set
-  /// while the engine is idle; the recorder must outlive the engine.
+  /// records task failures (a = LaneId, detail = lane name and error
+  /// message) and watermark crossings into it — and trigger()s a black-box
+  /// dump on the first task failure of each idle cycle. Pass nullptr to
+  /// detach. Set while the engine is idle; the recorder must outlive the
+  /// engine.
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
-  /// Point-in-time runtime snapshot for perpos-top: lane queue depths and
-  /// activity, task totals, and (when a profiler is attached) per-lane
-  /// busy time and per-worker utilization. Thread-safe; callable while
-  /// workers drain. Graph sections are left empty — PositioningService
-  /// fills those.
+  /// Point-in-time runtime snapshot for perpos-top, read from the counts
+  /// the engine always keeps: per lane queue depth, activity, tasks, busy
+  /// time and queue peak; per worker (plus the inline slot) tasks, busy
+  /// time, drains, idle wake-ups and utilization; and the task totals.
+  /// Thread-safe; callable while workers drain. Lane and worker counts
+  /// advance once per drained batch, so they agree with executed() at
+  /// idle. Graph sections are left empty — PositioningService fills those.
   obs::IntrospectionSnapshot introspect() const;
 
   /// Lane queue-depth watermark (the runtime sanitizer seam): when a
@@ -173,6 +176,7 @@ class ExecutionEngine {
           callback);
 
   /// Tasks run so far (across all lanes), including tasks that threw.
+  /// Counted per drained batch.
   std::uint64_t executed() const noexcept;
   /// Tasks posted but not yet finished.
   std::uint64_t outstanding() const noexcept;

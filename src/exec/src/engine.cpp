@@ -1,6 +1,7 @@
 #include "perpos/exec/engine.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -14,7 +15,36 @@ namespace {
 /// so one chatty graph cannot starve the others of a worker.
 constexpr std::size_t kLaneBatch = 128;
 
-constexpr std::uint32_t kNoProfilerSlot = 0xffffffffu;
+/// A count with one writer at a time — a lane's poster under the lane
+/// mutex, the one worker draining a lane, a worker's own thread — read by
+/// any thread. A relaxed load and store, never a read-modify-write: the
+/// engine's accounting adds no contended atomic to the lane hop.
+class Tally {
+ public:
+  void add(std::uint64_t n) noexcept { set(get() + n); }
+  void raise_to(std::uint64_t n) noexcept {
+    if (n > get()) set(n);
+  }
+  std::uint64_t get() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void set(std::uint64_t n) noexcept {
+    value_.store(n, std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> value_{0};
+};
+
+/// One pool worker's counts (plus one slot for the caller draining
+/// inline), each on its own cache line so workers never false-share.
+struct alignas(64) WorkerSlot {
+  Tally tasks;
+  Tally busy_ns;
+  Tally drains;
+  Tally idle_wakeups;
+  Tally failed;
+};
 
 /// Bound an error message to a metrics-label-safe form: printable ASCII
 /// only, capped length, so a thrown what() can never explode label
@@ -44,8 +74,9 @@ std::string describe_current_exception() {
 }  // namespace
 
 struct ExecutionEngine::Lane {
-  explicit Lane(std::string n) : name(std::move(n)) {}
+  Lane(std::string n, LaneId i) : name(std::move(n)), id(i) {}
   const std::string name;
+  const LaneId id;
   std::mutex mutex;
   std::deque<Task> queue;
   /// True while the lane sits in the ready queue or a worker drains it;
@@ -62,12 +93,20 @@ struct ExecutionEngine::Lane {
   bool fenced = false;
   std::size_t held = 0;
   std::condition_variable fence_cv;
-  /// Profiler slot; written only while the engine is idle (enable_profiler)
-  /// or under lanes_mutex (create_lane).
-  std::uint32_t prof_slot = kNoProfilerSlot;
+  /// Accounting. `posted` and `queue_peak` are written under `mutex`;
+  /// `tasks` and `busy_ns` by the one worker draining the lane.
+  Tally posted;
+  Tally queue_peak;
+  Tally tasks;
+  Tally busy_ns;
 };
 
 struct ExecutionEngine::Impl {
+  explicit Impl(std::size_t workers)
+      : epoch(std::chrono::steady_clock::now()),
+        worker_slots(new WorkerSlot[workers + 1]),
+        slot_count(workers + 1) {}
+
   // Lane registry. unique_ptr gives stable addresses; the registry mutex
   // is held only for create/lookup, never while running tasks.
   mutable std::mutex lanes_mutex;
@@ -84,8 +123,10 @@ struct ExecutionEngine::Impl {
   std::mutex idle_mutex;
   std::condition_variable idle_cv;
 
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> failed{0};
+  // Per-worker counts; the last slot is the caller draining inline.
+  const std::chrono::steady_clock::time_point epoch;
+  const std::unique_ptr<WorkerSlot[]> worker_slots;
+  const std::size_t slot_count;
 
   // First exception thrown by a task since the last run_until_idle().
   // Captured in drain() so a throwing task can neither abort the process
@@ -98,16 +139,10 @@ struct ExecutionEngine::Impl {
   std::size_t watermark_limit = 0;
   std::function<void(const std::string&, std::size_t)> watermark_callback;
 
-  // Optional metrics (set while idle; read from workers).
+  // Optional metrics registry (set while idle; read from workers), and
+  // the registration of the collector that publishes the counts into it.
   obs::MetricsRegistry* registry = nullptr;
-  obs::Counter* tasks_posted = nullptr;
-  obs::Counter* tasks_executed = nullptr;
-  obs::Counter* tasks_failed = nullptr;
-  obs::Gauge* queue_depth = nullptr;
-  obs::Gauge* lanes_gauge = nullptr;
-
-  // Optional profiler (set while idle; read from workers and posters).
-  obs::EngineProfiler* profiler = nullptr;
+  obs::MetricsRegistry::CollectorHandle collector;
 
   // Optional flight recorder. The engine writes rare events (task
   // failures, watermark crossings) to one shared "engine" ring; rec_mutex
@@ -118,6 +153,22 @@ struct ExecutionEngine::Impl {
 
   std::vector<std::thread> threads;
 
+  std::uint64_t now_ns() const noexcept {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch)
+            .count());
+  }
+
+  /// Sum one worker-slot count over every slot.
+  std::uint64_t sum_workers(Tally WorkerSlot::*count) const noexcept {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < slot_count; ++i) {
+      total += (worker_slots[i].*count).get();
+    }
+    return total;
+  }
+
   /// Record an engine-level event into the shared recorder ring (no-op
   /// without a recorder). Rare paths only — takes rec_mutex.
   void record_engine_event(obs::FlightEvent event) {
@@ -127,12 +178,11 @@ struct ExecutionEngine::Impl {
     rec->record(rec_lane, event);
   }
 
-  /// Failure bookkeeping shared by drain(): counters, error capture,
-  /// flight-recorder event, and (for the first failure of an idle cycle)
-  /// a labels-safe error metric plus a black-box dump trigger.
-  void on_task_failure(Lane* lane) {
-    failed.fetch_add(1, std::memory_order_relaxed);
-    if (tasks_failed != nullptr) tasks_failed->inc();
+  /// Failure bookkeeping shared by drain(): the worker's count, error
+  /// capture, flight-recorder event, and (for the first failure of an idle
+  /// cycle) a labels-safe error metric plus a black-box dump trigger.
+  void on_task_failure(Lane* lane, WorkerSlot& worker) {
+    worker.failed.add(1);
     const std::string message = describe_current_exception();
     bool is_first = false;
     {
@@ -145,7 +195,7 @@ struct ExecutionEngine::Impl {
     if (recorder != nullptr) {
       obs::FlightEvent event;
       event.type = obs::FlightEventType::kTaskFailed;
-      event.a = lane->prof_slot;
+      event.a = lane->id;
       event.set_detail(lane->name.empty() ? message
                                           : lane->name + ": " + message);
       record_engine_event(event);
@@ -171,28 +221,35 @@ struct ExecutionEngine::Impl {
 
   /// Run queued tasks of `lane` until its queue is empty (or the fairness
   /// batch is used up, in which case the lane re-enters the ready queue).
-  /// `worker` attributes the batch in the profiler (pool index, or the
-  /// inline slot for caller-thread drains).
-  void drain(Lane* lane, std::uint32_t worker) {
-    // Profile at batch granularity: two clock reads per drained batch,
-    // not per task — and none at all when no profiler is attached.
-    obs::EngineProfiler* const prof = profiler;
-    const std::uint64_t t0 = prof != nullptr ? prof->now_ns() : 0;
+  /// The batch is counted on the lane and on `worker` (a pool worker's
+  /// slot, or the inline slot for caller-thread drains).
+  void drain(Lane* lane, WorkerSlot& worker) {
+    // Time at batch granularity: two clock reads per drained batch, not
+    // per task. The batch is counted while this worker still owns the
+    // lane — before `scheduled` drops or the lane is requeued — so the
+    // lane's counts keep one writer at a time.
+    const std::uint64_t t0 = now_ns();
     std::size_t ran = 0;
+    const auto count_batch = [&] {
+      if (ran == 0) return;
+      const std::uint64_t busy = now_ns() - t0;
+      lane->tasks.add(ran);
+      lane->busy_ns.add(busy);
+      worker.tasks.add(ran);
+      worker.busy_ns.add(busy);
+      worker.drains.add(1);
+    };
     while (ran < kLaneBatch) {
       Task task;
       {
         std::lock_guard<std::mutex> lock(lane->mutex);
-        if (lane->fenced) {
-          // Park at the fence: the in-flight task (if any) already
+        if (lane->fenced || lane->queue.empty()) {
+          count_batch();
+          // At a fence, park: the in-flight task (if any) already
           // finished, queued tasks stay put. fence() waits for exactly
           // this hand-over.
           lane->scheduled = false;
-          lane->fence_cv.notify_all();
-          break;
-        }
-        if (lane->queue.empty()) {
-          lane->scheduled = false;
+          if (lane->fenced) lane->fence_cv.notify_all();
           break;
         }
         task = std::move(lane->queue.front());
@@ -210,21 +267,16 @@ struct ExecutionEngine::Impl {
       try {
         task();
       } catch (...) {
-        on_task_failure(lane);
+        on_task_failure(lane, worker);
       }
       ++ran;
-      executed.fetch_add(1, std::memory_order_relaxed);
-      if (tasks_executed != nullptr) tasks_executed->inc();
-      if (queue_depth != nullptr) queue_depth->add(-1.0);
-    }
-    if (prof != nullptr && ran != 0) {
-      prof->on_drain(lane->prof_slot, worker, ran, prof->now_ns() - t0);
     }
     // Batch exhausted with work (possibly) left: requeue instead of
     // resetting `scheduled`, keeping the at-most-one-worker guarantee —
     // unless a fence arrived mid-batch, in which case park here so the
     // fencer need not wait for another worker to pick the lane up.
     if (ran == kLaneBatch) {
+      count_batch();
       bool requeue = true;
       {
         std::lock_guard<std::mutex> lock(lane->mutex);
@@ -236,9 +288,9 @@ struct ExecutionEngine::Impl {
       }
       if (requeue) enqueue_ready(lane);
     }
-    // Retire the whole batch at once, *after* the profiler accounting: a
+    // Retire the whole batch at once, *after* counting it: a
     // run_until_idle() waiter that wakes on outstanding==0 then observes
-    // the batch's profile. (Deferring decrements is safe — tasks posted by
+    // the batch's counts. (Deferring decrements is safe — tasks posted by
     // tasks only ever add to `outstanding`.)
     if (ran != 0) finish_many(ran);
   }
@@ -277,15 +329,15 @@ struct ExecutionEngine::Impl {
         lane = ready.front();
         ready.pop_front();
       }
-      obs::EngineProfiler* const prof = profiler;
-      if (prof != nullptr && waited) prof->on_idle_wakeup(index);
-      drain(lane, index);
+      WorkerSlot& worker = worker_slots[index];
+      if (waited) worker.idle_wakeups.add(1);
+      drain(lane, worker);
     }
   }
 };
 
 ExecutionEngine::ExecutionEngine(std::size_t workers)
-    : worker_count_(workers), impl_(std::make_unique<Impl>()) {
+    : worker_count_(workers), impl_(std::make_unique<Impl>(workers)) {
   impl_->threads.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     impl_->threads.emplace_back(
@@ -294,6 +346,7 @@ ExecutionEngine::ExecutionEngine(std::size_t workers)
 }
 
 ExecutionEngine::~ExecutionEngine() {
+  enable_metrics(nullptr);
   {
     std::lock_guard<std::mutex> lock(impl_->ready_mutex);
     impl_->stop = true;
@@ -312,16 +365,9 @@ std::string lane_display_name(const std::string& name, std::size_t index) {
 
 LaneId ExecutionEngine::create_lane(std::string name) {
   std::lock_guard<std::mutex> lock(impl_->lanes_mutex);
-  impl_->lanes.push_back(std::make_unique<Lane>(std::move(name)));
-  const std::size_t index = impl_->lanes.size() - 1;
-  if (impl_->profiler != nullptr) {
-    impl_->lanes.back()->prof_slot = impl_->profiler->add_lane(
-        lane_display_name(impl_->lanes.back()->name, index));
-  }
-  if (impl_->lanes_gauge != nullptr) {
-    impl_->lanes_gauge->set(static_cast<double>(impl_->lanes.size()));
-  }
-  return static_cast<LaneId>(index);
+  const auto id = static_cast<LaneId>(impl_->lanes.size());
+  impl_->lanes.push_back(std::make_unique<Lane>(std::move(name), id));
+  return id;
 }
 
 std::size_t ExecutionEngine::lane_count() const {
@@ -338,11 +384,8 @@ ExecutionEngine::Lane* ExecutionEngine::lane_ptr(LaneId id) const {
 }
 
 void ExecutionEngine::post_to(Lane& lane, Task&& task) {
-  if (impl_->tasks_posted != nullptr) impl_->tasks_posted->inc();
-  if (impl_->queue_depth != nullptr) impl_->queue_depth->add(1.0);
   bool need_schedule = false;
   std::size_t watermark_depth = 0;
-  std::size_t depth_after = 0;
   {
     std::lock_guard<std::mutex> lock(lane.mutex);
     // Posts to a fenced lane are held: queued, but neither scheduled nor
@@ -354,7 +397,9 @@ void ExecutionEngine::post_to(Lane& lane, Task&& task) {
       impl_->outstanding.fetch_add(1, std::memory_order_acq_rel);
     }
     lane.queue.push_back(std::move(task));
-    depth_after = lane.queue.size();
+    const std::size_t depth_after = lane.queue.size();
+    lane.posted.add(1);
+    lane.queue_peak.raise_to(depth_after);
     if (impl_->watermark_limit != 0 && !lane.above_watermark &&
         depth_after > impl_->watermark_limit) {
       lane.above_watermark = true;
@@ -366,9 +411,6 @@ void ExecutionEngine::post_to(Lane& lane, Task&& task) {
     }
   }
   if (need_schedule) impl_->enqueue_ready(&lane);
-  if (obs::EngineProfiler* const prof = impl_->profiler) {
-    prof->on_queue_depth(lane.prof_slot, depth_after);
-  }
   if (watermark_depth != 0) {
     if (impl_->recorder != nullptr) {
       obs::FlightEvent event;
@@ -475,8 +517,7 @@ void ExecutionEngine::run_until_idle() {
         lane = impl_->ready.front();
         impl_->ready.pop_front();
       }
-      obs::EngineProfiler* const prof = impl_->profiler;
-      impl_->drain(lane, prof != nullptr ? prof->inline_worker() : 0);
+      impl_->drain(lane, impl_->worker_slots[worker_count_]);
     }
     impl_->rethrow_pending_error();
     return;
@@ -528,35 +569,30 @@ void ExecutionEngine::set_queue_watermark(
 }
 
 void ExecutionEngine::enable_metrics(obs::MetricsRegistry* registry) {
+  // The collector runs under the registry's collector mutex and takes
+  // lanes_mutex, then each lane mutex (introspect()); the engine never
+  // touches the registry while holding either, so the order is acyclic.
+  impl_->collector.reset();
   impl_->registry = registry;
-  if (registry == nullptr) {
-    impl_->tasks_posted = nullptr;
-    impl_->tasks_executed = nullptr;
-    impl_->tasks_failed = nullptr;
-    impl_->queue_depth = nullptr;
-    impl_->lanes_gauge = nullptr;
-    return;
-  }
-  impl_->tasks_posted = registry->counter("perpos_exec_tasks_posted_total");
-  impl_->tasks_executed =
-      registry->counter("perpos_exec_tasks_executed_total");
-  impl_->tasks_failed = registry->counter("perpos_exec_tasks_failed_total");
-  impl_->queue_depth = registry->gauge("perpos_exec_queue_depth");
-  impl_->lanes_gauge = registry->gauge("perpos_exec_lanes");
-  registry->gauge("perpos_exec_workers")
-      ->set(static_cast<double>(worker_count_));
-  impl_->lanes_gauge->set(static_cast<double>(lane_count()));
-}
-
-void ExecutionEngine::enable_profiler(obs::EngineProfiler* profiler) {
-  std::lock_guard<std::mutex> lock(impl_->lanes_mutex);
-  impl_->profiler = profiler;
-  for (std::size_t i = 0; i < impl_->lanes.size(); ++i) {
-    impl_->lanes[i]->prof_slot =
-        profiler != nullptr
-            ? profiler->add_lane(lane_display_name(impl_->lanes[i]->name, i))
-            : kNoProfilerSlot;
-  }
+  if (registry == nullptr) return;
+  impl_->collector = registry->add_collector([this](obs::MetricsSnapshot& out) {
+    const obs::IntrospectionSnapshot snap = introspect();
+    double queue_depth = 0.0;
+    for (const auto& lane : snap.lanes) {
+      queue_depth += static_cast<double>(lane.queue_depth);
+    }
+    out.counters.push_back(
+        {"perpos_exec_tasks_posted_total", {}, snap.tasks_posted});
+    out.counters.push_back(
+        {"perpos_exec_tasks_executed_total", {}, snap.tasks_executed});
+    out.counters.push_back(
+        {"perpos_exec_tasks_failed_total", {}, snap.tasks_failed});
+    out.gauges.push_back({"perpos_exec_queue_depth", {}, queue_depth});
+    out.gauges.push_back({"perpos_exec_lanes", {},
+                          static_cast<double>(snap.lanes.size())});
+    out.gauges.push_back(
+        {"perpos_exec_workers", {}, static_cast<double>(snap.workers)});
+  });
 }
 
 void ExecutionEngine::set_flight_recorder(obs::FlightRecorder* recorder) {
@@ -567,30 +603,23 @@ void ExecutionEngine::set_flight_recorder(obs::FlightRecorder* recorder) {
 obs::IntrospectionSnapshot ExecutionEngine::introspect() const {
   obs::IntrospectionSnapshot snap;
   snap.workers = worker_count_;
-  snap.tasks_executed = impl_->executed.load(std::memory_order_relaxed);
-  snap.tasks_failed = impl_->failed.load(std::memory_order_relaxed);
-  snap.tasks_posted =
-      snap.tasks_executed + impl_->outstanding.load(std::memory_order_relaxed);
-
-  obs::EngineProfiler* const prof = impl_->profiler;
-  obs::EngineProfiler::Snapshot prof_snap;
-  if (prof != nullptr) {
-    prof_snap = prof->snapshot();
-    snap.captured_us = static_cast<double>(prof_snap.elapsed_ns) / 1000.0;
-    snap.worker_stats.reserve(prof_snap.workers.size());
-    for (const auto& w : prof_snap.workers) {
-      obs::WorkerIntrospection wi;
-      wi.tasks = w.tasks;
-      wi.busy_us = static_cast<double>(w.busy_ns) / 1000.0;
-      wi.drains = w.drains;
-      wi.idle_wakeups = w.idle_wakeups;
-      wi.utilization = w.utilization;
-      snap.worker_stats.push_back(wi);
-    }
-  } else {
-    snap.captured_us = std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count();
+  const std::uint64_t elapsed_ns = impl_->now_ns();
+  snap.captured_us = static_cast<double>(elapsed_ns) / 1000.0;
+  snap.worker_stats.reserve(impl_->slot_count);
+  for (std::size_t i = 0; i < impl_->slot_count; ++i) {
+    const WorkerSlot& w = impl_->worker_slots[i];
+    obs::WorkerIntrospection wi;
+    wi.tasks = w.tasks.get();
+    const std::uint64_t busy_ns = w.busy_ns.get();
+    wi.busy_us = static_cast<double>(busy_ns) / 1000.0;
+    wi.drains = w.drains.get();
+    wi.idle_wakeups = w.idle_wakeups.get();
+    wi.utilization = elapsed_ns == 0 ? 0.0
+                                     : static_cast<double>(busy_ns) /
+                                           static_cast<double>(elapsed_ns);
+    snap.tasks_executed += wi.tasks;
+    snap.tasks_failed += w.failed.get();
+    snap.worker_stats.push_back(wi);
   }
 
   std::lock_guard<std::mutex> lock(impl_->lanes_mutex);
@@ -603,20 +632,18 @@ obs::IntrospectionSnapshot ExecutionEngine::introspect() const {
       std::lock_guard<std::mutex> lane_lock(lane.mutex);
       li.queue_depth = lane.queue.size();
       li.active = lane.scheduled;
+      snap.tasks_posted += lane.posted.get();
     }
-    if (lane.prof_slot < prof_snap.lanes.size()) {
-      const auto& lp = prof_snap.lanes[lane.prof_slot];
-      li.tasks = lp.tasks;
-      li.busy_us = static_cast<double>(lp.busy_ns) / 1000.0;
-      li.queue_peak = lp.queue_peak;
-    }
+    li.tasks = lane.tasks.get();
+    li.busy_us = static_cast<double>(lane.busy_ns.get()) / 1000.0;
+    li.queue_peak = lane.queue_peak.get();
     snap.lanes.push_back(std::move(li));
   }
   return snap;
 }
 
 std::uint64_t ExecutionEngine::executed() const noexcept {
-  return impl_->executed.load(std::memory_order_relaxed);
+  return impl_->sum_workers(&WorkerSlot::tasks);
 }
 
 std::uint64_t ExecutionEngine::outstanding() const noexcept {
@@ -624,7 +651,7 @@ std::uint64_t ExecutionEngine::outstanding() const noexcept {
 }
 
 std::uint64_t ExecutionEngine::failed() const noexcept {
-  return impl_->failed.load(std::memory_order_relaxed);
+  return impl_->sum_workers(&WorkerSlot::failed);
 }
 
 }  // namespace perpos::exec

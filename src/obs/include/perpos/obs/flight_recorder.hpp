@@ -41,7 +41,8 @@ enum class FlightEventType : std::uint8_t {
   kFailover,          ///< PL failover transition (a = from sink, b = to
                       ///< sink, detail = target name).
   kSanitizerFinding,  ///< A PPS rule fired (detail = rule id).
-  kTaskFailed,        ///< An engine task threw (detail = error message).
+  kTaskFailed,        ///< An engine task threw (a = its exec::LaneId,
+                      ///< detail = lane name and error message).
   kWatermark,         ///< Lane queue crossed its watermark (a = depth).
   kReconfig,          ///< Live-reconfiguration phase (component = victim,
                       ///< a = epoch, detail = phase: staged/committed/

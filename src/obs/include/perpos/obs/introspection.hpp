@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "perpos/obs/metrics.hpp"
-#include "perpos/obs/profiler.hpp"
 
 /// \file introspection.hpp
 /// Live introspection: the structured snapshot behind `perpos-top`. The
@@ -31,9 +30,9 @@ struct LaneIntrospection {
 struct WorkerIntrospection {
   std::uint64_t tasks = 0;
   double busy_us = 0.0;
-  std::uint64_t drains = 0;
-  std::uint64_t idle_wakeups = 0;
-  double utilization = 0.0;  ///< busy / elapsed, in [0,1].
+  std::uint64_t drains = 0;        ///< Lane batches drained.
+  std::uint64_t idle_wakeups = 0;  ///< Wake-ups from an idle wait.
+  double utilization = 0.0;  ///< busy / engine lifetime, in [0,1].
 };
 
 /// Per-component accumulated on_input self-time. on_input time *is* self
@@ -58,7 +57,7 @@ struct GraphIntrospection {
 /// The whole runtime at one instant.
 struct IntrospectionSnapshot {
   double captured_us = 0.0;  ///< Steady-clock us (diffable across snaps).
-  std::uint64_t tasks_posted = 0;
+  std::uint64_t tasks_posted = 0;  ///< Including tasks held at a fence.
   std::uint64_t tasks_executed = 0;
   std::uint64_t tasks_failed = 0;
   std::size_t workers = 0;  ///< Pool threads (0 = inline engine).

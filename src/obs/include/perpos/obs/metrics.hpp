@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -54,15 +56,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  /// Atomic increment (negative `d` decrements) — used for values tracked
-  /// from several threads at once, e.g. execution-engine queue depths.
-  void add(double d) noexcept {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -231,9 +224,26 @@ class MetricsRegistry {
   Histogram* histogram(const std::string& name, Labels labels = {},
                        std::vector<double> upper_bounds = {});
 
+  /// A scrape-time source: appends series that its owner counts itself
+  /// (the execution engine's lane and worker counts) to a snapshot. It
+  /// runs under the registry's collector mutex, so it must not add or
+  /// release collectors of this registry.
+  using Collector = std::function<void(MetricsSnapshot&)>;
+  /// Owns one registration: releasing the last copy (reset or destroy)
+  /// removes the collector under the collector mutex, so once that
+  /// returns no snapshot() runs it. Either side may go first — a handle
+  /// that outlives its registry releases nothing.
+  using CollectorHandle = std::shared_ptr<void>;
+
+  /// Register `collector`; every snapshot() runs it after copying the
+  /// registry's own metrics, until the returned handle is released.
+  [[nodiscard]] CollectorHandle add_collector(Collector collector);
+
   MetricsSnapshot snapshot() const;
 
  private:
+  MetricsSnapshot copy_metrics() const;
+
   struct Key {
     std::string name;
     Labels labels;
@@ -250,6 +260,14 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
+  struct Collectors {
+    std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, Collector>> entries;
+    std::uint64_t next_id = 0;
+  };
+  // Shared with the handles, which hold it weakly.
+  const std::shared_ptr<Collectors> collectors_ =
+      std::make_shared<Collectors>();
 };
 
 // --- Exporters ---------------------------------------------------------------
@@ -274,9 +292,9 @@ std::string escape_json(std::string_view s);
 /// latency_slo_us > 0), each observation's exemplar naming the delivered
 /// sample; `recording` attaches a flight recorder ring of recent
 /// structured events — every emit and deliver among them, which is the
-/// graph's flow trace (FlightRecorder::dump_chrome_trace). Metrics and
-/// recording keep the lean delivery path; timing and latency take the
-/// instrumented one.
+/// graph's flow trace (FlightRecorder::dump_chrome_trace). Every knob is
+/// served by graph observers (core::GraphObserver); none of them changes
+/// the delivery path, which branches only on consume hooks.
 struct ObservabilityConfig {
   bool metrics = true;
   bool timing = true;

@@ -194,7 +194,35 @@ Histogram* MetricsRegistry::histogram(const std::string& name, Labels labels,
   return h;
 }
 
+MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
+    Collector collector) {
+  std::uint64_t id = 0;
+  {
+    const std::lock_guard<std::mutex> lock(collectors_->mutex);
+    id = collectors_->next_id++;
+    collectors_->entries.emplace_back(id, std::move(collector));
+  }
+  // The handle owns nothing but its deleter, which unregisters.
+  const std::weak_ptr<Collectors> table = collectors_;
+  return CollectorHandle(nullptr, [table, id](void*) {
+    const std::shared_ptr<Collectors> live = table.lock();
+    if (live == nullptr) return;
+    const std::lock_guard<std::mutex> lock(live->mutex);
+    auto& entries = live->entries;
+    entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                 [id](const auto& e) { return e.first == id; }),
+                  entries.end());
+  });
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
+  MetricsSnapshot out = copy_metrics();
+  const std::lock_guard<std::mutex> lock(collectors_->mutex);
+  for (const auto& entry : collectors_->entries) entry.second(out);
+  return out;
+}
+
+MetricsSnapshot MetricsRegistry::copy_metrics() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot out;
   out.counters.reserve(counter_index_.size());

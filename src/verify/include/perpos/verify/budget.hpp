@@ -36,8 +36,8 @@
 /// drain-between-events discipline (exec::ExecutionEngine::drive — lanes
 /// drain before the next scheduler event fires): under it, the dispatch
 /// work queue never holds more than one cascade, so the static bound
-/// dominates the runtime high-water marks the GraphSanitizer and
-/// EngineProfiler observe. The cross-validation suite (tests/
+/// dominates the runtime high-water marks the GraphSanitizer and the
+/// execution engine's lane queue peaks observe. The cross-validation suite (tests/
 /// test_budget.cpp) asserts exactly that against live chaos workloads.
 /// Rates on the hi side are upper bounds (gains and fan-in are summed at
 /// their annotated maxima); unannotated values use conservative defaults.

@@ -16,7 +16,6 @@
 #include "perpos/exec/engine.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/introspection.hpp"
-#include "perpos/obs/profiler.hpp"
 #include "perpos/sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -552,7 +551,7 @@ TEST(Drive, EngineDrainsLanesBetweenSchedulerEvents) {
   EXPECT_EQ(scheduler.run_all(), 1u);
 }
 
-// --- Translucency plane: profiler, flight recorder, introspection ------------
+// --- Translucency plane: engine counts, flight recorder, introspection ------
 
 // Allocation accounting for the hot-path guards below: the global operator
 // new is replaced with a counting pass-through. Counting is off by default
@@ -596,20 +595,40 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-const obs::EngineProfiler::LaneSnapshot* find_lane(
-    const obs::EngineProfiler::Snapshot& snap, const std::string& name) {
+const obs::LaneIntrospection* find_lane(const obs::IntrospectionSnapshot& snap,
+                                        const std::string& name) {
   for (const auto& lane : snap.lanes) {
     if (lane.name == name) return &lane;
   }
   return nullptr;
 }
 
+std::uint64_t collected_counter(const obs::MetricsRegistry& registry,
+                                std::string_view name) {
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::CounterSnapshot* counter = snap.find_counter(name);
+  return counter != nullptr ? counter->value : ~std::uint64_t{0};
+}
+
+/// Post 256 captureless tasks and drain them once to let the lane queue
+/// and the ready deque grow their blocks; then count the allocations of
+/// draining another 256.
+std::uint64_t steady_state_drain_allocations(exec::ExecutionEngine& engine,
+                                             exec::LaneId lane) {
+  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
+  engine.run_until_idle();
+  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  engine.run_until_idle();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
-TEST(EngineProfiler, AccountsInlineDrains) {
+TEST(Engine, IntrospectAccountsInlineDrains) {
   exec::ExecutionEngine engine(0);
-  obs::EngineProfiler profiler(engine.workers());
-  engine.enable_profiler(&profiler);
   const auto alpha = engine.create_lane("alpha");
   const auto beta = engine.create_lane("beta");
   std::atomic<int> ran{0};
@@ -618,52 +637,54 @@ TEST(EngineProfiler, AccountsInlineDrains) {
   engine.run_until_idle();
   EXPECT_EQ(ran.load(), 8);
 
-  const auto snap = profiler.snapshot();
+  const auto snap = engine.introspect();
   const auto* a = find_lane(snap, "alpha");
   const auto* b = find_lane(snap, "beta");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->tasks, 5u);
   EXPECT_EQ(b->tasks, 3u);
-  EXPECT_GE(a->drains, 1u);
   // All 5 posts landed before the inline drain started, so the lane's
-  // high-water mark is the full burst — and the peak timeline retains it.
+  // high-water mark is the full burst.
   EXPECT_EQ(a->queue_peak, 5u);
-  ASSERT_FALSE(a->peaks.empty());
-  EXPECT_EQ(a->peaks.back().depth, 5u);
-  // Inline mode accounts everything to the single inline worker slot.
-  ASSERT_EQ(snap.workers.size(), 1u);
-  EXPECT_EQ(snap.workers[0].tasks, 8u);
+  // Inline mode counts everything on the single inline worker slot, one
+  // drain per lane at least.
+  ASSERT_EQ(snap.worker_stats.size(), 1u);
+  EXPECT_EQ(snap.worker_stats[0].tasks, 8u);
+  EXPECT_GE(snap.worker_stats[0].drains, 2u);
 }
 
-TEST(EngineProfiler, LateAttachRegistersExistingLanes) {
+TEST(Engine, LateMetricsAttachSeesExistingLanes) {
   exec::ExecutionEngine engine(0);
   const auto alpha = engine.create_lane("alpha");
   const auto beta = engine.create_lane("beta");
-  obs::EngineProfiler profiler(engine.workers());
-  engine.enable_profiler(&profiler);  // Lanes already exist.
+  obs::MetricsRegistry registry;
+  engine.enable_metrics(&registry);  // Lanes already exist.
   engine.post(alpha, [] {});
   engine.post(beta, [] {});
   engine.run_until_idle();
 
-  const auto snap = profiler.snapshot();
+  const auto snap = engine.introspect();
   const auto* a = find_lane(snap, "alpha");
   const auto* b = find_lane(snap, "beta");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->tasks, 1u);
   EXPECT_EQ(b->tasks, 1u);
+  const obs::MetricsSnapshot metrics = registry.snapshot();
+  ASSERT_NE(metrics.find_gauge("perpos_exec_lanes"), nullptr);
+  EXPECT_EQ(metrics.find_gauge("perpos_exec_lanes")->value, 2.0);
+  EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_executed_total"),
+            2u);
 }
 
-TEST(EngineProfiler, SnapshotConsistentAtIdleForAnyWorkerCount) {
-  // run_until_idle() returning must imply the profiler has accounted every
-  // drained batch (the engine retires a batch only after profiling it), so
-  // lane and worker totals exactly match executed() — for 1 worker and for
+TEST(Engine, IntrospectConsistentAtIdleForAnyWorkerCount) {
+  // run_until_idle() returning must imply the engine has counted every
+  // drained batch (it retires a batch only after counting it), so lane
+  // and worker totals exactly match executed() — for 1 worker and for
   // more workers than lanes.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
     exec::ExecutionEngine engine(workers);
-    obs::EngineProfiler profiler(engine.workers());
-    engine.enable_profiler(&profiler);
     std::vector<exec::LaneId> lanes;
     for (int i = 0; i < 4; ++i) {
       lanes.push_back(engine.create_lane("lane-" + std::to_string(i)));
@@ -676,58 +697,136 @@ TEST(EngineProfiler, SnapshotConsistentAtIdleForAnyWorkerCount) {
     engine.run_until_idle();
     EXPECT_EQ(ran.load(), 200) << "workers=" << workers;
 
-    const auto snap = profiler.snapshot();
+    const auto snap = engine.introspect();
     std::uint64_t lane_tasks = 0;
     std::uint64_t worker_tasks = 0;
-    for (const auto& lane : snap.lanes) lane_tasks += lane.tasks;
-    for (const auto& worker : snap.workers) worker_tasks += worker.tasks;
+    for (const auto& lane : snap.lanes) {
+      EXPECT_EQ(lane.queue_depth, 0u) << "workers=" << workers;
+      EXPECT_FALSE(lane.active) << "workers=" << workers;
+      lane_tasks += lane.tasks;
+    }
+    for (const auto& worker : snap.worker_stats) worker_tasks += worker.tasks;
+    EXPECT_EQ(snap.worker_stats.size(), workers + 1);
     EXPECT_EQ(lane_tasks, 200u) << "workers=" << workers;
     EXPECT_EQ(worker_tasks, 200u) << "workers=" << workers;
     EXPECT_EQ(engine.executed(), 200u) << "workers=" << workers;
-
-    const auto intro = engine.introspect();
-    EXPECT_EQ(intro.tasks_executed, 200u) << "workers=" << workers;
-    std::uint64_t intro_lane_tasks = 0;
-    for (const auto& lane : intro.lanes) {
-      EXPECT_EQ(lane.queue_depth, 0u) << "workers=" << workers;
-      EXPECT_FALSE(lane.active) << "workers=" << workers;
-      intro_lane_tasks += lane.tasks;
-    }
-    EXPECT_EQ(intro_lane_tasks, 200u) << "workers=" << workers;
+    EXPECT_EQ(snap.tasks_executed, 200u) << "workers=" << workers;
+    EXPECT_EQ(snap.tasks_posted, 200u) << "workers=" << workers;
   }
 }
 
-TEST(EngineProfiler, DetachedHotPathDoesNotAllocate) {
-  exec::ExecutionEngine engine(0);
-  const auto lane = engine.create_lane("hot");
-  // Warm-up pass: let the queue and the ready deque grow their blocks.
-  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
+TEST(Engine, ScrapesDuringDrainsAgreeAtIdle) {
+  // The counts have one writer each and are read without locks by
+  // introspect() and the metrics collector while 4 workers drain 8 lanes
+  // (the data-race check is TSan's). At idle every view agrees.
+  exec::ExecutionEngine engine(4);
+  obs::MetricsRegistry registry;
+  engine.enable_metrics(&registry);
+  std::vector<exec::LaneId> lanes;
+  for (int i = 0; i < 8; ++i) {
+    lanes.push_back(engine.create_lane("lane-" + std::to_string(i)));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const obs::MetricsSnapshot metrics = registry.snapshot();
+      const obs::IntrospectionSnapshot snap = engine.introspect();
+      EXPECT_NE(metrics.find_counter("perpos_exec_tasks_executed_total"),
+                nullptr);
+      EXPECT_EQ(snap.lanes.size(), 8u);
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  constexpr int kRounds = 20;
+  constexpr int kTasksPerLane = 50;
+  std::atomic<int> ran{0};
+  for (int round = 0; round < kRounds; ++round) {
+    for (int t = 0; t < kTasksPerLane; ++t) {
+      for (const auto lane : lanes) {
+        engine.post(lane, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+    }
+    if (round % 4 == 0) engine.run_until_idle();
+  }
   engine.run_until_idle();
-  // Steady state, no profiler: draining 256 captureless tasks must not
-  // touch the allocator at all.
-  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_count_allocations.store(true, std::memory_order_relaxed);
-  engine.run_until_idle();
-  g_count_allocations.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  scraper.join();
+
+  constexpr std::uint64_t kTotal = kRounds * kTasksPerLane * 8;
+  EXPECT_EQ(ran.load(), static_cast<int>(kTotal));
+  const auto snap = engine.introspect();
+  std::uint64_t lane_tasks = 0;
+  std::uint64_t worker_tasks = 0;
+  for (const auto& lane : snap.lanes) lane_tasks += lane.tasks;
+  for (const auto& worker : snap.worker_stats) worker_tasks += worker.tasks;
+  EXPECT_EQ(lane_tasks, kTotal);
+  EXPECT_EQ(worker_tasks, kTotal);
+  EXPECT_EQ(engine.executed(), kTotal);
+  EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_executed_total"),
+            kTotal);
+  EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_posted_total"),
+            kTotal);
 }
 
-TEST(EngineProfiler, AttachedHotPathDoesNotAllocate) {
-  // The profiler's accounting is relaxed atomics on preallocated slots, so
-  // attaching it must keep the drain path allocation-free too.
+TEST(Engine, DestroyedEngineLeavesNoCollectorBehind) {
+  // The registry may outlive the engine: its collector goes with it.
+  obs::MetricsRegistry registry;
+  {
+    exec::ExecutionEngine engine(0);
+    engine.enable_metrics(&registry);
+    engine.post(engine.create_lane(), [] {});
+    engine.run_until_idle();
+    EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_executed_total"),
+              1u);
+  }
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.find_counter("perpos_exec_tasks_executed_total"), nullptr);
+}
+
+TEST(Engine, TasksPostedCountsHeldTasks) {
+  // Tasks posted to a fenced lane are held, not outstanding; they are
+  // still posted, and fence()/unfence() moving them in and out of the
+  // idle accounting must not move the posted count.
   exec::ExecutionEngine engine(0);
-  obs::EngineProfiler profiler(engine.workers());
-  engine.enable_profiler(&profiler);
+  obs::MetricsRegistry registry;
+  engine.enable_metrics(&registry);
+  const auto lane = engine.create_lane("held");
+  engine.fence(lane);
+  for (int i = 0; i < 3; ++i) engine.post(lane, [] {});
+  EXPECT_EQ(engine.introspect().tasks_posted, 3u);
+  EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_posted_total"),
+            3u);
+  engine.unfence(lane);
+  engine.run_until_idle();
+  EXPECT_EQ(engine.executed(), 3u);
+  EXPECT_EQ(engine.introspect().tasks_posted, 3u);
+  EXPECT_EQ(collected_counter(registry, "perpos_exec_tasks_posted_total"),
+            3u);
+}
+
+TEST(Engine, BareHotPathDoesNotAllocate) {
+  // Steady state: draining 256 captureless tasks must not touch the
+  // allocator at all.
+  exec::ExecutionEngine engine(0);
   const auto lane = engine.create_lane("hot");
-  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
-  engine.run_until_idle();
-  for (int i = 0; i < 256; ++i) engine.post(lane, [] {});
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_count_allocations.store(true, std::memory_order_relaxed);
-  engine.run_until_idle();
-  g_count_allocations.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(steady_state_drain_allocations(engine, lane), 0u);
+}
+
+TEST(Engine, InstrumentedHotPathDoesNotAllocate) {
+  // The engine's counts are relaxed stores on preallocated lane and worker
+  // slots, metrics are read at scrape time and the recorder only sees
+  // rare events, so attaching both keeps the drain path allocation-free.
+  exec::ExecutionEngine engine(0);
+  obs::MetricsRegistry registry;
+  obs::FlightRecorder recorder(64);
+  engine.enable_metrics(&registry);
+  engine.set_flight_recorder(&recorder);
+  const auto lane = engine.create_lane("hot");
+  EXPECT_EQ(steady_state_drain_allocations(engine, lane), 0u);
 }
 
 namespace {
@@ -983,6 +1082,26 @@ TEST(EngineFlightRecorder, TaskFailureRecordsEventAndTriggersDump) {
     EXPECT_NE(detail.find("boom"), std::string::npos);
   }
   EXPECT_TRUE(saw_failure);
+}
+
+TEST(EngineFlightRecorder, TaskFailureEventNamesItsLane) {
+  // kTaskFailed's `a` is the failing task's LaneId — with a recorder and
+  // nothing else attached.
+  obs::FlightRecorder recorder(64);
+  exec::ExecutionEngine engine(0);
+  engine.set_flight_recorder(&recorder);
+  engine.create_lane("calm");
+  const auto crashy = engine.create_lane("crashy");
+  ASSERT_EQ(crashy, 1u);
+  engine.post(crashy, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(engine.run_until_idle(), std::runtime_error);
+  int failures = 0;
+  for (const auto& e : recorder.merged_events()) {
+    if (e.type != obs::FlightEventType::kTaskFailed) continue;
+    ++failures;
+    EXPECT_EQ(e.a, 1u);
+  }
+  EXPECT_EQ(failures, 1);
 }
 
 TEST(EngineFlightRecorder, WatermarkCrossingIsRecorded) {

@@ -165,6 +165,34 @@ TEST(MetricsRegistry, EscapeJsonHandlesSpecials) {
 
 // --- Graph instrumentation ---------------------------------------------------
 
+TEST(MetricsRegistry, CollectorRunsUntilItsHandleIsReleased) {
+  obs::MetricsRegistry registry;
+  registry.counter("pushed_total")->inc(2);
+  int runs = 0;
+  auto handle = registry.add_collector([&](obs::MetricsSnapshot& out) {
+    ++runs;
+    out.counters.push_back({"collected_total", {}, 7});
+  });
+  const auto with = registry.snapshot();
+  ASSERT_NE(with.find_counter("collected_total"), nullptr);
+  EXPECT_EQ(with.find_counter("collected_total")->value, 7u);
+  EXPECT_EQ(with.find_counter("pushed_total")->value, 2u);
+  handle.reset();
+  const auto without = registry.snapshot();
+  EXPECT_EQ(without.find_counter("collected_total"), nullptr);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(MetricsRegistry, CollectorHandleMayOutliveItsRegistry) {
+  obs::MetricsRegistry::CollectorHandle handle;
+  {
+    obs::MetricsRegistry registry;
+    handle = registry.add_collector([](obs::MetricsSnapshot&) {});
+  }
+  handle.reset();  // The registry is gone: releasing is a no-op.
+  EXPECT_EQ(handle.use_count(), 0);
+}
+
 TEST(GraphObservability, DisabledByDefaultAndMetricsEmpty) {
   core::ProcessingGraph graph;
   EXPECT_FALSE(graph.observability_enabled());

@@ -1,10 +1,11 @@
 // perpos-top — live introspection of a running multi-graph deployment.
 //
 // Embeds a small deployment (N pipelines, one engine lane each, W pool
-// workers) with the full translucency plane attached — engine profiler,
-// flight recorder, metrics — and renders a refreshing text dashboard from
-// the IntrospectionSnapshot API: per-lane queue depth and drain rate,
-// per-worker utilization, per-graph delivery rates and self-time top-K.
+// workers) with the full translucency plane attached — flight recorder
+// and graph metrics, next to the counts the engine always keeps — and
+// renders a refreshing text dashboard from the IntrospectionSnapshot API:
+// per-lane queue depth and drain rate, per-worker utilization, per-graph
+// delivery rates and self-time top-K.
 //
 //   perpos-top                          5 frames, 500 ms apart
 //   perpos-top --frames 0               run until interrupted
@@ -24,7 +25,6 @@
 #include "perpos/exec/engine.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/introspection.hpp"
-#include "perpos/obs/profiler.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
       });
 
   exec::ExecutionEngine engine(workers);
-  obs::EngineProfiler profiler(engine.workers());
-  engine.enable_profiler(&profiler);
   engine.set_flight_recorder(&recorder);
 
   // --- The deployment: one pipeline per lane ------------------------------
