@@ -2,7 +2,8 @@
 # Refreshes the checked-in machine-readable benchmark snapshots:
 #
 #   BENCH_o1.json       — the O1 scalability experiment (pipeline depth,
-#                         multi-graph engine scaling)
+#                         bare and per observability level, multi-graph
+#                         engine scaling)
 #   BENCH_reconfig.json — live reconfiguration (hot swap unverified,
 #                         verified and verified with the gate armed; swap
 #                         under traffic, fence cycle, rollback)
@@ -67,5 +68,5 @@ snap() {
 }
 
 snap build/bench/bench_o1_scalability "${1:-BENCH_o1.json}" \
-  'BM_PipelineDepth/|BM_EngineMultiGraph/'
+  'BM_PipelineDepth/|BM_PipelineDepthObserved/|BM_EngineMultiGraph/'
 snap build/bench/bench_reconfig "${2:-BENCH_reconfig.json}" '.'

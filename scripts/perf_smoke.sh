@@ -71,10 +71,12 @@ EOF
 }
 
 # fig1 exercises the full pipeline with recording (its ring holds the whole
-# run); bench_profiler dumps the engine's collected counts + flight
-# recorder, and must show executed tasks, or its failed-task gate would
-# pass on a missing series; o1 covers the multi-worker engine.
-run_one fig1_pipeline
+# run) and must show the graph's collected delivery count, so a graph
+# collector that fails to register fails here; bench_profiler dumps the
+# engine's collected counts + flight recorder, and must show executed
+# tasks, or its failed-task gate would pass on a missing series; o1 covers
+# the multi-worker engine.
+run_one fig1_pipeline no perpos_graph_deliveries_total
 # o1's observed stress workload intentionally overflows the bounded flight
 # ring; eviction there is by design, so only the failure gate applies.
 run_one o1_scalability yes

@@ -38,9 +38,10 @@
 /// delivery to a consumer without consume hooks consumes that slot in
 /// place, moving the sample straight into the consumer's pending inputs.
 /// Only consume hooks, which may emit onto the stack, make a delivery pop
-/// its slot first. Instrumentation never picks the path: metrics, timing,
-/// latency, the flight feed and the sanitizer are GraphObservers told what
-/// happened (see observer.hpp).
+/// its slot first. Instrumentation never picks the path: the graph counts
+/// its own events per component (the metrics read those counts), and
+/// timing, latency, the flight feed and the sanitizer are GraphObservers
+/// told what happened (see observer.hpp).
 /// Provenance buffers count their own references and return to the
 /// graph's ProvenancePool on their last release, from any thread (see
 /// provenance.hpp). A returned buffer is cleared only when it is reused or
@@ -212,10 +213,11 @@ class ProcessingGraph {
   /// Monotone counter bumped by every structural mutation (add / remove /
   /// connect / disconnect). The Channel layer uses it to re-derive its view
   /// lazily, keeping the causal connection.
-  std::uint64_t revision() const noexcept { return revision_; }
+  std::uint64_t revision() const noexcept { return revision_.get(); }
 
-  /// Samples delivered (accepted by a consumer) since construction.
-  std::uint64_t deliveries() const noexcept { return deliveries_; }
+  /// Samples delivered (accepted by a consumer and kept by its consume
+  /// hooks) since construction: the sum of the components' counts.
+  std::uint64_t deliveries() const noexcept;
 
   /// The reconfiguration epoch: a coarse version counter advanced only at
   /// committed live reconfigurations (unlike revision(), which ticks on
@@ -242,16 +244,21 @@ class ProcessingGraph {
 
   // --- Observability -------------------------------------------------------
   //
-  // When enabled, the graph registers two GraphObservers: one records
-  // per-component runtime behaviour into an obs::MetricsRegistry (samples
-  // emitted / delivered / rejected, hook vetoes, on_input and feature-hook
-  // wall-time histograms, end-to-end latency), the other — with
-  // `recording` on — feeds every emit and deliver into a flight ring, whose
-  // Chrome trace links each delivery to its emission along the provenance
-  // chain. When disabled (the default) neither is registered.
+  // The graph always counts, per component, the samples it emitted,
+  // delivered and rejected, the ones its hooks vetoed and the pending
+  // inputs it evicted (ComponentInfo::emitted, deliveries()). When enabled,
+  // an obs::MetricsRegistry exports those counts at scrape time (`metrics`)
+  // and a GraphObserver adds on_input and feature-hook wall-time histograms
+  // and end-to-end latency; with `recording` on, a second one feeds every
+  // emit and deliver into a flight ring, whose Chrome trace links each
+  // delivery to its emission along the provenance chain. When disabled (the
+  // default) neither is registered.
 
   /// Start (or reconfigure) observability. Metrics accumulated so far are
-  /// kept when called repeatedly. Rejected during dispatch.
+  /// kept when called repeatedly; the per-component and graph-wide counts
+  /// start from zero when `metrics` is switched on, and a replace() that
+  /// changes a component's kind starts a new series for the new kind.
+  /// Rejected during dispatch.
   void enable_observability(obs::ObservabilityConfig config = {});
 
   /// Drop the registry, the recorder and all accumulated data.
@@ -267,7 +274,9 @@ class ProcessingGraph {
   obs::MetricsRegistry* metrics_registry() const noexcept;
 
   /// PSL inspection API: a point-in-time snapshot of every metric. Empty
-  /// when observability is disabled.
+  /// when observability is disabled. May run on any thread while the graph
+  /// dispatches and mutates (not while observability is enabled or
+  /// disabled): the counts are read without stopping dispatch.
   obs::MetricsSnapshot metrics() const;
 
   /// Record this graph's flight events (emit / deliver / mutation /
@@ -383,9 +392,8 @@ class ProcessingGraph {
   std::size_t notify_depth_ = 0;
   bool observers_tombstoned_ = false;
   const sim::Clock* clock_;
-  std::uint64_t revision_ = 0;
+  obs::Tally revision_;  ///< Also the metrics' mutation count.
   std::uint64_t epoch_ = 0;
-  std::uint64_t deliveries_ = 0;
   std::size_t live_count_ = 0;
   bool dispatching_ = false;
   /// Accepted deliveries since the external emission that started the

@@ -7,11 +7,14 @@
 #include <string_view>
 
 /// \file observer.hpp
-/// The graph's one hook: its metrics and flight feed, the Channel layer,
-/// the incremental verifier and the runtime Graph Sanitizer all register a
-/// GraphObserver. Observers are told what happened; they never choose how
-/// a sample is delivered. Without a dispatch subscriber every dispatch
-/// event site is one predictable branch.
+/// The graph's one hook: its timing / latency observer and flight feed,
+/// the Channel layer, the incremental verifier and the runtime Graph
+/// Sanitizer all register a GraphObserver. Observers are told what
+/// happened; they never choose how a sample is delivered, and counting is
+/// not their job: the graph keeps its own per-component counts (emitted,
+/// delivered, rejected, vetoed, evicted), which the metrics read at scrape
+/// time. Without a dispatch subscriber every dispatch event site is one
+/// predictable branch.
 
 namespace perpos::core {
 
@@ -65,12 +68,6 @@ class GraphObserver {
   /// A sample left a producer's output port (produce hooks already ran and
   /// kept it); called once per emission, before its deliveries queue up.
   virtual void on_emit(const Sample& /*sample*/) {}
-
-  /// A produce (or consume) hook of `host`'s features dropped a sample.
-  virtual void on_veto(ComponentId /*host*/, bool /*produce*/) {}
-
-  /// `consumer`'s input requirements refused a queued sample.
-  virtual void on_reject(const Sample&, ComponentId /*consumer*/) {}
 
   /// (kAccept) A delivery was accepted by `consumer` and is about to run
   /// its consume hooks. `queue_depth` is the number of deliveries still

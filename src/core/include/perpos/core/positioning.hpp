@@ -176,7 +176,9 @@ class LocationProvider {
   std::uint64_t fix_count_ = 0;
   std::optional<sim::SimTime> first_fix_time_;
   std::optional<sim::SimTime> last_fix_time_;
-  obs::MetricsRegistry* bound_registry_ = nullptr;
+  /// Serial of the registry the counters live in (0 = none): a new
+  /// registry may reuse a destroyed one's address.
+  std::uint64_t bound_serial_ = 0;
   obs::Counter* fix_counter_ = nullptr;
   obs::Counter* sample_counter_ = nullptr;
 };

@@ -55,8 +55,9 @@ class TraceChannelFeature final : public ChannelFeature {
   std::string journey_;
 
   // Cached registry handles; re-resolved when the graph's registry changes
-  // (enable/disable cycles allocate a fresh registry).
-  obs::MetricsRegistry* bound_registry_ = nullptr;
+  // (enable/disable cycles allocate a fresh registry, possibly at the old
+  // one's address, so the cache keys on its serial; 0 = none).
+  std::uint64_t bound_serial_ = 0;
   obs::Counter* deliveries_counter_ = nullptr;
   obs::Histogram* depth_histogram_ = nullptr;
   obs::Histogram* size_histogram_ = nullptr;

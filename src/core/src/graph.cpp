@@ -1,8 +1,10 @@
 #include "perpos/core/graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 
 namespace perpos::core {
@@ -40,9 +42,20 @@ struct ProcessingGraph::Entry {
   /// second emission happens after pending_inputs was consumed.
   const Sample* current_input = nullptr;
   std::uint64_t sequence = 0;  ///< Logical time of the output port.
-  std::uint64_t emitted = 0;
+
+  // The component's event counts: written only by the dispatching thread,
+  // read by the metrics collector from any thread at scrape time.
+  obs::Tally emitted;
+  obs::Tally delivered;       ///< Accepted and past the consume hooks.
+  obs::Tally rejected;        ///< Refused by the input requirements.
+  obs::Tally produce_vetoed;  ///< Dropped by one of its produce hooks.
+  obs::Tally consume_vetoed;  ///< Dropped by one of its consume hooks.
+  obs::Tally evicted;         ///< Pending inputs evicted at the cap.
 
   std::vector<ComponentId> producers;
+  /// component->kind(), cached at add() and replace(): the metrics label,
+  /// which outlives the component's removal.
+  std::string kind;
 };
 
 namespace {
@@ -78,21 +91,19 @@ bool realizable(const std::vector<DataSpec>& caps,
 }  // namespace
 
 /// enable_observability's state — the config, the registry and the flight
-/// recorder `recording` owns — and the observer that turns dispatch events
-/// into per-component counters, hook / on_input wall-time histograms and
-/// end-to-end latency. Handles resolve on first use, so the hot path never
-/// looks a metric up.
+/// recorder `recording` owns — and the observer behind it. With `metrics`
+/// on it registers one scrape-time collector that turns the graph's own
+/// per-component counts into series; it never counts a dispatch event
+/// itself. Its dispatch events are the hook / on_input wall-time
+/// histograms (`timing`) and end-to-end latency (`latency`); their handles
+/// resolve on first use, so the hot path never looks a metric up.
 class ProcessingGraph::MetricsObserver final : public GraphObserver {
  public:
-  explicit MetricsObserver(ProcessingGraph& graph)
-      : graph_(graph),
-        deliveries_total_(registry.counter("perpos_graph_deliveries_total")),
-        rejections_total_(registry.counter("perpos_graph_rejections_total")),
-        mutations_total_(registry.counter("perpos_graph_mutations_total")),
-        components_gauge_(registry.gauge("perpos_graph_components")) {}
+  explicit MetricsObserver(ProcessingGraph& graph) : graph_(graph) {}
 
   /// Adopt `cfg` and return the events it needs. Every cached handle is
-  /// dropped: a new config can change which handles exist.
+  /// dropped: a new config can change which handles exist. Switching
+  /// `metrics` on starts the counts from zero; switching it off drops them.
   unsigned configure(const obs::ObservabilityConfig& cfg) {
     config = cfg;
     components_.clear();
@@ -103,9 +114,13 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
       recorder = std::make_unique<obs::FlightRecorder>(cfg.recorder_capacity);
       lane = recorder->add_lane("graph");
     }
-    components_gauge_->set(static_cast<double>(graph_.live_count_));
-    return (cfg.metrics || cfg.timing || cfg.latency ? kDispatch : 0u) |
-           (cfg.timing ? kTiming : 0u) | (cfg.latency ? kIngestTime : 0u);
+    if (!cfg.metrics) {
+      collector_.reset();
+    } else if (!collector_) {
+      start_counting();
+    }
+    return (cfg.latency ? kDispatch | kIngestTime : 0u) |
+           (cfg.timing ? kTiming : 0u);
   }
 
   obs::ObservabilityConfig config;
@@ -121,28 +136,19 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
       features_.erase(features_.lower_bound({m.a, nullptr}),
                       features_.lower_bound({m.a + 1, nullptr}));
     }
-    if (!config.metrics || !m.structural()) return;
-    mutations_total_->inc();
-    components_gauge_->set(static_cast<double>(graph_.live_count_));
-  }
-
-  void on_emit(const Sample& sample) override {
-    count(sample.producer, kEmitted);
-  }
-  void on_veto(ComponentId host, bool produce) override {
-    count(host, produce ? kProduceVetoed : kConsumeVetoed);
-  }
-  void on_reject(const Sample&, ComponentId consumer) override {
-    count(consumer, kRejected, rejections_total_);
+    if (!collector_ || !m.structural()) return;
+    const std::lock_guard<std::mutex> lock(census_mutex_);
+    if (m.kind == GraphMutation::Kind::kAdd) track(m.a);
+    if (m.kind == GraphMutation::Kind::kReplace) relabel(m.a);
+    live_ = graph_.live_count_;
   }
 
   void on_deliver(const Sample& sample, ComponentId consumer) override {
-    count(consumer, kDelivered, deliveries_total_);
     // End-to-end latency is observed when the sample arrives at a sink:
     // ingest→sink covers every upstream hop but not the sink's own
     // on_input (that is what on_input_us measures). The exemplar is the
     // delivered sample's identity — the key of its kDeliver flight event.
-    if (!config.latency || sample.ingest_us == 0.0 ||
+    if (sample.ingest_us == 0.0 ||
         !graph_.entries_[consumer]->consumers.empty()) {
       return;
     }
@@ -155,16 +161,6 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
     }
   }
 
-  void on_evict(ComponentId consumer, std::size_t evicted) override {
-    if (!config.metrics) return;
-    // Registered on first eviction: graphs that never evict export none.
-    registry
-        .counter("perpos_provenance_evicted_total",
-                 {{"component", std::to_string(consumer)},
-                  {"kind", kind(consumer)}})
-        ->inc(evicted);
-  }
-
   void on_input_time(ComponentId consumer, double us) override {
     handles(consumer).on_input_us->observe(us);
   }
@@ -174,7 +170,7 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
     auto [it, inserted] = features_.try_emplace({host, &feature});
     if (inserted) {
       const obs::Labels labels{{"component", std::to_string(host)},
-                               {"kind", kind(host)},
+                               {"kind", graph_.entries_[host]->kind},
                                {"feature", std::string(feature.name())}};
       it->second = {registry.histogram("perpos_feature_produce_us", labels),
                     registry.histogram("perpos_feature_consume_us", labels)};
@@ -183,42 +179,100 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
   }
 
  private:
-  /// Per-component counters, in registration order.
-  enum Tally { kEmitted, kDelivered, kRejected, kProduceVetoed,
-               kConsumeVetoed, kTallies };
-  /// One component's metric handles; all null until resolved.
+  /// A component's Entry counts, in kCountNames order.
+  using Counts = std::array<std::uint64_t, 6>;
+  static constexpr const char* kCountNames[6] = {
+      "perpos_component_emitted_total",
+      "perpos_component_delivered_total",
+      "perpos_component_rejected_total",
+      "perpos_component_produce_vetoed_total",
+      "perpos_component_consume_vetoed_total",
+      "perpos_provenance_evicted_total"};  // Only for components that evict.
+  using Series = std::map<std::pair<ComponentId, std::string>, Counts>;
+
+  /// `to` += `sign` * `e`'s counts, in wrapping unsigned arithmetic.
+  static void add(Counts& to, const Entry& e, std::uint64_t sign) noexcept {
+    const Counts n = {e.emitted.get(),        e.delivered.get(),
+                      e.rejected.get(),       e.produce_vetoed.get(),
+                      e.consume_vetoed.get(), e.evicted.get()};
+    for (std::size_t i = 0; i < n.size(); ++i) to[i] += sign * n[i];
+  }
+
+  /// Count `id` from now on under its current kind.
+  void track(ComponentId id) {
+    const Entry& e = *graph_.entries_[id];
+    tracked_.emplace_back(&e, e.kind);  // Ids arrive in order.
+    add(offsets_[{id, e.kind}], e, -1);
+  }
+
+  /// After a replace(): a new kind ends the old kind's series and starts
+  /// the new one from zero.
+  void relabel(ComponentId id) {
+    auto& [entry, kind] = tracked_[id];
+    if (kind == entry->kind) return;
+    add(offsets_[{id, kind}], *entry, 1);
+    kind = entry->kind;
+    add(offsets_[{id, kind}], *entry, -1);
+  }
+
+  void start_counting() {
+    {
+      const std::lock_guard<std::mutex> lock(census_mutex_);
+      tracked_.clear();
+      offsets_.clear();
+      for (ComponentId id = 0; id < graph_.entries_.size(); ++id) track(id);
+      revision_base_ = graph_.revision_.get();
+      live_ = graph_.live_count_;
+    }
+    collector_ = registry.add_collector(
+        [this](obs::MetricsSnapshot& out) { collect(out); });
+  }
+
+  /// Scrape time, any thread: one series per (component, kind) that
+  /// counted anything, then the graph-wide totals.
+  void collect(obs::MetricsSnapshot& out) {
+    const std::lock_guard<std::mutex> lock(census_mutex_);
+    Series series = offsets_;
+    for (ComponentId id = 0; id < tracked_.size(); ++id) {
+      add(series[{id, tracked_[id].second}], *tracked_[id].first, 1);
+    }
+    std::uint64_t delivered = 0;
+    std::uint64_t rejected = 0;
+    for (const auto& [key, n] : series) {
+      delivered += n[1];  // kCountNames order.
+      rejected += n[2];
+      if (n == Counts{}) continue;
+      const obs::Labels labels{{"component", std::to_string(key.first)},
+                               {"kind", key.second}};
+      for (std::size_t i = 0; i < n.size(); ++i) {
+        if (i + 1 < n.size() || n[i] != 0) {
+          out.counters.push_back({kCountNames[i], labels, n[i]});
+        }
+      }
+    }
+    out.counters.push_back({"perpos_graph_deliveries_total", {}, delivered});
+    out.counters.push_back({"perpos_graph_rejections_total", {}, rejected});
+    out.counters.push_back(
+        {"perpos_graph_mutations_total", {},
+         graph_.revision_.get() - revision_base_});
+    out.gauges.push_back(
+        {"perpos_graph_components", {}, static_cast<double>(live_)});
+  }
+
+  /// One component's histogram handles; all null until resolved.
   struct Handles {
-    obs::Counter* tallies[kTallies] = {};
     obs::Histogram* on_input_us = nullptr;
     obs::Histogram* e2e_latency_us = nullptr;
     obs::Counter* deadline_miss = nullptr;
   };
 
-  std::string kind(ComponentId id) const {
-    return std::string(graph_.entries_[id]->component->kind());
-  }
-
-  /// Count `tally` for component `id` (and the graph-wide `total`).
-  void count(ComponentId id, Tally tally, obs::Counter* total = nullptr) {
-    if (!config.metrics) return;
-    handles(id).tallies[tally]->inc();
-    if (total != nullptr) total->inc();
-  }
-
   Handles& handles(ComponentId id) {
-    static constexpr const char* kNames[kTallies] = {
-        "perpos_component_emitted_total", "perpos_component_delivered_total",
-        "perpos_component_rejected_total",
-        "perpos_component_produce_vetoed_total",
-        "perpos_component_consume_vetoed_total"};
     if (id >= components_.size()) components_.resize(id + 1);
     Handles& h = components_[id];
-    if (h.tallies[kEmitted] != nullptr) return h;
+    // Called only with timing or latency on, so one of them resolves.
+    if (h.on_input_us != nullptr || h.e2e_latency_us != nullptr) return h;
     const obs::Labels labels{{"component", std::to_string(id)},
-                             {"kind", kind(id)}};
-    for (int t = 0; t < kTallies; ++t) {
-      h.tallies[t] = registry.counter(kNames[t], labels);
-    }
+                             {"kind", graph_.entries_[id]->kind}};
     // Histograms only for the knobs that observe them, so exports carry no
     // empty series.
     if (config.timing) {
@@ -236,15 +290,24 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
   }
 
   ProcessingGraph& graph_;
-  obs::Counter* deliveries_total_;
-  obs::Counter* rejections_total_;
-  obs::Counter* mutations_total_;
-  obs::Gauge* components_gauge_;
   std::vector<Handles> components_;  ///< By component id.
   /// Per-feature hook histograms (produce, consume), by (host, feature).
   std::map<std::pair<ComponentId, const ComponentFeature*>,
            std::pair<obs::Histogram*, obs::Histogram*>>
       features_;
+
+  /// Guards what the collector reads besides the Tallies: written on the
+  /// graph's thread at mutations, read by a scrape on any thread.
+  std::mutex census_mutex_;
+  /// By component id: its entry and the kind its counts go to.
+  std::vector<std::pair<const Entry*, std::string>> tracked_;
+  /// Per series, the counts at the end of each of its stretches less those
+  /// at their start; a tracked stretch ends at scrape time.
+  Series offsets_;
+  std::uint64_t revision_base_ = 0;  ///< The graph's revision at the start.
+  std::size_t live_ = 0;
+  /// Released first (declared last), so no scrape outlives the census.
+  obs::MetricsRegistry::CollectorHandle collector_;
 };
 
 /// Feeds the graph's flight events — emit, deliver, mutation, on_input
@@ -440,6 +503,12 @@ obs::MetricsRegistry* ProcessingGraph::metrics_registry() const noexcept {
   return metrics_ ? &metrics_->registry : nullptr;
 }
 
+std::uint64_t ProcessingGraph::deliveries() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& e : entries_) n += e->delivered.get();
+  return n;
+}
+
 obs::MetricsSnapshot ProcessingGraph::metrics() const {
   return metrics_ ? metrics_->registry.snapshot() : obs::MetricsSnapshot{};
 }
@@ -476,6 +545,7 @@ ComponentId ProcessingGraph::add(
   const auto id = static_cast<ComponentId>(entries_.size());
   auto e = std::make_unique<Entry>();
   e->component = std::move(component);
+  e->kind = std::string(e->component->kind());
   e->live = true;
   e->component->context_ = ComponentContext(this, id);
   // Compile the hot-path caches once. Requirements and capabilities must
@@ -488,7 +558,7 @@ ComponentId ProcessingGraph::add(
   e->records_provenance = !e->component->output_capabilities().empty();
   entries_.push_back(std::move(e));
   ++live_count_;
-  ++revision_;
+  revision_.add();
   notify_mutation(GraphMutation{GraphMutation::Kind::kAdd, id});
   return id;
 }
@@ -507,7 +577,7 @@ void ProcessingGraph::remove(ComponentId id) {
   e.component.reset();
   e.features.clear();
   --live_count_;
-  ++revision_;
+  revision_.add();
   notify_mutation(GraphMutation{GraphMutation::Kind::kRemove, id});
 }
 
@@ -552,7 +622,7 @@ void ProcessingGraph::connect(ComponentId producer, ComponentId consumer) {
   }
   p.consumers.push_back(consumer);
   c.producers.push_back(producer);
-  ++revision_;
+  revision_.add();
   notify_mutation(
       GraphMutation{GraphMutation::Kind::kConnect, producer, consumer});
 }
@@ -567,7 +637,7 @@ void ProcessingGraph::disconnect(ComponentId producer, ComponentId consumer) {
   }
   p.consumers.erase(it);
   std::erase(c.producers, producer);
-  ++revision_;
+  revision_.add();
   notify_mutation(
       GraphMutation{GraphMutation::Kind::kDisconnect, producer, consumer});
 }
@@ -651,10 +721,11 @@ void ProcessingGraph::replace(ComponentId id,
 
   auto old = std::move(e.component);
   e.component = std::move(successor);
+  e.kind = std::string(e.component->kind());
   e.component->context_ = ComponentContext(this, id);
   old->context_ = ComponentContext();
   // Recompile the hot-path caches against the successor (observers
-  // re-label on kReplace). Logical time (sequence), emission count,
+  // re-label on kReplace). Logical time (sequence), the event counts,
   // pending provenance and the features carry over — that continuity is
   // what makes a live cutover free of duplicated or dropped logical-time
   // slots.
@@ -665,7 +736,7 @@ void ProcessingGraph::replace(ComponentId id,
   }
   e.records_provenance = !e.component->output_capabilities().empty();
   e.current_input = nullptr;
-  ++revision_;
+  revision_.add();
   notify_mutation(GraphMutation{GraphMutation::Kind::kReplace, id});
 }
 
@@ -734,12 +805,12 @@ ComponentInfo ProcessingGraph::info(ComponentId id) const {
   const Entry& e = entry(id);
   ComponentInfo out;
   out.id = id;
-  out.kind = std::string(e.component->kind());
+  out.kind = e.kind;
   out.producers = e.producers;
   out.consumers = e.consumers;
   for (const auto& f : e.features) out.feature_names.emplace_back(f->name());
   out.capabilities = capabilities(id);
-  out.emitted = e.emitted;
+  out.emitted = e.emitted.get();
   return out;
 }
 
@@ -875,6 +946,7 @@ const Sample& ProcessingGraph::keep_pending(Entry& c, ComponentId consumer,
     constexpr std::size_t kEvicted = kMaxPendingInputs / 2;
     c.pending_inputs.erase(c.pending_inputs.begin(),
                            c.pending_inputs.begin() + kEvicted);
+    c.evicted.add(kEvicted);
     observe([&](GraphObserver& o) { o.on_evict(consumer, kEvicted); });
   }
   if (!move) {
@@ -933,7 +1005,7 @@ void ProcessingGraph::deliver(Entry& c) {
   PendingDelivery& top = dispatch_stack_.back();
   const ComponentId consumer = top.consumer;
   if (!accepts(c.compiled_requirements, top.sample)) {
-    observe([&](GraphObserver& o) { o.on_reject(top.sample, consumer); });
+    c.rejected.add();
     dispatch_stack_.pop_back();
     return;
   }
@@ -958,7 +1030,7 @@ void ProcessingGraph::deliver(Entry& c) {
     // No consume hooks: nothing can touch the stack before on_input, so
     // the slot is consumed in place — moved into the pending inputs, or
     // into a local when the pending inputs cannot own it.
-    ++deliveries_;
+    c.delivered.add();
     observe([&](GraphObserver& o) { o.on_deliver(top.sample, consumer); });
     // The input may move into the pending inputs only while every emission
     // of on_input stays queued, keeping the claimed batch referenced until
@@ -993,7 +1065,7 @@ void ProcessingGraph::deliver(Entry& c) {
     current_frame_base_ = saved_frame_base;
     return;
   }
-  ++deliveries_;
+  c.delivered.add();
   observe([&](GraphObserver& o) { o.on_deliver(sample, consumer); });
   // Pending gets a copy: a hooked consumer's input stays this delivery's.
   if (c.records_provenance) keep_pending(c, consumer, sample, false);
@@ -1014,7 +1086,7 @@ bool ProcessingGraph::run_hooks(Entry& e, ComponentId host, Sample& sample,
       });
     }
     if (!keep) {
-      observe([&](GraphObserver& o) { o.on_veto(host, produce); });
+      (produce ? e.produce_vetoed : e.consume_vetoed).add();
       return false;
     }
     if (sample.payload.type() != original_type) {
@@ -1045,7 +1117,7 @@ bool ProcessingGraph::stamp_emission(Entry& e, ComponentId producer,
   if (!e.features.empty() && !run_hooks(e, producer, sample, true)) {
     return false;
   }
-  ++e.emitted;
+  e.emitted.add();
   observe([&](GraphObserver& o) { o.on_emit(sample); });
   return true;
 }

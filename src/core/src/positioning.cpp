@@ -65,16 +65,16 @@ std::string LocationProvider::metric_label() const {
 
 void LocationProvider::on_sample(const Sample& sample) {
   if (obs::MetricsRegistry* registry = service_->graph_.metrics_registry()) {
-    if (registry != bound_registry_) {
+    if (registry->serial() != bound_serial_) {
       const obs::Labels labels{{"provider", metric_label()}};
       sample_counter_ =
           registry->counter("perpos_provider_samples_total", labels);
       fix_counter_ = registry->counter("perpos_provider_fixes_total", labels);
-      bound_registry_ = registry;
+      bound_serial_ = registry->serial();
     }
     sample_counter_->inc();
   } else {
-    bound_registry_ = nullptr;
+    bound_serial_ = 0;
   }
 
   for (const auto& [id, listener] : sample_listeners_) listener(sample);
@@ -88,7 +88,7 @@ void LocationProvider::on_sample(const Sample& sample) {
   // graph (tests, replays) still timestamps its fixes.
   if (!first_fix_time_) first_fix_time_ = fix->timestamp;
   last_fix_time_ = fix->timestamp;
-  if (bound_registry_ != nullptr) fix_counter_->inc();
+  if (bound_serial_ != 0) fix_counter_->inc();
   for (const auto& [id, listener] : fix_listeners_) listener(*fix, sample);
   for (auto& [id, prox] : proximity_listeners_) {
     const bool inside =

@@ -37,10 +37,10 @@ void TraceChannelFeature::apply(const DataTree& tree) {
   obs::MetricsRegistry* registry =
       graph() != nullptr ? graph()->metrics_registry() : nullptr;
   if (registry == nullptr) {
-    bound_registry_ = nullptr;
+    bound_serial_ = 0;
     return;
   }
-  if (registry != bound_registry_) {
+  if (registry->serial() != bound_serial_) {
     const obs::Labels labels{{"channel", label_}};
     deliveries_counter_ =
         registry->counter("perpos_channel_deliveries_total", labels);
@@ -49,7 +49,7 @@ void TraceChannelFeature::apply(const DataTree& tree) {
     size_histogram_ = registry->histogram(
         "perpos_channel_tree_size", labels,
         {1, 2, 4, 8, 16, 32, 64, 128, 256});
-    bound_registry_ = registry;
+    bound_serial_ = registry->serial();
   }
   deliveries_counter_->inc();
   depth_histogram_->observe(static_cast<double>(last_depth_));

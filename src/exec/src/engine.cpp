@@ -15,26 +15,10 @@ namespace {
 /// so one chatty graph cannot starve the others of a worker.
 constexpr std::size_t kLaneBatch = 128;
 
-/// A count with one writer at a time — a lane's poster under the lane
-/// mutex, the one worker draining a lane, a worker's own thread — read by
-/// any thread. A relaxed load and store, never a read-modify-write: the
-/// engine's accounting adds no contended atomic to the lane hop.
-class Tally {
- public:
-  void add(std::uint64_t n) noexcept { set(get() + n); }
-  void raise_to(std::uint64_t n) noexcept {
-    if (n > get()) set(n);
-  }
-  std::uint64_t get() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void set(std::uint64_t n) noexcept {
-    value_.store(n, std::memory_order_relaxed);
-  }
-  std::atomic<std::uint64_t> value_{0};
-};
+/// Every engine count has one writer at a time — a lane's poster under the
+/// lane mutex, the one worker draining a lane, a worker's own thread — so
+/// the accounting adds no contended atomic to the lane hop.
+using obs::Tally;
 
 /// One pool worker's counts (plus one slot for the caller draining
 /// inline), each on its own cache line so workers never false-share.

@@ -29,6 +29,9 @@
 ///    taken.
 ///  * Handles returned by the registry are stable for the registry's
 ///    lifetime (metrics live in a deque), so callers cache raw pointers.
+///  * A subsystem that counts its own events (the graph per component, the
+///    engine per lane and worker, in Tallies) registers a collector that
+///    turns those counts into series at scrape time.
 ///  * Histograms use fixed upper-bound buckets (Prometheus style, +Inf
 ///    implicit) so observe() is a branchless-ish linear scan over a dozen
 ///    doubles — no per-sample allocation, bounded memory.
@@ -49,6 +52,28 @@ class Counter {
   }
 
  private:
+  std::atomic<std::uint64_t> value_{0};
+};
+
+/// A count with one writer at a time, read by any thread: a relaxed load
+/// and store, never a read-modify-write, so counting adds no contended
+/// atomic to a hot path. The graph's per-component counts and the
+/// execution engine's lane and worker counts are Tallies that their owners
+/// export through a scrape-time collector (MetricsRegistry::add_collector).
+class Tally {
+ public:
+  void add(std::uint64_t n = 1) noexcept { set(get() + n); }
+  void raise_to(std::uint64_t n) noexcept {
+    if (n > get()) set(n);
+  }
+  std::uint64_t get() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void set(std::uint64_t n) noexcept {
+    value_.store(n, std::memory_order_relaxed);
+  }
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -210,9 +235,14 @@ struct MetricsSnapshot {
 /// ProcessingGraph). Creation and snapshotting lock; increments do not.
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Unique per registry for the life of the process, never 0. A cache of
+  /// handles keys on it rather than on the registry's address: a new
+  /// registry may be allocated where a destroyed one lived.
+  std::uint64_t serial() const noexcept { return serial_; }
 
   /// Find-or-create. The returned pointer is valid for the registry's
   /// lifetime; repeated calls with the same (name, labels) return the same
@@ -232,7 +262,8 @@ class MetricsRegistry {
   /// Owns one registration: releasing the last copy (reset or destroy)
   /// removes the collector under the collector mutex, so once that
   /// returns no snapshot() runs it. Either side may go first — a handle
-  /// that outlives its registry releases nothing.
+  /// that outlives its registry releases nothing. A live handle is
+  /// non-null.
   using CollectorHandle = std::shared_ptr<void>;
 
   /// Register `collector`; every snapshot() runs it after copying the
@@ -244,6 +275,7 @@ class MetricsRegistry {
  private:
   MetricsSnapshot copy_metrics() const;
 
+  const std::uint64_t serial_;
   struct Key {
     std::string name;
     Labels labels;
@@ -285,15 +317,16 @@ std::string escape_json(std::string_view s);
 // --- Configuration -----------------------------------------------------------
 
 /// What an observed graph records. All knobs independent so the overhead
-/// can be dialled: `metrics` alone costs a few relaxed atomic increments
-/// per sample; `timing` adds two steady_clock reads per hook/on_input;
+/// can be dialled: `metrics` exports the per-component counts the graph
+/// keeps anyway, read at scrape time, so it adds nothing per sample;
+/// `timing` adds two steady_clock reads per hook/on_input;
 /// `latency` stamps wall-clock ingest time on root emissions and observes
 /// end-to-end ingest→sink latency (with SLO deadline-miss counting when
 /// latency_slo_us > 0), each observation's exemplar naming the delivered
 /// sample; `recording` attaches a flight recorder ring of recent
 /// structured events — every emit and deliver among them, which is the
-/// graph's flow trace (FlightRecorder::dump_chrome_trace). Every knob is
-/// served by graph observers (core::GraphObserver); none of them changes
+/// graph's flow trace (FlightRecorder::dump_chrome_trace). The other knobs
+/// are served by graph observers (core::GraphObserver); no knob changes
 /// the delivery path, which branches only on consume hooks.
 struct ObservabilityConfig {
   bool metrics = true;

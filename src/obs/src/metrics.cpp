@@ -152,6 +152,12 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
 
 // --- Registry ----------------------------------------------------------------
 
+MetricsRegistry::MetricsRegistry()
+    : serial_([] {
+        static std::atomic<std::uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
 Counter* MetricsRegistry::counter(const std::string& name, Labels labels) {
   std::sort(labels.begin(), labels.end());
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -202,17 +208,19 @@ MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
     id = collectors_->next_id++;
     collectors_->entries.emplace_back(id, std::move(collector));
   }
-  // The handle owns nothing but its deleter, which unregisters.
-  const std::weak_ptr<Collectors> table = collectors_;
-  return CollectorHandle(nullptr, [table, id](void*) {
-    const std::shared_ptr<Collectors> live = table.lock();
-    if (live == nullptr) return;
-    const std::lock_guard<std::mutex> lock(live->mutex);
-    auto& entries = live->entries;
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [id](const auto& e) { return e.first == id; }),
-                  entries.end());
-  });
+  // The handle owns one Registration, whose destructor unregisters.
+  struct Registration {
+    std::weak_ptr<Collectors> table;
+    std::uint64_t id;
+    ~Registration() {
+      const std::shared_ptr<Collectors> live = table.lock();
+      if (live == nullptr) return;
+      const std::lock_guard<std::mutex> lock(live->mutex);
+      std::erase_if(live->entries,
+                    [this](const auto& e) { return e.first == id; });
+    }
+  };
+  return std::make_shared<Registration>(collectors_, id);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -315,33 +323,59 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+/// `rows` grouped by family: the text format wants one # TYPE line per
+/// name and every series of a family together, and a collector may append
+/// series to a family the registry already exported. Families come in name
+/// order, series in snapshot order.
+template <typename Row>
+std::vector<const Row*> by_family(const std::vector<Row>& rows) {
+  std::vector<const Row*> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.push_back(&row);
+  std::stable_sort(out.begin(), out.end(), [](const Row* a, const Row* b) {
+    return a->name < b->name;
+  });
+  return out;
+}
+
+/// Writes the # TYPE line when `name` starts a new family.
+void type_line(std::ostringstream& out, std::string& family,
+               const std::string& name, const char* type) {
+  if (name == family) return;
+  family = name;
+  out << "# TYPE " << name << " " << type << "\n";
+}
+
 }  // namespace
 
 std::string to_prometheus_text(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
-  for (const auto& c : snapshot.counters) {
-    out << "# TYPE " << c.name << " counter\n";
-    out << c.name << label_block(c.labels) << " " << c.value << "\n";
+  std::string family;
+  for (const CounterSnapshot* c : by_family(snapshot.counters)) {
+    type_line(out, family, c->name, "counter");
+    out << c->name << label_block(c->labels) << " " << c->value << "\n";
   }
-  for (const auto& g : snapshot.gauges) {
-    out << "# TYPE " << g.name << " gauge\n";
-    out << g.name << label_block(g.labels) << " " << fmt_double(g.value)
+  family.clear();
+  for (const GaugeSnapshot* g : by_family(snapshot.gauges)) {
+    type_line(out, family, g->name, "gauge");
+    out << g->name << label_block(g->labels) << " " << fmt_double(g->value)
         << "\n";
   }
-  for (const auto& h : snapshot.histograms) {
-    out << "# TYPE " << h.name << " histogram\n";
+  family.clear();
+  for (const HistogramSnapshot* h : by_family(snapshot.histograms)) {
+    type_line(out, family, h->name, "histogram");
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      cumulative += h.buckets[i];
-      Labels with_le = h.labels;
+    for (std::size_t i = 0; i < h->buckets.size(); ++i) {
+      cumulative += h->buckets[i];
+      Labels with_le = h->labels;
       with_le.emplace_back(
-          "le", i < h.bounds.size() ? fmt_double(h.bounds[i]) : "+Inf");
-      out << h.name << "_bucket" << label_block(with_le) << " " << cumulative
-          << "\n";
+          "le", i < h->bounds.size() ? fmt_double(h->bounds[i]) : "+Inf");
+      out << h->name << "_bucket" << label_block(with_le) << " "
+          << cumulative << "\n";
     }
-    out << h.name << "_sum" << label_block(h.labels) << " "
-        << fmt_double(h.sum) << "\n";
-    out << h.name << "_count" << label_block(h.labels) << " " << h.count
+    out << h->name << "_sum" << label_block(h->labels) << " "
+        << fmt_double(h->sum) << "\n";
+    out << h->name << "_count" << label_block(h->labels) << " " << h->count
         << "\n";
   }
   return out.str();

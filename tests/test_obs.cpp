@@ -10,6 +10,7 @@
 #include "perpos/core/graph.hpp"
 #include "perpos/core/positioning.hpp"
 #include "perpos/core/trace_feature.hpp"
+#include "perpos/exec/engine.hpp"
 #include "perpos/geo/coordinates.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/obs/introspection.hpp"
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -25,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -125,9 +128,16 @@ TEST(MetricsRegistry, HistogramBucketsCountAndQuantile) {
 }
 
 TEST(MetricsRegistry, PrometheusTextFormat) {
+  // A family of three series: two from the registry and one a collector
+  // appends, after the registry's other family in snapshot order.
   obs::MetricsRegistry registry;
   registry.counter("perpos_events_total", {{"component", "1"}})->inc(3);
+  registry.counter("perpos_events_total", {{"component", "2"}})->inc(4);
+  registry.counter("perpos_other_total")->inc();
   registry.histogram("perpos_lat_us", {}, {1.0, 2.0})->observe(1.5);
+  auto handle = registry.add_collector([](obs::MetricsSnapshot& out) {
+    out.counters.push_back({"perpos_events_total", {{"component", "3"}}, 5});
+  });
   const std::string text = obs::to_prometheus_text(registry.snapshot());
   EXPECT_NE(text.find("# TYPE perpos_events_total counter"),
             std::string::npos);
@@ -137,6 +147,26 @@ TEST(MetricsRegistry, PrometheusTextFormat) {
   EXPECT_NE(text.find("perpos_lat_us_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("perpos_lat_us_count 1"), std::string::npos);
+
+  // One # TYPE line per family, its series right after it.
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::size_t> type_lines;
+  std::vector<std::size_t> series;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i] == "# TYPE perpos_events_total counter") {
+      type_lines.push_back(i);
+    }
+    if (lines[i].rfind("perpos_events_total{", 0) == 0) series.push_back(i);
+  }
+  ASSERT_EQ(type_lines.size(), 1u) << text;
+  ASSERT_EQ(series.size(), 3u) << text;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(series[i], type_lines.front() + 1 + i) << text;
+  }
+  EXPECT_EQ(lines[series[2]], "perpos_events_total{component=\"3\"} 5");
+  EXPECT_EQ(std::count(text.begin(), text.end(), '#'), 3) << text;
 }
 
 TEST(MetricsRegistry, JsonExportIsWellFormedAndComplete) {
@@ -381,6 +411,154 @@ TEST(GraphObservability, ReplaceRelabelsFeatureHookHistograms) {
         snap.find_histogram("perpos_feature_produce_us", "kind", kind);
     ASSERT_NE(hook, nullptr);
     EXPECT_EQ(hook->count, n);
+  }
+}
+
+TEST(GraphObservability, MetricsOffExportsNoCounts) {
+  core::ProcessingGraph graph;
+  obs::ObservabilityConfig cfg;
+  cfg.metrics = false;
+  cfg.timing = true;
+  graph.enable_observability(cfg);
+  auto source = make_source();
+  const auto z = graph.add(std::make_shared<core::ApplicationSink>());
+  graph.connect(graph.add(source), z);
+  for (int i = 0; i < 3; ++i) source->push(Value{i});
+
+  const obs::MetricsSnapshot snap = graph.metrics();
+  auto is_count = [](const std::string& name) {
+    return name.rfind("perpos_graph_", 0) == 0 ||
+           (name.rfind("perpos_component_", 0) == 0 &&
+            name.size() > 6 && name.substr(name.size() - 6) == "_total");
+  };
+  for (const auto& c : snap.counters) EXPECT_FALSE(is_count(c.name)) << c.name;
+  for (const auto& g : snap.gauges) EXPECT_FALSE(is_count(g.name)) << g.name;
+  // Timing still observes the sink's on_input.
+  const auto* h = snap.find_histogram("perpos_component_on_input_us",
+                                      "component", id_str(z));
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 3u);
+}
+
+namespace {
+
+/// Every series of counter `name` labelled kind=`kind`.
+std::vector<const obs::CounterSnapshot*> counters_of_kind(
+    const obs::MetricsSnapshot& snap, std::string_view name,
+    std::string_view kind) {
+  std::vector<const obs::CounterSnapshot*> out;
+  for (const auto& c : snap.counters) {
+    if (c.name != name) continue;
+    for (const auto& [k, v] : c.labels) {
+      if (k == "kind" && v == kind) out.push_back(&c);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(GraphObservability, ReplaceKeepsOneSeriesPerKindAndRemovalKeepsIt) {
+  core::ProcessingGraph graph;
+  graph.enable_observability();
+  auto source_of = [](const char* kind) {
+    return std::make_shared<core::SourceComponent>(
+        kind, std::vector<core::DataSpec>{core::provide<Value>()});
+  };
+  auto old_source = source_of("Old");
+  const auto a = graph.add(old_source);
+  graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
+  old_source->push(Value{1});
+  auto new_source = source_of("New");
+  graph.replace(a, new_source, core::ReplaceHandoff::kNone);
+  for (int i = 0; i < 2; ++i) new_source->push(Value{i});
+  auto again = source_of("Old");
+  graph.replace(a, again, core::ReplaceHandoff::kNone);
+  for (int i = 0; i < 3; ++i) again->push(Value{i});
+
+  auto expect_series = [&](const obs::MetricsSnapshot& snap) {
+    for (const auto& [kind, n] :
+         {std::pair<const char*, std::uint64_t>{"Old", 4}, {"New", 2}}) {
+      SCOPED_TRACE(kind);
+      const auto series =
+          counters_of_kind(snap, "perpos_component_emitted_total", kind);
+      ASSERT_EQ(series.size(), 1u);
+      EXPECT_EQ(series.front()->value, n);
+      const auto& labels = series.front()->labels;
+      EXPECT_NE(std::find(labels.begin(), labels.end(),
+                          std::pair<std::string, std::string>{"component",
+                                                              id_str(a)}),
+                labels.end());
+    }
+  };
+  const obs::MetricsSnapshot live = graph.metrics();
+  expect_series(live);
+
+  graph.remove(a);
+  const obs::MetricsSnapshot removed = graph.metrics();
+  expect_series(removed);
+  const auto* components = removed.find_gauge("perpos_graph_components");
+  ASSERT_NE(components, nullptr);
+  EXPECT_DOUBLE_EQ(components->value, 1.0);
+}
+
+TEST(GraphObservability, ConcurrentScrapesReadTheGraphsOwnCounts) {
+  // One thread scrapes while an engine lane, the graph's only thread,
+  // dispatches and adds, replaces and removes components. At idle the
+  // exported counts are the graph's own.
+  core::ProcessingGraph graph;
+  graph.enable_observability();
+  auto source = make_source();
+  const auto a = graph.add(source);
+  const auto b = graph.add(make_relay());
+  graph.connect(a, b);
+  graph.connect(b, graph.add(std::make_shared<core::ApplicationSink>()));
+
+  perpos::exec::ExecutionEngine engine(2);
+  const auto lane = engine.create_lane("graph");
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    do {
+      const obs::MetricsSnapshot snap = graph.metrics();
+      EXPECT_FALSE(obs::to_prometheus_text(snap).empty());
+    } while (!done.load());
+  });
+  for (int round = 0; round < 100; ++round) {
+    engine.post(lane, [&, round] {
+      for (int i = 0; i < 4; ++i) source->push(Value{i});
+      const auto tap = graph.add(make_relay());
+      graph.connect(b, tap);
+      source->push(Value{round});
+      auto successor = std::make_shared<core::LambdaComponent>(
+          "Tap", std::vector<core::InputRequirement>{core::require<Value>()},
+          std::vector<core::DataSpec>{core::provide<Value>()},
+          [](const Sample& s, const core::ComponentContext& ctx) {
+            ctx.emit(s.payload);
+          });
+      graph.replace(tap, successor, core::ReplaceHandoff::kNone);
+      source->push(Value{round});
+      if (round % 2 == 0) graph.remove(tap);
+    });
+  }
+  engine.run_until_idle();
+  done = true;
+  scraper.join();
+
+  const obs::MetricsSnapshot snap = graph.metrics();
+  const auto* deliveries = snap.find_counter("perpos_graph_deliveries_total");
+  ASSERT_NE(deliveries, nullptr);
+  EXPECT_EQ(deliveries->value, graph.deliveries());
+  EXPECT_GT(graph.deliveries(), 0u);
+  for (const core::ComponentId id : graph.components()) {
+    SCOPED_TRACE(id);
+    std::uint64_t emitted = 0;
+    for (const auto& c : snap.counters) {
+      if (c.name == "perpos_component_emitted_total" &&
+          c.labels.front().second == id_str(id)) {
+        emitted += c.value;
+      }
+    }
+    EXPECT_EQ(emitted, graph.info(id).emitted);
   }
 }
 
@@ -656,6 +834,31 @@ TEST(TraceChannelFeature, ReportsChannelTelemetry) {
             nullptr);
 }
 
+TEST(TraceChannelFeature, CountsIntoTheRegistryOfAReEnable) {
+  // Disable then enable with no delivery between: the new registry may
+  // live at the old one's address, and the feature must still count into
+  // it rather than into the destroyed one.
+  core::ProcessingGraph graph;
+  graph.enable_observability();
+  auto source = make_source();
+  const auto a = graph.add(source);
+  graph.connect(a, graph.add(std::make_shared<core::ApplicationSink>()));
+  core::ChannelManager channels(graph);
+  auto feature = std::make_shared<core::TraceChannelFeature>("gps");
+  channels.attach_feature(*channels.channels().front(), feature);
+  source->push(Value{1});
+
+  graph.disable_observability();
+  graph.enable_observability();
+  source->push(Value{2});
+  source->push(Value{3});
+  const obs::MetricsSnapshot snap = graph.metrics();
+  const auto* deliveries = snap.find_counter("perpos_channel_deliveries_total",
+                                             "channel", "gps");
+  ASSERT_NE(deliveries, nullptr);
+  EXPECT_EQ(deliveries->value, 2u);
+}
+
 TEST(TraceChannelFeature, WorksWithoutRegistry) {
   core::ProcessingGraph graph;  // Observability off.
   auto source = make_source();
@@ -721,6 +924,31 @@ TEST(ProviderObservability, FixCountRateAndStaleness) {
                                      provider.metric_label());
   ASSERT_NE(rate, nullptr);
   EXPECT_NEAR(rate->value, 1.0, 1e-9);
+}
+
+TEST(ProviderObservability, CountsIntoTheRegistryOfAReEnable) {
+  core::ProcessingGraph graph;
+  graph.enable_observability();
+  core::ChannelManager channels(graph);
+  core::PositioningService service(graph, channels);
+  auto source = std::make_shared<core::SourceComponent>(
+      "GPS",
+      std::vector<core::DataSpec>{core::provide<core::PositionFix>()});
+  graph.add(source);
+  core::LocationProvider& provider =
+      service.request_provider(core::Criteria{});
+  source->push(fix_at_t(0));
+
+  graph.disable_observability();
+  graph.enable_observability();
+  source->push(fix_at_t(1));
+  source->push(fix_at_t(2));
+  EXPECT_EQ(provider.fixes(), 3u);
+  const obs::MetricsSnapshot snap = graph.metrics();
+  const auto* fixes = snap.find_counter("perpos_provider_fixes_total",
+                                        "provider", provider.metric_label());
+  ASSERT_NE(fixes, nullptr);
+  EXPECT_EQ(fixes->value, 2u);
 }
 
 // --- Flight recorder (the black box) -----------------------------------------
