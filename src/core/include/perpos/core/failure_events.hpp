@@ -8,19 +8,21 @@
 /// \file failure_events.hpp
 /// The shared failure-event reporting channel. Anything that mutates,
 /// loses or rejects traffic — failure injectors, lossy links, remoting
-/// endpoints — reports here so every failure is visible as one metric
-/// family, `perpos_failure_events_total{injector=..., event=...}`, and the
-/// health Watchdog can fold per-component failure rates into its verdicts.
+/// endpoints — reports here. Every report counts against its host
+/// component in the graph (ProcessingGraph::failures, which the Watchdog
+/// folds into its verdicts), and, with observability on, shows up in one
+/// metric family, `perpos_failure_events_total{injector=..., event=...}`.
 
 namespace perpos::core {
 
-/// Report one failure event into the graph's metrics registry (no-op when
-/// the graph is null or observability is off). `injector` is the reporting
-/// component's kind or feature name; `host` the component id it concerns.
+/// Report one failure event against `host` (no-op when the graph is null).
+/// `injector` is the reporting component's kind or feature name; it and
+/// `event` label the registry series.
 inline void report_failure_event(ProcessingGraph* graph,
                                  std::string_view injector, ComponentId host,
                                  const char* event) {
   if (graph == nullptr) return;
+  graph->count_failure(host);
   obs::MetricsRegistry* registry = graph->metrics_registry();
   if (registry == nullptr) return;
   registry

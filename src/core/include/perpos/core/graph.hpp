@@ -219,6 +219,17 @@ class ProcessingGraph {
   /// hooks) since construction: the sum of the components' counts.
   std::uint64_t deliveries() const noexcept;
 
+  /// Samples `id` has emitted (ComponentInfo::emitted, without building
+  /// the snapshot). Throws for unknown ids.
+  std::uint64_t emitted(ComponentId id) const;
+  /// Failure events reported against `id` (report_failure_event), counted
+  /// whether or not observability is on. Throws for unknown ids.
+  std::uint64_t failures(ComponentId id) const;
+  /// Count one failure event against `id`; ids out of range are ignored.
+  /// The count is atomic, so any thread may report (a scheduler timer as
+  /// well as the dispatching lane), as long as no add() runs concurrently.
+  void count_failure(ComponentId id) noexcept;
+
   /// The reconfiguration epoch: a coarse version counter advanced only at
   /// committed live reconfigurations (unlike revision(), which ticks on
   /// every structural mutation). Samples processed before a cutover ran

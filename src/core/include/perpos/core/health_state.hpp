@@ -3,14 +3,16 @@
 #include <string_view>
 
 /// \file health_state.hpp
-/// The shared health vocabulary of the fault-tolerance subsystem
-/// (perpos::health). The paper's Sec. 4 motivates adaptation with exactly
-/// the failure modes this models: "positioning technologies do not provide
-/// pervasive coverage ... positions delivered can be erroneous due to
-/// signal noise, delays, or faulty system calibration". The enum lives in
-/// core because all three layers speak it: the PSL Watchdog derives it,
-/// the PCL HealthChannelFeature exposes it, and the Positioning Layer's
-/// failover acts on it.
+/// The shared health vocabulary. The paper's Sec. 4 motivates adaptation
+/// with exactly the failure modes this models: "positioning technologies
+/// do not provide pervasive coverage ... positions delivered can be
+/// erroneous due to signal noise, delays, or faulty system calibration".
+/// One core::Watchdog (watchdog.hpp) computes the verdict per source from
+/// the graph's own emitted and failure counts, and every layer reads that
+/// verdict: the PSL through the Watchdog's accessors and listeners (the
+/// LiveReconfigurator's probation among them), the PCL through
+/// health::HealthChannelFeature, and the Positioning Layer through
+/// PositioningService failover and provider_health().
 
 namespace perpos::core {
 

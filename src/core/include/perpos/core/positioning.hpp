@@ -5,6 +5,7 @@
 #include "perpos/core/data_types.hpp"
 #include "perpos/core/graph.hpp"
 #include "perpos/core/health_state.hpp"
+#include "perpos/core/watchdog.hpp"
 #include "perpos/geo/distance.hpp"
 #include "perpos/obs/introspection.hpp"
 #include "perpos/sim/scheduler.hpp"
@@ -122,6 +123,9 @@ class LocationProvider {
 
   /// The graph node backing this provider.
   ComponentId sink_id() const noexcept { return sink_id_; }
+  /// The component request_provider connected the sink to: the source
+  /// whose watchdog verdict failover reads for this provider.
+  ComponentId producer_id() const noexcept { return producer_id_; }
   const ProviderAdvertisement& advertisement() const noexcept { return ad_; }
 
   // --- Provider-level observability ---------------------------------------
@@ -151,9 +155,14 @@ class LocationProvider {
 
  private:
   friend class PositioningService;
-  LocationProvider(PositioningService* service, ComponentId sink_id,
-                   ApplicationSink* sink, ProviderAdvertisement ad)
-      : service_(service), sink_id_(sink_id), sink_(sink), ad_(std::move(ad)) {}
+  LocationProvider(PositioningService* service, ComponentId producer_id,
+                   ComponentId sink_id, ApplicationSink* sink,
+                   ProviderAdvertisement ad)
+      : service_(service),
+        producer_id_(producer_id),
+        sink_id_(sink_id),
+        sink_(sink),
+        ad_(std::move(ad)) {}
 
   void on_sample(const Sample& sample);
 
@@ -165,6 +174,7 @@ class LocationProvider {
   };
 
   PositioningService* service_;
+  ComponentId producer_id_;
   ComponentId sink_id_;
   ApplicationSink* sink_;
   ProviderAdvertisement ad_;
@@ -220,20 +230,13 @@ class Target {
   LocationProvider* active_ = nullptr;
 };
 
-/// Failover policy (Positioning Layer). Staleness thresholds map a
-/// provider's seconds-since-last-fix to a HealthState; failover triggers
-/// when the active provider goes kStale or worse, and fails back only
-/// after the preferred provider has stayed recovered for `hold_s`
-/// (hysteresis, so a flickering source does not cause flapping).
+/// Failover policy (Positioning Layer). The health verdict itself is the
+/// watchdog's (see enable_failover); the policy adds only the hysteresis:
+/// after failing over, the target fails back once the preferred provider
+/// has stayed kHealthy for `hold_s`, so a flickering source does not cause
+/// flapping.
 struct FailoverConfig {
-  double degraded_after_s = 2.0;  ///< Staleness beyond this: kDegraded.
-  double stale_after_s = 5.0;     ///< Beyond this: kStale — fail over.
-  double dead_after_s = 15.0;     ///< Beyond this: kDead.
-  /// The preferred provider counts as recovered below this staleness.
-  double recovery_s = 2.0;
-  /// Recovery must hold this long before failing back.
-  double hold_s = 5.0;
-  sim::SimTime check_interval = sim::SimTime::from_seconds(1.0);
+  double hold_s = 5.0;  ///< Recovery must hold this long before failing back.
 };
 
 /// The Positioning Layer facade: provider selection, targets and
@@ -273,8 +276,10 @@ class PositioningService {
 
   /// The service's slice of a perpos-top snapshot: graph delivery totals
   /// and per-component self-time (from the metrics registry, when
-  /// observability is on) plus one "provider=health" line per provider.
-  /// `name` labels the graph in the dashboard.
+  /// observability is on) plus, while failover is enabled, one
+  /// "provider=health" line per provider. With failover off there is no
+  /// verdict, so the snapshot lists no health lines. `name` labels the
+  /// graph in the dashboard.
   obs::GraphIntrospection introspect(const std::string& name = "graph",
                                      std::size_t top_k = 5) const;
 
@@ -288,36 +293,39 @@ class PositioningService {
   // --- Failover (fault tolerance at the Positioning Layer) ----------------
   //
   // With failover enabled, every tracked target with attached providers is
-  // supervised: when its active provider's health (derived from fix
-  // staleness against the configured deadlines) drops to kStale or worse,
-  // the target re-resolves to the next-best healthy provider by advertised
-  // accuracy — degraded fixes instead of silence — and fails back to the
-  // preferred provider once it has stayed recovered for the hysteresis
-  // hold. Transitions are published as
-  // perpos_failover_transitions_total{target,from,to} and per-provider
-  // perpos_provider_health gauges when observability is on.
+  // supervised: when the watchdog judges its active provider's producer
+  // kStale or worse, the target re-resolves to the next-best provider whose
+  // producer is better than kStale, by advertised accuracy — degraded fixes
+  // instead of silence — and fails back to the preferred provider once its
+  // producer has stayed kHealthy for the hysteresis hold. Transitions are
+  // published as perpos_failover_transitions_total{target,from,to} and
+  // per-provider perpos_provider_health gauges when observability is on.
 
   using FailoverListener = std::function<void(
       Target& target, LocationProvider* from, LocationProvider* to,
       sim::SimTime when)>;
 
-  /// Start (or reconfigure) supervised failover. `scheduler` must outlive
-  /// the service (or disable_failover() must be called first); checks run
-  /// every config.check_interval.
-  void enable_failover(sim::Scheduler& scheduler, FailoverConfig config = {});
+  /// Start (or reconfigure) supervised failover on `watchdog`'s verdicts.
+  /// The watchdog must supervise this service's graph; every provider's
+  /// producer is watched (now and as providers are requested), the
+  /// watchdog is started, and the failover check runs on its scheduler
+  /// every check_interval. `watchdog` must outlive the service (or
+  /// disable_failover() must be called first).
+  void enable_failover(Watchdog& watchdog, FailoverConfig config = {});
 
   /// Stop the periodic checks; targets keep their current active provider.
+  /// The watchdog keeps running and watching.
   void disable_failover();
 
-  bool failover_enabled() const noexcept { return failover_scheduler_ != nullptr; }
+  bool failover_enabled() const noexcept { return watchdog_ != nullptr; }
   const FailoverConfig& failover_config() const noexcept {
     return failover_config_;
   }
 
-  /// The provider's health as the failover policy sees it right now,
-  /// derived from fix staleness against the configured (or default)
-  /// deadlines. Providers that never delivered are judged by the time
-  /// since failover was enabled (or kDead if it never was).
+  /// The watchdog's verdict for the provider's producer: kDead when the
+  /// producer is not watched (it was removed before failover was enabled,
+  /// or someone unwatched it). Throws std::logic_error while failover is
+  /// off: there is no verdict to read.
   HealthState provider_health(const LocationProvider& provider) const;
 
   /// Called on every failover / fail-back transition of any target.
@@ -348,10 +356,6 @@ class PositioningService {
  private:
   friend class LocationProvider;
 
-  HealthState health_at(const LocationProvider& provider,
-                        sim::SimTime now) const;
-  double effective_staleness_s(const LocationProvider& provider,
-                               sim::SimTime now) const;
   LocationProvider* preferred_provider(const Target& target) const;
   void switch_active(Target& target, LocationProvider* to, sim::SimTime now);
   void schedule_failover_check();
@@ -362,13 +366,12 @@ class PositioningService {
   std::vector<std::unique_ptr<LocationProvider>> providers_;
   std::vector<std::unique_ptr<Target>> targets_;
 
-  sim::Scheduler* failover_scheduler_ = nullptr;
+  Watchdog* watchdog_ = nullptr;  ///< Non-null while failover is enabled.
   std::function<void(std::function<void()>)> executor_;
   FailoverConfig failover_config_;
   sim::Scheduler::EventId failover_event_ = 0;
-  sim::SimTime failover_enabled_at_ = sim::SimTime::zero();
   /// Per-target time since which the preferred provider has been
-  /// continuously recovered (hysteresis state).
+  /// continuously kHealthy (hysteresis state).
   std::map<const Target*, std::optional<sim::SimTime>> recovery_since_;
   std::map<SubscriptionId, FailoverListener> failover_listeners_;
   SubscriptionId next_failover_subscription_ = 1;

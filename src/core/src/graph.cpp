@@ -56,6 +56,10 @@ struct ProcessingGraph::Entry {
   /// component->kind(), cached at add() and replace(): the metrics label,
   /// which outlives the component's removal.
   std::string kind;
+  /// Failure events reported against this component. Last, so the hot
+  /// fields above keep their offsets; a read-modify-write because reports
+  /// come from scheduler timers as well as from the dispatching lane.
+  obs::Counter failures;
 };
 
 namespace {
@@ -507,6 +511,18 @@ std::uint64_t ProcessingGraph::deliveries() const noexcept {
   std::uint64_t n = 0;
   for (const auto& e : entries_) n += e->delivered.get();
   return n;
+}
+
+std::uint64_t ProcessingGraph::emitted(ComponentId id) const {
+  return entry(id).emitted.get();
+}
+
+std::uint64_t ProcessingGraph::failures(ComponentId id) const {
+  return entry(id).failures.value();
+}
+
+void ProcessingGraph::count_failure(ComponentId id) noexcept {
+  if (id < entries_.size()) entries_[id]->failures.inc();
 }
 
 obs::MetricsSnapshot ProcessingGraph::metrics() const {

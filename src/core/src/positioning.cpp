@@ -186,11 +186,12 @@ LocationProvider& PositioningService::request_provider(
   const ComponentId sink_id = graph_.add(std::move(sink));
   graph_.connect(best, sink_id);
 
-  auto provider = std::unique_ptr<LocationProvider>(
-      new LocationProvider(this, sink_id, sink_ptr, std::move(best_ad)));
+  auto provider = std::unique_ptr<LocationProvider>(new LocationProvider(
+      this, best, sink_id, sink_ptr, std::move(best_ad)));
   LocationProvider* raw = provider.get();
   sink_ptr->set_callback([raw](const Sample& s) { raw->on_sample(s); });
   providers_.push_back(std::move(provider));
+  if (watchdog_ != nullptr) watchdog_->watch(best);
   return *raw;
 }
 
@@ -224,12 +225,15 @@ void PositioningService::publish_metrics() {
 
 // --- Failover ----------------------------------------------------------------
 
-void PositioningService::enable_failover(sim::Scheduler& scheduler,
+void PositioningService::enable_failover(Watchdog& watchdog,
                                          FailoverConfig config) {
   disable_failover();
-  failover_scheduler_ = &scheduler;
+  watchdog_ = &watchdog;
   failover_config_ = config;
-  failover_enabled_at_ = scheduler.now();
+  for (const auto& p : providers_) {
+    if (graph_.has(p->producer_id())) watchdog.watch(p->producer_id());
+  }
+  watchdog.start();
   // Route every target through its preferred provider from the start, so
   // current_position() has a well-defined source before the first check.
   for (const auto& t : targets_) {
@@ -239,16 +243,16 @@ void PositioningService::enable_failover(sim::Scheduler& scheduler,
 }
 
 void PositioningService::disable_failover() {
-  if (failover_scheduler_ != nullptr && failover_event_ != 0) {
-    failover_scheduler_->cancel(failover_event_);
+  if (watchdog_ != nullptr && failover_event_ != 0) {
+    watchdog_->scheduler().cancel(failover_event_);
   }
   failover_event_ = 0;
-  failover_scheduler_ = nullptr;
+  watchdog_ = nullptr;
 }
 
 void PositioningService::schedule_failover_check() {
-  failover_event_ = failover_scheduler_->schedule_after(
-      failover_config_.check_interval, [this] {
+  failover_event_ = watchdog_->scheduler().schedule_after(
+      watchdog_->config().check_interval, [this] {
         failover_event_ = 0;
         // The check touches graph/provider state, so under an execution
         // engine it must run on this service's lane, not on the thread
@@ -258,7 +262,7 @@ void PositioningService::schedule_failover_check() {
         } else {
           failover_check();
         }
-        if (failover_scheduler_ != nullptr) schedule_failover_check();
+        if (watchdog_ != nullptr) schedule_failover_check();
       });
 }
 
@@ -267,34 +271,13 @@ void PositioningService::set_executor(
   executor_ = std::move(executor);
 }
 
-double PositioningService::effective_staleness_s(
-    const LocationProvider& provider, sim::SimTime now) const {
-  // A provider that never delivered is judged by how long failover has
-  // been waiting for it, not +infinity — otherwise a freshly assembled
-  // pipeline would be declared dead before its first fix.
-  if (!provider.last_fix_time()) {
-    return std::max(0.0, (now - failover_enabled_at_).seconds());
-  }
-  return provider.staleness_s(now);
-}
-
-HealthState PositioningService::health_at(const LocationProvider& provider,
-                                          sim::SimTime now) const {
-  const double s = effective_staleness_s(provider, now);
-  if (s >= failover_config_.dead_after_s) return HealthState::kDead;
-  if (s >= failover_config_.stale_after_s) return HealthState::kStale;
-  if (s >= failover_config_.degraded_after_s) return HealthState::kDegraded;
-  return HealthState::kHealthy;
-}
-
 HealthState PositioningService::provider_health(
     const LocationProvider& provider) const {
-  if (failover_scheduler_ != nullptr) {
-    return health_at(provider, failover_scheduler_->now());
+  if (watchdog_ == nullptr) {
+    throw std::logic_error("provider_health: failover is off, no verdict");
   }
-  const sim::SimTime now =
-      graph_.clock() != nullptr ? graph_.clock()->now() : sim::SimTime::zero();
-  return health_at(provider, now);
+  if (!watchdog_->watches(provider.producer_id())) return HealthState::kDead;
+  return watchdog_->state(provider.producer_id());
 }
 
 LocationProvider* PositioningService::preferred_provider(
@@ -357,8 +340,8 @@ void PositioningService::switch_active(Target& target, LocationProvider* to,
 }
 
 void PositioningService::failover_check() {
-  if (failover_scheduler_ == nullptr) return;
-  const sim::SimTime now = failover_scheduler_->now();
+  if (watchdog_ == nullptr) return;
+  const sim::SimTime now = watchdog_->scheduler().now();
 
   for (const auto& t : targets_) {
     if (t->providers().empty()) continue;
@@ -367,15 +350,15 @@ void PositioningService::failover_check() {
     LocationProvider* active = t->active_;
     auto& recovery = recovery_since_[t.get()];
 
-    if (health_at(*active, now) >= HealthState::kStale) {
-      // The active provider blew its staleness deadline: re-resolve to the
+    if (provider_health(*active) >= HealthState::kStale) {
+      // The active provider's producer is stale or dead: re-resolve to the
       // best healthy-enough alternative by advertised accuracy. If every
       // alternative is worse than the failed one, so be it — a degraded
       // fix beats silence.
       LocationProvider* candidate = nullptr;
       for (LocationProvider* p : t->providers()) {
         if (p == active) continue;
-        if (health_at(*p, now) >= HealthState::kStale) continue;
+        if (provider_health(*p) >= HealthState::kStale) continue;
         if (candidate == nullptr ||
             p->advertisement().typical_accuracy_m <
                 candidate->advertisement().typical_accuracy_m) {
@@ -387,10 +370,10 @@ void PositioningService::failover_check() {
         recovery.reset();
       }
     } else if (active != preferred && preferred != nullptr &&
-               effective_staleness_s(*preferred, now) <=
-                   failover_config_.recovery_s) {
-      // Preferred provider looks recovered; fail back only after it has
-      // stayed that way for the hysteresis hold.
+               provider_health(*preferred) == HealthState::kHealthy) {
+      // Preferred provider is healthy again (silence and failure rate);
+      // fail back only after it has stayed that way for the hysteresis
+      // hold.
       if (!recovery) {
         recovery = now;
       } else if ((now - *recovery).seconds() >= failover_config_.hold_s) {
@@ -406,7 +389,7 @@ void PositioningService::failover_check() {
     for (const auto& p : providers_) {
       registry
           ->gauge("perpos_provider_health", {{"provider", p->metric_label()}})
-          ->set(static_cast<double>(health_at(*p, now)));
+          ->set(static_cast<double>(provider_health(*p)));
     }
   }
 }
@@ -419,6 +402,7 @@ obs::GraphIntrospection PositioningService::introspect(
   } else {
     out.name = name;
   }
+  if (!failover_enabled()) return out;
   for (const auto& p : providers_) {
     std::string line = p->metric_label();
     line += '=';

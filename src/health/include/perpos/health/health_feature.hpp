@@ -2,7 +2,7 @@
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/health_state.hpp"
-#include "perpos/health/watchdog.hpp"
+#include "perpos/core/watchdog.hpp"
 
 #include <cstdint>
 
@@ -10,8 +10,8 @@
 /// PCL surface of the health subsystem: a Channel Feature answering "how
 /// trustworthy is this channel's source right now?" at the point where
 /// applications already query channel qualities (likelihood, scan quality,
-/// accuracy). The feature is a thin view over a Watchdog — the verdict is
-/// computed once, at the PSL, and merely exposed here.
+/// accuracy). The feature is a thin view over a core::Watchdog — the
+/// verdict is computed once, in core, and merely exposed here.
 
 namespace perpos::health {
 
@@ -26,7 +26,7 @@ namespace perpos::health {
 ///   if (hf->verdict() >= core::HealthState::kStale) { /* distrust */ }
 class HealthChannelFeature final : public core::ChannelFeature {
  public:
-  HealthChannelFeature(const Watchdog& watchdog, core::ComponentId source)
+  HealthChannelFeature(const core::Watchdog& watchdog, core::ComponentId source)
       : watchdog_(&watchdog), source_(source) {}
 
   std::string_view name() const override { return "Health"; }
@@ -54,7 +54,7 @@ class HealthChannelFeature final : public core::ChannelFeature {
   std::uint64_t outputs_seen() const noexcept { return outputs_seen_; }
 
  private:
-  const Watchdog* watchdog_;
+  const core::Watchdog* watchdog_;
   core::ComponentId source_;
   std::uint64_t outputs_seen_ = 0;
 };

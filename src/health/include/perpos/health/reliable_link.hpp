@@ -36,8 +36,8 @@
 ///
 /// Retransmissions and give-ups are visible in the graph's metrics
 /// registry (`perpos_reliable_link_*_total{link=<tag>}`) and as
-/// `delivery_failed` failure events, feeding the same Watchdog that
-/// supervises local sources.
+/// `delivery_failed` failure events, counted against the egress and read
+/// by the same core::Watchdog that supervises local sources.
 ///
 /// The delivery contract — exactly-once emission (PPM001) and eventual
 /// delivery while losses stay within the retransmission bound (PPM002) —
@@ -45,7 +45,7 @@
 /// protocol step for step (on_input / on_timeout / deliver / handle_ack
 /// under a drop/dup/reorder adversary) and `perpos-verify --model` checks
 /// it exhaustively. Changes to the seq/ack/retry behaviour here must keep
-/// the model in lockstep; the wire-codec work (ROADMAP item 3) is checked
+/// the model in lockstep; the wire-codec work (ROADMAP item 4) is checked
 /// against the same model as its oracle.
 
 namespace perpos::health {

@@ -1,35 +1,24 @@
 #pragma once
 
 #include "perpos/health/reliable_link.hpp"
-#include "perpos/health/watchdog.hpp"
 #include "perpos/runtime/config.hpp"
 
 /// \file settings.hpp
-/// Bridge from the runtime config grammar's `health` verb to the health
-/// module's config structs. Lives here (not in runtime) so the config
-/// layer stays free of a perpos::health dependency; callers that use both
-/// convert explicitly:
+/// Bridge from the runtime config grammar's `health` verb to the reliable
+/// link's config struct. Lives here (not in runtime) so the config layer
+/// stays free of a perpos::health dependency. The watchdog and failover
+/// halves of the settings convert in runtime itself, since both live in
+/// core; callers that use all three wire them up explicitly:
 ///
 ///   auto result = runtime::assemble_from_config(text, registry, graph);
 ///   if (result.health) {
-///     Watchdog dog(graph, scheduler,
-///                  health::watchdog_config_from(*result.health));
+///     core::Watchdog dog(graph, scheduler, result.health->watchdog());
 ///     deployment.set_link_factory(health::reliable_link_factory(
 ///         health::reliable_link_config_from(*result.health)));
-///     service.enable_failover(scheduler, result.health->failover());
+///     service.enable_failover(dog, result.health->failover());
 ///   }
 
 namespace perpos::health {
-
-inline WatchdogConfig watchdog_config_from(
-    const runtime::HealthSettings& settings) {
-  WatchdogConfig cfg;
-  cfg.check_interval = sim::SimTime::from_seconds(settings.check_interval_s);
-  cfg.degraded_after_s = settings.degraded_after_s;
-  cfg.stale_after_s = settings.stale_after_s;
-  cfg.dead_after_s = settings.dead_after_s;
-  return cfg;
-}
 
 inline ReliableLinkConfig reliable_link_config_from(
     const runtime::HealthSettings& settings) {

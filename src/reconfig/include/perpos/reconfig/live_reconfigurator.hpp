@@ -2,8 +2,8 @@
 
 #include "perpos/core/feature.hpp"
 #include "perpos/core/graph.hpp"
+#include "perpos/core/watchdog.hpp"
 #include "perpos/exec/engine.hpp"
-#include "perpos/health/watchdog.hpp"
 #include "perpos/sanitize/sanitizer.hpp"
 #include "perpos/verify/incremental.hpp"
 
@@ -79,7 +79,7 @@ struct ReconfigOptions {
   /// unless begin_tee() passes an explicit quota.
   std::size_t tee_samples = 0;
   /// After a committed swap, watch the successor through a
-  /// health::Watchdog for this many check intervals; reaching kStale or
+  /// core::Watchdog for this many check intervals; reaching kStale or
   /// kDead inside the window rolls the swap back. 0 = no probation.
   /// Requires enable_probation().
   int probation_checks = 0;
@@ -173,7 +173,7 @@ class LiveReconfigurator {
   /// a transition to kStale/kDead within the probation window triggers an
   /// automatic rollback to the pre-swap epoch. The watchdog must outlive
   /// this object or disable_probation().
-  void enable_probation(health::Watchdog& watchdog);
+  void enable_probation(core::Watchdog& watchdog);
   void disable_probation();
 
   /// Current graph epoch (coarse version; advanced only by committed
@@ -225,7 +225,7 @@ class LiveReconfigurator {
   /// The graph's verifier, shared with its verify gate.
   std::shared_ptr<verify::IncrementalVerifier> verifier_;
   sanitize::GraphSanitizer* sanitizer_ = nullptr;
-  health::Watchdog* watchdog_ = nullptr;
+  core::Watchdog* watchdog_ = nullptr;
   std::size_t watchdog_token_ = 0;
   std::deque<UndoRecord> history_;
   std::vector<Probation> probation_;

@@ -398,7 +398,7 @@ SwapResult LiveReconfigurator::teardown_tee_locked(SwapOutcome outcome,
   return result;
 }
 
-void LiveReconfigurator::enable_probation(health::Watchdog& watchdog) {
+void LiveReconfigurator::enable_probation(core::Watchdog& watchdog) {
   disable_probation();
   watchdog_ = &watchdog;
   watchdog_token_ = watchdog.add_listener(

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "perpos/core/positioning.hpp"
+#include "perpos/core/watchdog.hpp"
 #include "perpos/runtime/assembler.hpp"
 
 #include <functional>
@@ -45,8 +46,8 @@
 ///
 /// `health` declares fault-tolerance thresholds (see HealthSettings). The
 /// parser only records them in ConfigResult::health — wiring them into a
-/// Watchdog / PositioningService / reliable links is the caller's choice,
-/// keeping the config layer free of a dependency on perpos::health.
+/// core::Watchdog / PositioningService / reliable links is the caller's
+/// choice, keeping the config layer free of a dependency on perpos::health.
 ///
 /// `reconfig` declares live-reconfiguration policy (see ReconfigSettings).
 /// As with `health`, the parser only records the settings in
@@ -121,13 +122,14 @@ class ComponentFactoryRegistry {
 };
 
 /// Fault-tolerance thresholds declared by a `health` config line. All
-/// durations are seconds; defaults match core::FailoverConfig and the
-/// health module's WatchdogConfig / ReliableLinkConfig.
+/// durations are seconds. The silence deadlines match core::WatchdogConfig,
+/// `hold_s` matches core::FailoverConfig and the retry settings match the
+/// health module's ReliableLinkConfig; the check interval defaults to 1 s,
+/// where a default-constructed WatchdogConfig checks every 0.5 s.
 struct HealthSettings {
   double degraded_after_s = 2.0;  ///< No samples for this long: kDegraded.
   double stale_after_s = 5.0;     ///< ...kStale (failover trigger).
   double dead_after_s = 15.0;     ///< ...kDead.
-  double recovery_s = 2.0;   ///< Preferred provider fresh within this: ok.
   double hold_s = 5.0;       ///< Sustained recovery needed before fail-back.
   double check_interval_s = 1.0;  ///< Health evaluation cadence.
   int max_retries = 8;            ///< Reliable link retransmission budget.
@@ -136,17 +138,18 @@ struct HealthSettings {
   friend bool operator==(const HealthSettings&,
                          const HealthSettings&) = default;
 
-  /// The failover subset, ready for PositioningService::enable_failover.
-  core::FailoverConfig failover() const {
-    core::FailoverConfig cfg;
+  /// The verdict's subset, ready for a core::Watchdog.
+  core::WatchdogConfig watchdog() const {
+    core::WatchdogConfig cfg;
+    cfg.check_interval = sim::SimTime::from_seconds(check_interval_s);
     cfg.degraded_after_s = degraded_after_s;
     cfg.stale_after_s = stale_after_s;
     cfg.dead_after_s = dead_after_s;
-    cfg.recovery_s = recovery_s;
-    cfg.hold_s = hold_s;
-    cfg.check_interval = sim::SimTime::from_seconds(check_interval_s);
     return cfg;
   }
+
+  /// The failover subset, ready for PositioningService::enable_failover.
+  core::FailoverConfig failover() const { return {hold_s}; }
 };
 
 /// Live-reconfiguration policy declared by a `reconfig` config line.

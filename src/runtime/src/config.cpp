@@ -306,8 +306,6 @@ ConfigResult assemble_from_config(const std::string& text,
               settings.stale_after_s = number;
             } else if (key == "dead_after_s") {
               settings.dead_after_s = number;
-            } else if (key == "recovery_s") {
-              settings.recovery_s = number;
             } else if (key == "hold_s") {
               settings.hold_s = number;
             } else if (key == "check_interval_s") {
@@ -596,7 +594,6 @@ std::string export_config(const core::ProcessingGraph& graph,
         << format_number(health->degraded_after_s)
         << " stale_after_s=" << format_number(health->stale_after_s)
         << " dead_after_s=" << format_number(health->dead_after_s)
-        << " recovery_s=" << format_number(health->recovery_s)
         << " hold_s=" << format_number(health->hold_s)
         << " check_interval_s=" << format_number(health->check_interval_s)
         << " max_retries=" << health->max_retries

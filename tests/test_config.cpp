@@ -295,10 +295,10 @@ health ack_timeout_ms=250
   // Untouched keys keep their defaults.
   EXPECT_DOUBLE_EQ(result.health->hold_s, rt::HealthSettings{}.hold_s);
 
-  // The parsed settings translate into a PL failover config.
-  const auto failover = result.health->failover();
-  EXPECT_DOUBLE_EQ(failover.degraded_after_s, 1.5);
-  EXPECT_DOUBLE_EQ(failover.stale_after_s, 4.0);
+  // The parsed settings translate into the watchdog's config.
+  const auto watchdog = result.health->watchdog();
+  EXPECT_DOUBLE_EQ(watchdog.degraded_after_s, 1.5);
+  EXPECT_DOUBLE_EQ(watchdog.stale_after_s, 4.0);
 }
 
 TEST(Config, HealthDirectiveAbsentMeansNoSettings) {
@@ -333,7 +333,7 @@ TEST(Config, HealthRoundTripsThroughExport) {
 component src source
 component app sink
 connect src app
-health degraded_after_s=1.5 stale_after_s=4 dead_after_s=20 recovery_s=1 hold_s=7 check_interval_s=0.5 max_retries=3 ack_timeout_ms=250
+health degraded_after_s=1.5 stale_after_s=4 dead_after_s=20 hold_s=7 check_interval_s=0.5 max_retries=3 ack_timeout_ms=250
 )",
                                               registry, graph);
   ASSERT_TRUE(first.ok());

@@ -5,13 +5,14 @@
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
+#include "perpos/core/failure_events.hpp"
 #include "perpos/core/health_state.hpp"
 #include "perpos/core/positioning.hpp"
+#include "perpos/core/watchdog.hpp"
 #include "perpos/geo/distance.hpp"
 #include "perpos/health/health_feature.hpp"
 #include "perpos/health/reliable_link.hpp"
 #include "perpos/health/settings.hpp"
-#include "perpos/health/watchdog.hpp"
 #include "perpos/locmodel/fixtures.hpp"
 #include "perpos/runtime/distribution.hpp"
 #include "perpos/sensors/failure_injection.hpp"
@@ -71,8 +72,8 @@ struct WatchdogRig {
   core::ComponentId source_id{}, sink_id{};
 };
 
-health::WatchdogConfig fast_watchdog() {
-  health::WatchdogConfig cfg;
+core::WatchdogConfig fast_watchdog() {
+  core::WatchdogConfig cfg;
   cfg.check_interval = sim::SimTime::from_millis(500);
   cfg.degraded_after_s = 2.0;
   cfg.stale_after_s = 5.0;
@@ -84,7 +85,7 @@ health::WatchdogConfig fast_watchdog() {
 
 TEST(Watchdog, WalksStatesAsSilenceGrows) {
   WatchdogRig rig;
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   dog.watch(rig.source_id);
   dog.start();
 
@@ -119,7 +120,7 @@ TEST(Watchdog, WalksStatesAsSilenceGrows) {
 
 TEST(Watchdog, RecoversWhenSamplesResume) {
   WatchdogRig rig;
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   dog.watch(rig.source_id);
   dog.start();
 
@@ -133,7 +134,7 @@ TEST(Watchdog, RecoversWhenSamplesResume) {
 
 TEST(Watchdog, RemovedComponentIsDead) {
   WatchdogRig rig;
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   dog.watch(rig.source_id);
   rig.graph.remove(rig.source_id);
   dog.check_now();
@@ -143,9 +144,9 @@ TEST(Watchdog, RemovedComponentIsDead) {
 TEST(Watchdog, FailureRateDegradesEvenWhileSamplesFlow) {
   WatchdogRig rig;
   rig.graph.enable_observability();
-  health::WatchdogConfig cfg = fast_watchdog();
+  core::WatchdogConfig cfg = fast_watchdog();
   cfg.failure_rate_threshold_hz = 1.0;
-  health::Watchdog dog(rig.graph, rig.scheduler, cfg);
+  core::Watchdog dog(rig.graph, rig.scheduler, cfg);
   dog.watch(rig.source_id);
   dog.start();
 
@@ -167,10 +168,71 @@ TEST(Watchdog, FailureRateDegradesEvenWhileSamplesFlow) {
   EXPECT_EQ(dog.state(rig.source_id), HealthState::kHealthy);
 }
 
+TEST(Watchdog, FailureRateDegradesWithoutObservability) {
+  // The failure count lives in the graph, so the overlay needs no metrics
+  // registry: the same burst as above, observability off.
+  WatchdogRig rig;
+  core::WatchdogConfig cfg = fast_watchdog();
+  cfg.failure_rate_threshold_hz = 1.0;
+  core::Watchdog dog(rig.graph, rig.scheduler, cfg);
+  dog.watch(rig.source_id);
+  dog.start();
+
+  rig.pump_until(10.0);
+  rig.scheduler.schedule_at(sim::SimTime::from_seconds(3.2), [&] {
+    for (int i = 0; i < 10; ++i) {
+      core::report_failure_event(&rig.graph, "TestSource", rig.source_id,
+                                 "garbled");
+    }
+  });
+
+  rig.scheduler.run_until(sim::SimTime::from_seconds(2.9));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kHealthy);
+  rig.scheduler.run_until(sim::SimTime::from_seconds(3.6));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kDegraded);
+  EXPECT_EQ(rig.graph.failures(rig.source_id), 10u);
+  rig.scheduler.run_until(sim::SimTime::from_seconds(5.0));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kHealthy);
+}
+
+TEST(Watchdog, FailuresAreBilledToTheIntervalTheyHappenedIn) {
+  // A steady 2 Hz of failures under a 3 Hz threshold, through a silence:
+  // once samples resume, the source is healthy again. Failures reported
+  // while it was silent belong to those intervals, not to the first check
+  // after it resumes.
+  WatchdogRig rig;
+  rig.graph.enable_observability();
+  core::WatchdogConfig cfg = fast_watchdog();
+  cfg.failure_rate_threshold_hz = 3.0;
+  core::Watchdog dog(rig.graph, rig.scheduler, cfg);
+  dog.watch(rig.source_id);
+  dog.start();
+
+  rig.pump_until(5.0);  // Silent from t=5 ...
+  for (double t = 8.1; t <= 10.0; t += 0.2) {  // ... until 8.1, then 5 Hz.
+    rig.scheduler.schedule_at(sim::SimTime::from_seconds(t), [&] {
+      rig.source->push(core::RawFragment{"tick"});
+    });
+  }
+  for (double t = 5.25; t <= 10.0; t += 0.5) {
+    rig.scheduler.schedule_at(sim::SimTime::from_seconds(t), [&] {
+      core::report_failure_event(&rig.graph, "TestSource", rig.source_id,
+                                 "garbled");
+    });
+  }
+
+  rig.scheduler.run_until(sim::SimTime::from_seconds(6.4));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kHealthy);
+  rig.scheduler.run_until(sim::SimTime::from_seconds(8.0));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kDegraded);  // Silent.
+  rig.scheduler.run_until(sim::SimTime::from_seconds(8.6));
+  EXPECT_EQ(dog.state(rig.source_id), HealthState::kHealthy);
+}
+
 TEST(Watchdog, PublishesStateAndTransitionsToRegistry) {
   WatchdogRig rig;
   rig.graph.enable_observability();
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   dog.watch(rig.source_id);
   dog.start();
   rig.scheduler.run_until(sim::SimTime::from_seconds(16.0));
@@ -406,7 +468,7 @@ TEST(Chaos, NmeaPipelineSurvivesAllFailureModesAtOnce) {
 TEST(HealthChannelFeature, ExposesWatchdogVerdictOnTheChannel) {
   WatchdogRig rig;
   core::ChannelManager channels(rig.graph);
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   dog.watch(rig.source_id);
   dog.start();
 
@@ -437,7 +499,7 @@ TEST(HealthChannelFeature, ExposesWatchdogVerdictOnTheChannel) {
 
 TEST(HealthChannelFeature, UnwatchedSourceIsDead) {
   WatchdogRig rig;
-  health::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
+  core::Watchdog dog(rig.graph, rig.scheduler, fast_watchdog());
   health::HealthChannelFeature feature(dog, rig.source_id);
   EXPECT_EQ(feature.verdict(), HealthState::kDead);
   EXPECT_EQ(feature.last_transition(), sim::SimTime::zero());
@@ -446,6 +508,23 @@ TEST(HealthChannelFeature, UnwatchedSourceIsDead) {
 // --- Failover (PL) -----------------------------------------------------------
 
 namespace {
+
+/// Default deadlines (2/5/15 s, 0.5 s checks) plus a failure-rate overlay.
+core::WatchdogConfig failover_watchdog() {
+  core::WatchdogConfig cfg;
+  cfg.failure_rate_threshold_hz = 1.0;
+  return cfg;
+}
+
+/// Reports `n` failure events against `host` at `when`.
+void schedule_failures(sim::Scheduler& scheduler, core::ProcessingGraph& graph,
+                       core::ComponentId host, double when_s, int n) {
+  scheduler.schedule_at(sim::SimTime::from_seconds(when_s), [&graph, host, n] {
+    for (int i = 0; i < n; ++i) {
+      core::report_failure_event(&graph, "Test", host, "garbled");
+    }
+  });
+}
 
 /// GPS (preferred, accurate) + WiFi (fallback) providers over the office
 /// building, with a tracked target attached to both.
@@ -459,6 +538,7 @@ class FailoverFixture : public ::testing::Test {
         trajectory(sensors::office_walk()),
         graph(&scheduler.clock()),
         channels(graph),
+        watchdog(graph, scheduler, failover_watchdog()),
         service(graph, channels) {
     graph.enable_observability();
 
@@ -507,6 +587,7 @@ class FailoverFixture : public ::testing::Test {
   sim::Random random{42};
   core::ProcessingGraph graph;
   core::ChannelManager channels;
+  core::Watchdog watchdog;  ///< Outlives the service that reads it.
   core::PositioningService service;
   std::shared_ptr<sensors::GpsSensor> gps;
   std::shared_ptr<sensors::WifiScanner> scanner;
@@ -532,7 +613,7 @@ TEST_F(FailoverFixture, DeadGpsFailsOverToWifiAndBackWithoutFlapping) {
                            when.seconds()});
   });
 
-  service.enable_failover(scheduler);  // Defaults: stale 5s, hold 5s.
+  service.enable_failover(watchdog);  // Defaults: stale 5s, hold 5s.
   ASSERT_TRUE(service.failover_enabled());
   EXPECT_EQ(target->active_provider(), gps_provider);  // Preferred by accuracy.
 
@@ -542,8 +623,8 @@ TEST_F(FailoverFixture, DeadGpsFailsOverToWifiAndBackWithoutFlapping) {
   EXPECT_EQ(target->active_provider(), gps_provider);
   EXPECT_EQ(service.provider_health(*gps_provider), HealthState::kHealthy);
 
-  // GPS receiver dies at t=20. Staleness crosses 5s at ~25; the next
-  // 1s-interval check must fail the target over to WiFi.
+  // GPS receiver dies at t=20. Its silence crosses 5s at ~25; the next
+  // check must fail the target over to WiFi.
   gps->set_active(false);
   scheduler.run_until(sim::SimTime::from_seconds(35.0));
   EXPECT_EQ(target->active_provider(), wifi_provider);
@@ -589,7 +670,7 @@ TEST_F(FailoverFixture, DeadGpsFailsOverToWifiAndBackWithoutFlapping) {
 }
 
 TEST_F(FailoverFixture, DisableStopsChecksAndKeepsActiveProvider) {
-  service.enable_failover(scheduler);
+  service.enable_failover(watchdog);
   gps->start();
   scanner->start();
   scheduler.run_until(sim::SimTime::from_seconds(10.0));
@@ -608,17 +689,143 @@ TEST_F(FailoverFixture, HealthSettingsDriveFailoverConfig) {
   settings.stale_after_s = 3.0;
   settings.hold_s = 2.0;
   settings.check_interval_s = 0.5;
-  service.enable_failover(scheduler, settings.failover());
-  EXPECT_EQ(service.failover_config().stale_after_s, 3.0);
+  service.enable_failover(watchdog, settings.failover());
   EXPECT_EQ(service.failover_config().hold_s, 2.0);
-  EXPECT_EQ(service.failover_config().check_interval,
-            sim::SimTime::from_seconds(0.5));
 
-  // The same settings convert for the PSL watchdog and the link layer.
-  const auto dog_cfg = health::watchdog_config_from(settings);
+  // The same settings convert for the watchdog and the link layer.
+  const auto dog_cfg = settings.watchdog();
   EXPECT_EQ(dog_cfg.stale_after_s, 3.0);
   EXPECT_EQ(dog_cfg.check_interval, sim::SimTime::from_seconds(0.5));
   const auto link_cfg = health::reliable_link_config_from(settings);
   EXPECT_EQ(link_cfg.max_retries, 8);
   EXPECT_EQ(link_cfg.ack_timeout, sim::SimTime::from_seconds(0.1));
+}
+
+TEST_F(FailoverFixture, FailingGpsStaysFailedOverUntilItsFailureRateFalls) {
+  std::vector<double> switched_at;
+  service.add_failover_listener(
+      [&](core::Target&, core::LocationProvider*, core::LocationProvider*,
+          sim::SimTime when) { switched_at.push_back(when.seconds()); });
+  service.enable_failover(watchdog);
+  gps->start();
+  scanner->start();
+
+  gps->set_active(false);  // Silent from the start: fail over at ~5 s.
+  scheduler.run_until(sim::SimTime::from_seconds(20.0));
+  EXPECT_EQ(target->active_provider(), wifi_provider);
+  ASSERT_EQ(switched_at.size(), 1u);
+
+  // GPS resumes at t=30, but its producer reports 4 failures/s (threshold
+  // 1/s) until t=40: fixes flow again, yet the source is not healthy.
+  scheduler.run_until(sim::SimTime::from_seconds(30.0));
+  gps->set_active(true);
+  const core::ComponentId producer = gps_provider->producer_id();
+  for (double t = 30.1; t < 40.0; t += 0.5) {
+    schedule_failures(scheduler, graph, producer, t, 2);
+  }
+  scheduler.run_until(sim::SimTime::from_seconds(42.0));
+  EXPECT_GT(gps_provider->fixes(), 0u);
+  EXPECT_EQ(target->active_provider(), wifi_provider);
+  EXPECT_EQ(switched_at.size(), 1u);
+
+  // The rate falls at t=40; fail-back waits out the 5 s hold from there.
+  scheduler.run_until(sim::SimTime::from_seconds(60.0));
+  EXPECT_EQ(target->active_provider(), gps_provider);
+  ASSERT_EQ(switched_at.size(), 2u);
+  EXPECT_GE(switched_at[1], 45.0);
+  EXPECT_LE(switched_at[1], 46.5);
+}
+
+TEST_F(FailoverFixture, IntrospectAndGaugeReadTheVerdict) {
+  // Failover off: there is no verdict, so no health line.
+  EXPECT_TRUE(service.introspect().health.empty());
+
+  service.enable_failover(watchdog);
+  gps->start();
+  scanner->start();
+  const core::ComponentId producer = gps_provider->producer_id();
+  const std::string label = gps_provider->metric_label();
+  auto line = [&] {
+    for (const std::string& l : service.introspect().health) {
+      if (l.rfind(label + "=", 0) == 0) return l.substr(label.size() + 1);
+    }
+    return std::string("missing");
+  };
+  auto gauge = [&] {
+    const auto snap = graph.metrics();
+    const auto* g = snap.find_gauge("perpos_provider_health", "provider",
+                                    label);
+    return g != nullptr ? g->value : -1.0;
+  };
+
+  scheduler.run_until(sim::SimTime::from_seconds(10.0));
+  EXPECT_EQ(line(), "healthy");
+  EXPECT_EQ(gauge(), 0.0);
+
+  // A failure burst on the provider's producer while fixes keep flowing.
+  for (double t = 10.1; t < 12.0; t += 0.5) {
+    schedule_failures(scheduler, graph, producer, t, 5);
+  }
+  scheduler.run_until(sim::SimTime::from_seconds(11.0));
+  EXPECT_EQ(line(), "degraded");
+  EXPECT_EQ(gauge(), 1.0);
+
+  // The producer leaves the graph: dead at the next check.
+  scheduler.run_until(sim::SimTime::from_seconds(15.0));
+  graph.remove(producer);
+  scheduler.run_until(sim::SimTime::from_seconds(15.5));
+  EXPECT_EQ(line(), "dead");
+  EXPECT_EQ(gauge(), 3.0);
+}
+
+namespace {
+
+/// Drops every sample entering its host: an application-side filter.
+class VetoAll final : public core::ComponentFeature {
+ public:
+  std::string_view name() const override { return "VetoAll"; }
+  bool consume(core::Sample&) override { return false; }
+};
+
+}  // namespace
+
+TEST_F(FailoverFixture, VetoedFixesAreNoSourceFailure) {
+  // The provider's own consume hook drops every GPS fix. The verdict
+  // judges the source, which keeps producing: no failover.
+  graph.attach_feature(gps_provider->sink_id(), std::make_shared<VetoAll>());
+  service.enable_failover(watchdog);
+  gps->start();
+  scanner->start();
+  scheduler.run_until(sim::SimTime::from_seconds(30.0));
+
+  EXPECT_EQ(gps_provider->fixes(), 0u);
+  EXPECT_EQ(service.provider_health(*gps_provider), HealthState::kHealthy);
+  EXPECT_EQ(target->active_provider(), gps_provider);
+  EXPECT_EQ(service.failover_transitions(), 0u);
+}
+
+TEST_F(FailoverFixture, ReplacedProducerKeepsItsVerdictRemovedOneIsDead) {
+  std::vector<double> switched_at;
+  service.add_failover_listener(
+      [&](core::Target&, core::LocationProvider*, core::LocationProvider*,
+          sim::SimTime when) { switched_at.push_back(when.seconds()); });
+  service.enable_failover(watchdog);
+  gps->start();
+  scanner->start();
+  const core::ComponentId producer = gps_provider->producer_id();
+
+  // A hot-swap keeps the producer's id: the verdict follows the successor.
+  scheduler.run_until(sim::SimTime::from_seconds(10.0));
+  graph.replace(producer, std::make_shared<sensors::NmeaInterpreter>());
+  scheduler.run_until(sim::SimTime::from_seconds(20.0));
+  EXPECT_EQ(service.provider_health(*gps_provider), HealthState::kHealthy);
+  EXPECT_EQ(target->active_provider(), gps_provider);
+
+  // Removing it is death at the next check, not after the stale deadline.
+  graph.remove(producer);
+  scheduler.run_until(sim::SimTime::from_seconds(22.0));
+  EXPECT_EQ(service.provider_health(*gps_provider), HealthState::kDead);
+  EXPECT_EQ(target->active_provider(), wifi_provider);
+  ASSERT_EQ(switched_at.size(), 1u);
+  EXPECT_LE(switched_at[0], 20.5);
 }

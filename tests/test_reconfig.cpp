@@ -18,8 +18,8 @@
 #include "perpos/core/components.hpp"
 #include "perpos/core/data_types.hpp"
 #include "perpos/core/graph.hpp"
+#include "perpos/core/watchdog.hpp"
 #include "perpos/exec/engine.hpp"
-#include "perpos/health/watchdog.hpp"
 #include "perpos/obs/flight_recorder.hpp"
 #include "perpos/reconfig/live_reconfigurator.hpp"
 #include "perpos/sanitize/sanitizer.hpp"
@@ -37,7 +37,6 @@
 
 namespace core = perpos::core;
 namespace exec = perpos::exec;
-namespace health = perpos::health;
 namespace obs = perpos::obs;
 namespace reconfig = perpos::reconfig;
 namespace sanitize = perpos::sanitize;
@@ -516,12 +515,12 @@ TEST(Reconfig, ProbationRollsBackSilentSuccessor) {
 
   exec::ExecutionEngine engine(0);
   const exec::LaneId lane = engine.create_lane();
-  health::WatchdogConfig cfg;
+  core::WatchdogConfig cfg;
   cfg.check_interval = sim::SimTime::from_millis(500);
   cfg.degraded_after_s = 1.0;
   cfg.stale_after_s = 2.0;
   cfg.dead_after_s = 60.0;
-  health::Watchdog dog(graph, scheduler, cfg);
+  core::Watchdog dog(graph, scheduler, cfg);
 
   reconfig::ReconfigOptions options;
   options.probation_checks = 10;  // 5 s window at 500 ms checks.
