@@ -77,7 +77,7 @@ int main() {
   scheduler.run_until(sim::SimTime::from_seconds(60.0));
 
   // --- PSL: machine-readable metrics -----------------------------------
-  positioning.publish_metrics();  // Fold PL gauges into the registry.
+  // One scrape reads every layer's counts and gauges, the PL's included.
   const obs::MetricsSnapshot snap = graph.metrics();
   std::printf("--- Prometheus exposition (excerpt) ---\n");
   const std::string text = obs::to_prometheus_text(snap);

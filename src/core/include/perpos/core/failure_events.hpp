@@ -12,6 +12,11 @@
 /// component in the graph (ProcessingGraph::failures, which the Watchdog
 /// folds into its verdicts), and, with observability on, shows up in one
 /// metric family, `perpos_failure_events_total{injector=..., event=...}`.
+///
+/// That family is pushed per event rather than read at scrape (the rule
+/// for values an owner keeps, ProcessingGraph::add_metrics_source): the
+/// graph keeps one failure count per host, not its split by event, so the
+/// registry holds the only per-event copy.
 
 namespace perpos::core {
 

@@ -281,8 +281,21 @@ class ProcessingGraph {
   const obs::ObservabilityConfig* observability_config() const noexcept;
 
   /// The registry (for custom instrumentation: components and features may
-  /// publish their own metrics here), or nullptr when disabled.
+  /// publish here what no one else counts — histograms, label splits their
+  /// owner does not keep), or nullptr when disabled. A value its owner
+  /// keeps is read at scrape through add_metrics_source instead.
   obs::MetricsRegistry* metrics_registry() const noexcept;
+
+  /// Register a scrape-time source through which an owner that is not a
+  /// graph entry (the PL, a reliable link, the reconfigurator, the
+  /// watchdog) exports values it keeps. While `metrics` is on, metrics()
+  /// runs it after the graph's own series are in the snapshot (a source may
+  /// derive from them); its counters count from when `metrics` was switched
+  /// on. Sources live on the graph, so they survive disable/enable. A
+  /// source runs on the scraping thread, reads only what its owner writes
+  /// race-free and adds or releases no source; it runs until the handle is
+  /// released (either side may go first).
+  [[nodiscard]] obs::CollectorHandle add_metrics_source(obs::Collector source);
 
   /// PSL inspection API: a point-in-time snapshot of every metric. Empty
   /// when observability is disabled. May run on any thread while the graph
@@ -403,6 +416,8 @@ class ProcessingGraph {
   std::size_t notify_depth_ = 0;
   bool observers_tombstoned_ = false;
   const sim::Clock* clock_;
+  /// add_metrics_source's sources, run by the metrics collector.
+  obs::CollectorSet metrics_sources_;
   obs::Tally revision_;  ///< Also the metrics' mutation count.
   std::uint64_t epoch_ = 0;
   std::size_t live_count_ = 0;

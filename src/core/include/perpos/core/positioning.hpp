@@ -10,9 +10,11 @@
 #include "perpos/obs/introspection.hpp"
 #include "perpos/sim/scheduler.hpp"
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -131,15 +133,7 @@ class LocationProvider {
   // --- Provider-level observability ---------------------------------------
 
   /// PositionFixes delivered to this provider since creation.
-  std::uint64_t fixes() const noexcept { return fix_count_; }
-
-  /// Simulation time of the first / most recent fix.
-  std::optional<sim::SimTime> first_fix_time() const noexcept {
-    return first_fix_time_;
-  }
-  std::optional<sim::SimTime> last_fix_time() const noexcept {
-    return last_fix_time_;
-  }
+  std::uint64_t fixes() const noexcept { return fix_count_.get(); }
 
   /// Average fix rate in Hz over the observed fix interval; 0 until two
   /// fixes have arrived.
@@ -150,7 +144,7 @@ class LocationProvider {
   double staleness_s(sim::SimTime now) const noexcept;
 
   /// "<technology>#<sink id>" — the label naming this provider's metric
-  /// series in the graph registry.
+  /// series (see PositioningService: read at scrape time).
   std::string metric_label() const;
 
  private:
@@ -183,14 +177,11 @@ class LocationProvider {
   std::map<SubscriptionId, SampleListener> sample_listeners_;
   std::map<SubscriptionId, Proximity> proximity_listeners_;
   std::optional<PositionFix> last_fix_;
-  std::uint64_t fix_count_ = 0;
-  std::optional<sim::SimTime> first_fix_time_;
-  std::optional<sim::SimTime> last_fix_time_;
-  /// Serial of the registry the counters live in (0 = none): a new
-  /// registry may reuse a destroyed one's address.
-  std::uint64_t bound_serial_ = 0;
-  obs::Counter* fix_counter_ = nullptr;
-  obs::Counter* sample_counter_ = nullptr;
+  // Read by a scrape on any thread: the fix count and the validity times
+  // (ns) of the first and latest fix, meaningful once the count is > 0.
+  obs::Tally fix_count_;
+  std::atomic<std::int64_t> first_fix_ns_{0};
+  std::atomic<std::int64_t> last_fix_ns_{0};
 };
 
 /// A tracked entity which may have several position providers attached
@@ -274,6 +265,13 @@ class PositioningService {
   std::vector<std::pair<Target*, double>> k_nearest(const geo::GeoPoint& point,
                                                     std::size_t k);
 
+  // The service is a metrics source of its graph, read at scrape: the
+  // perpos_service_{providers,targets} gauges and per provider the
+  // perpos_provider_{fixes,samples}_total counts (its fixes; the graph's
+  // delivered count for its sink), the fix_rate_hz, staleness_seconds
+  // (graph clock; -1 before a fix) and advertised_accuracy_m gauges and,
+  // while failover is on, the watchdog's perpos_provider_health verdict.
+
   /// The service's slice of a perpos-top snapshot: graph delivery totals
   /// and per-component self-time (from the metrics registry, when
   /// observability is on) plus, while failover is enabled, one
@@ -283,13 +281,6 @@ class PositioningService {
   obs::GraphIntrospection introspect(const std::string& name = "graph",
                                      std::size_t top_k = 5) const;
 
-  /// Publish per-provider gauges (fix rate, staleness, advertised
-  /// accuracy) into the graph's metrics registry. Fix *counters* are
-  /// maintained live as fixes arrive; rates and staleness are computed
-  /// against the graph clock at call time. No-op while observability is
-  /// disabled.
-  void publish_metrics();
-
   // --- Failover (fault tolerance at the Positioning Layer) ----------------
   //
   // With failover enabled, every tracked target with attached providers is
@@ -298,8 +289,8 @@ class PositioningService {
   // producer is better than kStale, by advertised accuracy — degraded fixes
   // instead of silence — and fails back to the preferred provider once its
   // producer has stayed kHealthy for the hysteresis hold. Transitions are
-  // published as perpos_failover_transitions_total{target,from,to} and
-  // per-provider perpos_provider_health gauges when observability is on.
+  // published as perpos_failover_transitions_total{target,from,to} when
+  // observability is on.
 
   using FailoverListener = std::function<void(
       Target& target, LocationProvider* from, LocationProvider* to,
@@ -357,6 +348,8 @@ class PositioningService {
   friend class LocationProvider;
 
   LocationProvider* preferred_provider(const Target& target) const;
+  /// Scrape time, any thread: the service and provider series.
+  void collect(obs::MetricsSnapshot& out) const;
   void switch_active(Target& target, LocationProvider* to, sim::SimTime now);
   void schedule_failover_check();
 
@@ -376,6 +369,12 @@ class PositioningService {
   std::map<SubscriptionId, FailoverListener> failover_listeners_;
   SubscriptionId next_failover_subscription_ = 1;
   std::uint64_t failover_transitions_ = 0;
+  /// Guards what a scrape reads besides the providers' own atomics: the
+  /// provider and target lists and watchdog_. Written on the service's
+  /// thread, which reads them without it.
+  mutable std::mutex metrics_mutex_;
+  /// Released first (declared last), so no scrape outlives the service.
+  obs::CollectorHandle metrics_source_;
 };
 
 }  // namespace perpos::core

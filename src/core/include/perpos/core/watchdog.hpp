@@ -8,6 +8,8 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +33,9 @@
 /// verdicts are deterministic and testable. This is the one verdict every
 /// layer reads: the accessors here (PSL), the HealthChannelFeature (PCL),
 /// PositioningService failover and provider_health() (PL) and the
-/// LiveReconfigurator's post-swap probation.
+/// LiveReconfigurator's post-swap probation. A scrape reads the verdicts as
+/// the perpos_health_state{source} gauge; perpos_health_transitions_total
+/// {from,to,source}, a split the watchdog does not keep, is pushed.
 
 namespace perpos::core {
 
@@ -78,6 +82,9 @@ class Watchdog {
   /// Current verdict; a source removed from the graph is kDead. Throws
   /// for sources not watched.
   HealthState state(ComponentId source) const;
+  /// state(), or nullopt when `source` is not watched — one lookup, so a
+  /// scrape on another thread reads a consistent answer.
+  std::optional<HealthState> find_state(ComponentId source) const;
   /// Time of the source's most recent state change (zero if none yet).
   sim::SimTime last_transition(ComponentId source) const;
   /// Total state transitions across all watched sources.
@@ -102,17 +109,23 @@ class Watchdog {
   void schedule_next();
   void set_state(ComponentId id, Watched& w, HealthState next,
                  sim::SimTime now);
-  void publish(const Watched& w) const;
+  /// Scrape time, any thread: the state gauge of each watched source.
+  void collect(obs::MetricsSnapshot& out) const;
 
   ProcessingGraph& graph_;
   sim::Scheduler& scheduler_;
   WatchdogConfig config_;
+  /// Guards watched_'s entries and states against a scrape: taken by the
+  /// accessors and by watch, unwatch and check_now when they change them.
+  mutable std::mutex mutex_;
   std::map<ComponentId, Watched> watched_;
   std::vector<std::pair<std::size_t, Listener>> listeners_;
   std::size_t next_listener_token_ = 1;
   std::uint64_t transitions_ = 0;
   sim::Scheduler::EventId pending_check_ = 0;
   bool running_ = false;
+  /// Released first (declared last), so no scrape outlives watched_.
+  obs::CollectorHandle metrics_source_;
 };
 
 }  // namespace perpos::core

@@ -97,10 +97,11 @@ bool realizable(const std::vector<DataSpec>& caps,
 /// enable_observability's state — the config, the registry and the flight
 /// recorder `recording` owns — and the observer behind it. With `metrics`
 /// on it registers one scrape-time collector that turns the graph's own
-/// per-component counts into series; it never counts a dispatch event
-/// itself. Its dispatch events are the hook / on_input wall-time
-/// histograms (`timing`) and end-to-end latency (`latency`); their handles
-/// resolve on first use, so the hot path never looks a metric up.
+/// per-component counts into series and then runs the graph's metrics
+/// sources (add_metrics_source); it never counts a dispatch event itself.
+/// Its dispatch events are the hook / on_input wall-time histograms
+/// (`timing`) and end-to-end latency (`latency`); their handles resolve on
+/// first use, so the hot path never looks a metric up.
 class ProcessingGraph::MetricsObserver final : public GraphObserver {
  public:
   explicit MetricsObserver(ProcessingGraph& graph) : graph_(graph) {}
@@ -228,8 +229,11 @@ class ProcessingGraph::MetricsObserver final : public GraphObserver {
       revision_base_ = graph_.revision_.get();
       live_ = graph_.live_count_;
     }
-    collector_ = registry.add_collector(
-        [this](obs::MetricsSnapshot& out) { collect(out); });
+    graph_.metrics_sources_.rebase();
+    collector_ = registry.add_collector([this](obs::MetricsSnapshot& out) {
+      collect(out);
+      graph_.metrics_sources_.collect(out);
+    });
   }
 
   /// Scrape time, any thread: one series per (component, kind) that
@@ -523,6 +527,11 @@ std::uint64_t ProcessingGraph::failures(ComponentId id) const {
 
 void ProcessingGraph::count_failure(ComponentId id) noexcept {
   if (id < entries_.size()) entries_[id]->failures.inc();
+}
+
+obs::CollectorHandle ProcessingGraph::add_metrics_source(
+    obs::Collector source) {
+  return metrics_sources_.add(std::move(source));
 }
 
 obs::MetricsSnapshot ProcessingGraph::metrics() const {

@@ -48,15 +48,20 @@ std::vector<Channel*> LocationProvider::channels() const {
 }
 
 double LocationProvider::fix_rate_hz() const noexcept {
-  if (fix_count_ < 2 || !first_fix_time_ || !last_fix_time_) return 0.0;
-  const double span_s = (*last_fix_time_ - *first_fix_time_).seconds();
+  const std::uint64_t fixes = fix_count_.get();
+  if (fixes < 2) return 0.0;
+  const double span_s =
+      sim::SimTime{last_fix_ns_.load(std::memory_order_relaxed) -
+                   first_fix_ns_.load(std::memory_order_relaxed)}
+          .seconds();
   if (span_s <= 0.0) return 0.0;
-  return static_cast<double>(fix_count_ - 1) / span_s;
+  return static_cast<double>(fixes - 1) / span_s;
 }
 
 double LocationProvider::staleness_s(sim::SimTime now) const noexcept {
-  if (!last_fix_time_) return std::numeric_limits<double>::infinity();
-  return std::max(0.0, (now - *last_fix_time_).seconds());
+  if (fix_count_.get() == 0) return std::numeric_limits<double>::infinity();
+  const sim::SimTime last{last_fix_ns_.load(std::memory_order_relaxed)};
+  return std::max(0.0, (now - last).seconds());
 }
 
 std::string LocationProvider::metric_label() const {
@@ -64,31 +69,19 @@ std::string LocationProvider::metric_label() const {
 }
 
 void LocationProvider::on_sample(const Sample& sample) {
-  if (obs::MetricsRegistry* registry = service_->graph_.metrics_registry()) {
-    if (registry->serial() != bound_serial_) {
-      const obs::Labels labels{{"provider", metric_label()}};
-      sample_counter_ =
-          registry->counter("perpos_provider_samples_total", labels);
-      fix_counter_ = registry->counter("perpos_provider_fixes_total", labels);
-      bound_serial_ = registry->serial();
-    }
-    sample_counter_->inc();
-  } else {
-    bound_serial_ = 0;
-  }
-
   for (const auto& [id, listener] : sample_listeners_) listener(sample);
 
   const PositionFix* fix = sample.payload.get<PositionFix>();
   if (fix == nullptr) return;
   last_fix_ = *fix;
-  ++fix_count_;
   // Rate/staleness are measured on the fix's own validity time, not the
   // delivery time: the two coincide under a live clock, but a clockless
   // graph (tests, replays) still timestamps its fixes.
-  if (!first_fix_time_) first_fix_time_ = fix->timestamp;
-  last_fix_time_ = fix->timestamp;
-  if (bound_serial_ != 0) fix_counter_->inc();
+  if (fix_count_.get() == 0) {
+    first_fix_ns_.store(fix->timestamp.ns, std::memory_order_relaxed);
+  }
+  last_fix_ns_.store(fix->timestamp.ns, std::memory_order_relaxed);
+  fix_count_.add();
   for (const auto& [id, listener] : fix_listeners_) listener(*fix, sample);
   for (auto& [id, prox] : proximity_listeners_) {
     const bool inside =
@@ -123,7 +116,10 @@ std::optional<PositionFix> Target::current_position() const {
 
 PositioningService::PositioningService(ProcessingGraph& graph,
                                        ChannelManager& channels)
-    : graph_(graph), channels_(channels) {}
+    : graph_(graph),
+      channels_(channels),
+      metrics_source_(graph.add_metrics_source(
+          [this](obs::MetricsSnapshot& out) { collect(out); })) {}
 
 PositioningService::~PositioningService() { disable_failover(); }
 
@@ -190,36 +186,55 @@ LocationProvider& PositioningService::request_provider(
       this, best, sink_id, sink_ptr, std::move(best_ad)));
   LocationProvider* raw = provider.get();
   sink_ptr->set_callback([raw](const Sample& s) { raw->on_sample(s); });
-  providers_.push_back(std::move(provider));
+  {
+    const std::lock_guard<std::mutex> lock(metrics_mutex_);
+    providers_.push_back(std::move(provider));
+  }
   if (watchdog_ != nullptr) watchdog_->watch(best);
   return *raw;
 }
 
 Target& PositioningService::create_target(std::string name) {
+  const std::lock_guard<std::mutex> lock(metrics_mutex_);
   targets_.push_back(std::make_unique<Target>(std::move(name)));
   return *targets_.back();
 }
 
-void PositioningService::publish_metrics() {
-  obs::MetricsRegistry* registry = graph_.metrics_registry();
-  if (registry == nullptr) return;
+void PositioningService::collect(obs::MetricsSnapshot& out) const {
+  const std::lock_guard<std::mutex> lock(metrics_mutex_);
   const sim::SimTime now =
       graph_.clock() != nullptr ? graph_.clock()->now() : sim::SimTime::zero();
-  registry->gauge("perpos_service_providers")
-      ->set(static_cast<double>(providers_.size()));
-  registry->gauge("perpos_service_targets")
-      ->set(static_cast<double>(targets_.size()));
+  out.gauges.push_back({"perpos_service_providers", {},
+                        static_cast<double>(providers_.size())});
+  out.gauges.push_back(
+      {"perpos_service_targets", {}, static_cast<double>(targets_.size())});
   for (const auto& p : providers_) {
     const obs::Labels labels{{"provider", p->metric_label()}};
-    registry->gauge("perpos_provider_fix_rate_hz", labels)
-        ->set(p->fix_rate_hz());
-    const double staleness = p->staleness_s(now);
+    // The sink's delivered count, from the graph's own series (all kinds
+    // the sink id has had), already in `out`.
+    const std::string sink = std::to_string(p->sink_id());
+    std::uint64_t samples = 0;
+    for (const obs::CounterSnapshot& c : out.counters) {
+      if (c.name == "perpos_component_delivered_total" &&
+          c.labels.front().second == sink) {
+        samples += c.value;
+      }
+    }
+    out.counters.push_back({"perpos_provider_samples_total", labels, samples});
+    out.counters.push_back({"perpos_provider_fixes_total", labels, p->fixes()});
+    out.gauges.push_back({"perpos_provider_fix_rate_hz", labels,
+                          p->fix_rate_hz()});
     // A provider that never delivered reports a negative staleness gauge
     // rather than +Inf, which serialises poorly in most scrapers.
-    registry->gauge("perpos_provider_staleness_seconds", labels)
-        ->set(std::isinf(staleness) ? -1.0 : staleness);
-    registry->gauge("perpos_provider_advertised_accuracy_m", labels)
-        ->set(p->advertisement().typical_accuracy_m);
+    const double staleness = p->staleness_s(now);
+    out.gauges.push_back({"perpos_provider_staleness_seconds", labels,
+                          std::isinf(staleness) ? -1.0 : staleness});
+    out.gauges.push_back({"perpos_provider_advertised_accuracy_m", labels,
+                          p->advertisement().typical_accuracy_m});
+    if (watchdog_ != nullptr) {
+      out.gauges.push_back({"perpos_provider_health", labels,
+                            static_cast<double>(provider_health(*p))});
+    }
   }
 }
 
@@ -228,7 +243,10 @@ void PositioningService::publish_metrics() {
 void PositioningService::enable_failover(Watchdog& watchdog,
                                          FailoverConfig config) {
   disable_failover();
-  watchdog_ = &watchdog;
+  {
+    const std::lock_guard<std::mutex> lock(metrics_mutex_);
+    watchdog_ = &watchdog;
+  }
   failover_config_ = config;
   for (const auto& p : providers_) {
     if (graph_.has(p->producer_id())) watchdog.watch(p->producer_id());
@@ -247,6 +265,7 @@ void PositioningService::disable_failover() {
     watchdog_->scheduler().cancel(failover_event_);
   }
   failover_event_ = 0;
+  const std::lock_guard<std::mutex> lock(metrics_mutex_);
   watchdog_ = nullptr;
 }
 
@@ -276,8 +295,8 @@ HealthState PositioningService::provider_health(
   if (watchdog_ == nullptr) {
     throw std::logic_error("provider_health: failover is off, no verdict");
   }
-  if (!watchdog_->watches(provider.producer_id())) return HealthState::kDead;
-  return watchdog_->state(provider.producer_id());
+  return watchdog_->find_state(provider.producer_id())
+      .value_or(HealthState::kDead);
 }
 
 LocationProvider* PositioningService::preferred_provider(
@@ -382,14 +401,6 @@ void PositioningService::failover_check() {
       }
     } else {
       recovery.reset();
-    }
-  }
-
-  if (obs::MetricsRegistry* registry = graph_.metrics_registry()) {
-    for (const auto& p : providers_) {
-      registry
-          ->gauge("perpos_provider_health", {{"provider", p->metric_label()}})
-          ->set(static_cast<double>(provider_health(*p)));
     }
   }
 }

@@ -4,19 +4,13 @@
 
 namespace perpos::core {
 
-namespace {
-
-/// Counter value helper: gauges publish the numeric state so dashboards
-/// can plot state-over-time without string parsing.
-double state_value(HealthState s) noexcept {
-  return static_cast<double>(static_cast<int>(s));
-}
-
-}  // namespace
-
 Watchdog::Watchdog(ProcessingGraph& graph, sim::Scheduler& scheduler,
                    WatchdogConfig config)
-    : graph_(graph), scheduler_(scheduler), config_(config) {}
+    : graph_(graph),
+      scheduler_(scheduler),
+      config_(config),
+      metrics_source_(graph.add_metrics_source(
+          [this](obs::MetricsSnapshot& out) { collect(out); })) {}
 
 Watchdog::~Watchdog() { stop(); }
 
@@ -31,17 +25,21 @@ void Watchdog::watch(ComponentId source) {
   w.last_failures = graph_.failures(source);
   w.label = std::string(graph_.component(source).kind()) + "#" +
             std::to_string(source);
-  publish(w);
+  const std::lock_guard<std::mutex> lock(mutex_);
   watched_.emplace(source, std::move(w));
 }
 
-void Watchdog::unwatch(ComponentId source) { watched_.erase(source); }
+void Watchdog::unwatch(ComponentId source) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  watched_.erase(source);
+}
 
 bool Watchdog::watches(ComponentId source) const {
-  return watched_.contains(source);
+  return find_state(source).has_value();
 }
 
 std::vector<ComponentId> Watchdog::watched() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ComponentId> out;
   out.reserve(watched_.size());
   for (const auto& [id, w] : watched_) out.push_back(id);
@@ -112,8 +110,11 @@ void Watchdog::set_state(ComponentId id, Watched& w, HealthState next,
                          sim::SimTime now) {
   if (next == w.state) return;
   const HealthState from = w.state;
-  w.state = next;
-  w.last_transition = now;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    w.state = next;
+    w.last_transition = now;
+  }
   ++transitions_;
   if (obs::MetricsRegistry* registry = graph_.metrics_registry()) {
     registry
@@ -123,28 +124,36 @@ void Watchdog::set_state(ComponentId id, Watched& w, HealthState next,
                    {"to", std::string(to_string(next))}})
         ->inc();
   }
-  publish(w);
   for (const auto& [token, listener] : listeners_) {
     listener(id, from, next, now);
   }
 }
 
-void Watchdog::publish(const Watched& w) const {
-  if (obs::MetricsRegistry* registry = graph_.metrics_registry()) {
-    registry->gauge("perpos_health_state", {{"source", w.label}})
-        ->set(state_value(w.state));
+void Watchdog::collect(obs::MetricsSnapshot& out) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [id, w] : watched_) {
+    // The numeric state, so dashboards can plot state over time without
+    // string parsing.
+    out.gauges.push_back({"perpos_health_state",
+                          {{"source", w.label}},
+                          static_cast<double>(static_cast<int>(w.state))});
   }
 }
 
 HealthState Watchdog::state(ComponentId source) const {
+  if (const auto s = find_state(source)) return *s;
+  throw std::invalid_argument("state: component not watched");
+}
+
+std::optional<HealthState> Watchdog::find_state(ComponentId source) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = watched_.find(source);
-  if (it == watched_.end()) {
-    throw std::invalid_argument("state: component not watched");
-  }
+  if (it == watched_.end()) return std::nullopt;
   return it->second.state;
 }
 
 sim::SimTime Watchdog::last_transition(ComponentId source) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = watched_.find(source);
   if (it == watched_.end()) {
     throw std::invalid_argument("last_transition: component not watched");

@@ -2,6 +2,7 @@
 
 #include "perpos/core/component.hpp"
 #include "perpos/core/failure_events.hpp"
+#include "perpos/obs/metrics.hpp"
 #include "perpos/runtime/distribution.hpp"
 #include "perpos/runtime/payload_codec.hpp"
 #include "perpos/sim/network.hpp"
@@ -34,10 +35,13 @@
 ///   deployment.set_link_factory(health::reliable_link_factory());
 ///   deployment.deploy();   // crossing edges now retransmit
 ///
-/// Retransmissions and give-ups are visible in the graph's metrics
-/// registry (`perpos_reliable_link_*_total{link=<tag>}`) and as
-/// `delivery_failed` failure events, counted against the egress and read
-/// by the same core::Watchdog that supervises local sources.
+/// The egress counts what it sends, retransmits, gets acked and gives up,
+/// and nothing else does: from its first sample on it is a metrics source
+/// of its graph (ProcessingGraph::add_metrics_source), so a scrape reads
+/// those counts as `perpos_reliable_link_{sent,retransmits,acks,giveups}
+/// _total{link=<tag>}` and no registry lookup runs per message. Give-ups
+/// are also `delivery_failed` failure events, counted against the egress
+/// and read by the same core::Watchdog that supervises local sources.
 ///
 /// The delivery contract — exactly-once emission (PPM001) and eventual
 /// delivery while losses stay within the retransmission bound (PPM002) —
@@ -89,12 +93,12 @@ class ReliableEgress final : public core::ProcessingComponent {
   /// Reverse-path handler: wire the deployment's deliver_at_from here.
   void handle_ack(const std::string& rest);
 
-  std::uint64_t accepted() const noexcept { return accepted_; }
+  std::uint64_t accepted() const noexcept { return accepted_.get(); }
   /// Total transmissions including retransmissions.
   std::uint64_t transmissions() const noexcept { return transmissions_; }
-  std::uint64_t retransmits() const noexcept { return retransmits_; }
-  std::uint64_t acked() const noexcept { return acked_; }
-  std::uint64_t gave_up() const noexcept { return gave_up_; }
+  std::uint64_t retransmits() const noexcept { return retransmits_.get(); }
+  std::uint64_t acked() const noexcept { return acked_.get(); }
+  std::uint64_t gave_up() const noexcept { return gave_up_.get(); }
   std::size_t inflight() const noexcept { return inflight_.size(); }
 
  private:
@@ -108,7 +112,8 @@ class ReliableEgress final : public core::ProcessingComponent {
   void arm_timer(std::uint64_t seq, Pending& pending);
   void on_timeout(std::uint64_t seq);
   void cancel_timers();
-  void bump(const char* metric) const;
+  /// Scrape time, any thread: the four link counts.
+  void collect(obs::MetricsSnapshot& out) const;
 
   sim::Network& network_;
   sim::HostId from_;
@@ -118,11 +123,15 @@ class ReliableEgress final : public core::ProcessingComponent {
   std::map<std::uint64_t, Pending> inflight_;
   bool torn_down_ = false;  ///< Set by on_teardown; blocks further sends.
   std::uint64_t next_seq_ = 1;
-  std::uint64_t accepted_ = 0;
   std::uint64_t transmissions_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t acked_ = 0;
-  std::uint64_t gave_up_ = 0;
+  // Read by a scrape on any thread.
+  obs::Tally accepted_;
+  obs::Tally retransmits_;
+  obs::Tally acked_;
+  obs::Tally gave_up_;
+  /// Registered on the first on_input; released first, so no scrape
+  /// outlives the counts.
+  obs::CollectorHandle metrics_source_;
 };
 
 /// Server-side end: acknowledges every arrival (acks lost on the wire are

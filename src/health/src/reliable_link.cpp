@@ -12,13 +12,16 @@ void ReliableEgress::on_input(const core::Sample& sample) {
   // After teardown the network/scheduler may be gone (e.g. a peer's flush
   // during graph destruction re-entering us) — drop instead of sending.
   if (torn_down_) return;
+  if (!metrics_source_) {
+    metrics_source_ = context().graph()->add_metrics_source(
+        [this](obs::MetricsSnapshot& out) { collect(out); });
+  }
   if (!runtime::is_encodable(sample.payload)) return;
   const std::uint64_t seq = next_seq_++;
   Pending pending;
   pending.wire = "DATA " + std::to_string(seq) + " " +
                  runtime::encode_payload(sample.payload);
-  ++accepted_;
-  bump("perpos_reliable_link_sent_total");
+  accepted_.add();
   auto [it, inserted] = inflight_.emplace(seq, std::move(pending));
   transmit(seq, it->second);
 }
@@ -49,16 +52,14 @@ void ReliableEgress::on_timeout(std::uint64_t seq) {
   if (it == inflight_.end()) return;  // Acked meanwhile.
   Pending& pending = it->second;
   if (pending.attempt >= config_.max_retries) {
-    ++gave_up_;
-    bump("perpos_reliable_link_giveups_total");
+    gave_up_.add();
     core::report_failure_event(context().graph(), kind(), context().id(),
                                "delivery_failed");
     inflight_.erase(it);
     return;
   }
   ++pending.attempt;
-  ++retransmits_;
-  bump("perpos_reliable_link_retransmits_total");
+  retransmits_.add();
   transmit(seq, pending);
 }
 
@@ -71,8 +72,7 @@ void ReliableEgress::handle_ack(const std::string& rest) {
   if (it == inflight_.end()) return;  // Duplicate ack (retransmit raced it).
   network_.scheduler().cancel(it->second.timer);
   inflight_.erase(it);
-  ++acked_;
-  bump("perpos_reliable_link_acks_total");
+  acked_.add();
 }
 
 void ReliableEgress::cancel_timers() {
@@ -82,11 +82,16 @@ void ReliableEgress::cancel_timers() {
   }
 }
 
-void ReliableEgress::bump(const char* metric) const {
-  if (!context().attached()) return;
-  if (obs::MetricsRegistry* registry = context().graph()->metrics_registry()) {
-    registry->counter(metric, {{"link", tag_}})->inc();
-  }
+void ReliableEgress::collect(obs::MetricsSnapshot& out) const {
+  const obs::Labels link{{"link", tag_}};
+  out.counters.push_back(
+      {"perpos_reliable_link_sent_total", link, accepted_.get()});
+  out.counters.push_back(
+      {"perpos_reliable_link_retransmits_total", link, retransmits_.get()});
+  out.counters.push_back(
+      {"perpos_reliable_link_acks_total", link, acked_.get()});
+  out.counters.push_back(
+      {"perpos_reliable_link_giveups_total", link, gave_up_.get()});
 }
 
 // --- ReliableIngress ---------------------------------------------------------

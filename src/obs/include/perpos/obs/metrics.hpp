@@ -29,9 +29,10 @@
 ///    taken.
 ///  * Handles returned by the registry are stable for the registry's
 ///    lifetime (metrics live in a deque), so callers cache raw pointers.
-///  * A subsystem that counts its own events (the graph per component, the
-///    engine per lane and worker, in Tallies) registers a collector that
-///    turns those counts into series at scrape time.
+///  * A value its owner keeps is read at scrape; the registry owns only what
+///    no one else counts. A subsystem that counts its own events (the graph
+///    per component, the engine per lane and worker, in Tallies) registers
+///    a collector that turns those counts into series at scrape time.
 ///  * Histograms use fixed upper-bound buckets (Prometheus style, +Inf
 ///    implicit) so observe() is a branchless-ish linear scan over a dozen
 ///    doubles — no per-sample allocation, bounded memory.
@@ -229,6 +230,44 @@ struct MetricsSnapshot {
                                           std::string_view) const&& = delete;
 };
 
+// --- Scrape-time collectors -------------------------------------------------
+
+/// A scrape-time source: appends series that its owner counts itself (the
+/// execution engine's lane and worker counts, the graph's per-component
+/// counts) to a snapshot.
+using Collector = std::function<void(MetricsSnapshot&)>;
+/// Owns one registration: releasing the last copy (reset or destroy)
+/// removes the collector under its set's mutex, so once that returns no
+/// collect() runs it. Either side may go first — a handle that outlives
+/// its set releases nothing. A live handle is non-null.
+using CollectorHandle = std::shared_ptr<void>;
+
+/// Collectors registered until their handles are released, run in
+/// registration order. Each runs under the set's mutex, so it must not add
+/// or release collectors of the same set.
+class CollectorSet {
+ public:
+  CollectorSet();
+  CollectorSet(const CollectorSet&) = delete;
+  CollectorSet& operator=(const CollectorSet&) = delete;
+
+  [[nodiscard]] CollectorHandle add(Collector collector);
+
+  /// Run every collector into `out`. A collector's counters are reported
+  /// less their values at the last rebase() (none: as appended).
+  void collect(MetricsSnapshot& out) const;
+
+  /// Make the counters of every registered collector count from now: run
+  /// each once and keep what it appends as its baseline. Collectors added
+  /// later count from their own zero.
+  void rebase();
+
+ private:
+  struct State;
+  // Shared with the handles, which hold it weakly.
+  std::shared_ptr<State> state_;
+};
+
 // --- Registry ----------------------------------------------------------------
 
 /// Owner of all metrics of one observed subsystem (typically one
@@ -254,21 +293,14 @@ class MetricsRegistry {
   Histogram* histogram(const std::string& name, Labels labels = {},
                        std::vector<double> upper_bounds = {});
 
-  /// A scrape-time source: appends series that its owner counts itself
-  /// (the execution engine's lane and worker counts) to a snapshot. It
-  /// runs under the registry's collector mutex, so it must not add or
-  /// release collectors of this registry.
-  using Collector = std::function<void(MetricsSnapshot&)>;
-  /// Owns one registration: releasing the last copy (reset or destroy)
-  /// removes the collector under the collector mutex, so once that
-  /// returns no snapshot() runs it. Either side may go first — a handle
-  /// that outlives its registry releases nothing. A live handle is
-  /// non-null.
-  using CollectorHandle = std::shared_ptr<void>;
+  using Collector = obs::Collector;
+  using CollectorHandle = obs::CollectorHandle;
 
   /// Register `collector`; every snapshot() runs it after copying the
   /// registry's own metrics, until the returned handle is released.
-  [[nodiscard]] CollectorHandle add_collector(Collector collector);
+  [[nodiscard]] CollectorHandle add_collector(Collector collector) {
+    return collectors_.add(std::move(collector));
+  }
 
   MetricsSnapshot snapshot() const;
 
@@ -292,14 +324,7 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
-  struct Collectors {
-    std::mutex mutex;
-    std::vector<std::pair<std::uint64_t, Collector>> entries;
-    std::uint64_t next_id = 0;
-  };
-  // Shared with the handles, which hold it weakly.
-  const std::shared_ptr<Collectors> collectors_ =
-      std::make_shared<Collectors>();
+  CollectorSet collectors_;
 };
 
 // --- Exporters ---------------------------------------------------------------

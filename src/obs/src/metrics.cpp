@@ -150,6 +150,70 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
   return find_by_label(histograms, name, key, value);
 }
 
+// --- Scrape-time collectors -------------------------------------------------
+
+struct CollectorSet::State {
+  struct Entry {
+    std::uint64_t id = 0;
+    Collector collect;
+    /// Counter values at the last rebase(), by (name, labels).
+    std::map<std::pair<std::string, Labels>, std::uint64_t> baseline;
+  };
+  std::mutex mutex;
+  std::vector<Entry> entries;
+  std::uint64_t next_id = 0;
+};
+
+CollectorSet::CollectorSet() : state_(std::make_shared<State>()) {}
+
+CollectorHandle CollectorSet::add(Collector collector) {
+  std::uint64_t id = 0;
+  {
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    id = state_->next_id++;
+    state_->entries.push_back({id, std::move(collector), {}});
+  }
+  // The handle owns one Registration, whose destructor unregisters.
+  struct Registration {
+    std::weak_ptr<State> state;
+    std::uint64_t id;
+    ~Registration() {
+      const std::shared_ptr<State> live = state.lock();
+      if (live == nullptr) return;
+      const std::lock_guard<std::mutex> lock(live->mutex);
+      std::erase_if(live->entries,
+                    [this](const State::Entry& e) { return e.id == id; });
+    }
+  };
+  return std::make_shared<Registration>(state_, id);
+}
+
+void CollectorSet::collect(MetricsSnapshot& out) const {
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  for (const State::Entry& entry : state_->entries) {
+    const std::size_t first = out.counters.size();
+    entry.collect(out);
+    if (entry.baseline.empty()) continue;
+    for (std::size_t i = first; i < out.counters.size(); ++i) {
+      CounterSnapshot& c = out.counters[i];
+      const auto it = entry.baseline.find({c.name, c.labels});
+      if (it != entry.baseline.end()) c.value -= std::min(c.value, it->second);
+    }
+  }
+}
+
+void CollectorSet::rebase() {
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  for (State::Entry& entry : state_->entries) {
+    MetricsSnapshot now;
+    entry.collect(now);
+    entry.baseline.clear();
+    for (CounterSnapshot& c : now.counters) {
+      entry.baseline[{std::move(c.name), std::move(c.labels)}] = c.value;
+    }
+  }
+}
+
 // --- Registry ----------------------------------------------------------------
 
 MetricsRegistry::MetricsRegistry()
@@ -200,33 +264,9 @@ Histogram* MetricsRegistry::histogram(const std::string& name, Labels labels,
   return h;
 }
 
-MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
-    Collector collector) {
-  std::uint64_t id = 0;
-  {
-    const std::lock_guard<std::mutex> lock(collectors_->mutex);
-    id = collectors_->next_id++;
-    collectors_->entries.emplace_back(id, std::move(collector));
-  }
-  // The handle owns one Registration, whose destructor unregisters.
-  struct Registration {
-    std::weak_ptr<Collectors> table;
-    std::uint64_t id;
-    ~Registration() {
-      const std::shared_ptr<Collectors> live = table.lock();
-      if (live == nullptr) return;
-      const std::lock_guard<std::mutex> lock(live->mutex);
-      std::erase_if(live->entries,
-                    [this](const auto& e) { return e.first == id; });
-    }
-  };
-  return std::make_shared<Registration>(collectors_, id);
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out = copy_metrics();
-  const std::lock_guard<std::mutex> lock(collectors_->mutex);
-  for (const auto& entry : collectors_->entries) entry.second(out);
+  collectors_.collect(out);
   return out;
 }
 

@@ -182,10 +182,13 @@ class LiveReconfigurator {
   /// Epochs still reversible, oldest first.
   std::vector<std::uint64_t> rollback_epochs() const;
 
-  std::uint64_t commits() const noexcept { return commits_; }
-  std::uint64_t rejects() const noexcept { return rejects_; }
-  std::uint64_t aborts() const noexcept { return aborts_; }
-  std::uint64_t rollbacks() const noexcept { return rollbacks_; }
+  /// Outcome counts, also exported as perpos_reconfig_{commits,rejects,
+  /// aborts,rollbacks}_total: the reconfigurator is a metrics source of
+  /// its graph (ProcessingGraph::add_metrics_source), read at scrape.
+  std::uint64_t commits() const noexcept { return commits_.get(); }
+  std::uint64_t rejects() const noexcept { return rejects_.get(); }
+  std::uint64_t aborts() const noexcept { return aborts_.get(); }
+  std::uint64_t rollbacks() const noexcept { return rollbacks_.get(); }
 
  private:
   struct UndoRecord {
@@ -211,8 +214,8 @@ class LiveReconfigurator {
   void record_phase(std::string_view phase, core::ComponentId victim,
                     std::uint64_t aux = 0);
   void dump(const std::string& reason);
-  /// ++count, and the same on the named counter when metrics are on.
-  void bump(std::uint64_t& count, const char* counter_name);
+  /// Scrape time, any thread: the outcome counts.
+  void collect(obs::MetricsSnapshot& out) const;
   void observe_fence_us(double us);
   void arm_probation(core::ComponentId victim, std::uint64_t pre_epoch);
   void on_health_transition(core::ComponentId source, core::HealthState to,
@@ -230,11 +233,14 @@ class LiveReconfigurator {
   std::deque<UndoRecord> history_;
   std::vector<Probation> probation_;
   std::unique_ptr<TeeState> tee_;
-  std::uint64_t commits_ = 0;
-  std::uint64_t rejects_ = 0;
-  std::uint64_t aborts_ = 0;
-  std::uint64_t rollbacks_ = 0;
+  // Read by a scrape on any thread.
+  obs::Tally commits_;
+  obs::Tally rejects_;
+  obs::Tally aborts_;
+  obs::Tally rollbacks_;
   bool in_rollback_ = false;  ///< Reentrancy guard for probation rollback.
+  /// Released first (declared last), so no scrape outlives the counts.
+  obs::CollectorHandle metrics_source_;
 };
 
 }  // namespace perpos::reconfig

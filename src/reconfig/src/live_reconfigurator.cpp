@@ -102,7 +102,9 @@ LiveReconfigurator::LiveReconfigurator(core::ProcessingGraph& graph,
       engine_(engine),
       lane_(lane),
       options_(options),
-      verifier_(verify::IncrementalVerifier::of(graph)) {}
+      verifier_(verify::IncrementalVerifier::of(graph)),
+      metrics_source_(graph.add_metrics_source(
+          [this](obs::MetricsSnapshot& out) { collect(out); })) {}
 
 LiveReconfigurator::~LiveReconfigurator() { disable_probation(); }
 
@@ -146,9 +148,9 @@ SwapResult LiveReconfigurator::replace_locked(
     dump(std::string(rejected ? "reconfig rejected (" : "reconfig aborted (") +
          cause + "): " + result.error);
     if (rejected) {
-      bump(rejects_, "perpos_reconfig_rejects_total");
+      rejects_.add();
     } else {
-      bump(aborts_, "perpos_reconfig_aborts_total");
+      aborts_.add();
     }
     return result;
   };
@@ -193,7 +195,7 @@ SwapResult LiveReconfigurator::replace_locked(
   history_.push_back(UndoRecord{pre_epoch, victim, std::move(incumbent)});
   while (history_.size() > options_.history) history_.pop_front();
   record_phase("committed", victim, pre_epoch);
-  bump(commits_, "perpos_reconfig_commits_total");
+  commits_.add();
   arm_probation(victim, pre_epoch);
   result.outcome = SwapOutcome::kCommitted;
   return result;
@@ -245,13 +247,13 @@ SwapResult LiveReconfigurator::rollback(std::uint64_t to_epoch) {
     result.error = std::string("rollback failed after ") +
                    std::to_string(reversed) + " step(s): " + e.what();
     dump("reconfig rollback failed: " + result.error);
-    bump(aborts_, "perpos_reconfig_aborts_total");
+    aborts_.add();
     return result;
   }
   in_rollback_ = false;
   result.epoch = graph_.advance_epoch();
   result.outcome = SwapOutcome::kCommitted;
-  bump(rollbacks_, "perpos_reconfig_rollbacks_total");
+  rollbacks_.add();
   // Every rollback leaves a black box: the dump carries the kReconfig
   // rolled_back events plus whatever failure led here.
   dump("reconfig rollback to epoch " + std::to_string(to_epoch) + " (" +
@@ -309,7 +311,7 @@ SwapResult LiveReconfigurator::begin_tee(
     result.outcome = SwapOutcome::kAborted;
     result.error = e.what();
     record_phase("aborted", victim);
-    bump(aborts_, "perpos_reconfig_aborts_total");
+    aborts_.add();
     return result;
   }
   tee_ = std::move(state);
@@ -384,7 +386,7 @@ SwapResult LiveReconfigurator::teardown_tee_locked(SwapOutcome outcome,
     result.outcome = SwapOutcome::kAborted;
     result.error = "tee teardown failed: " + std::string(e.what());
     result.epoch = graph_.epoch();
-    bump(aborts_, "perpos_reconfig_aborts_total");
+    aborts_.add();
     return result;
   }
   result.outcome = outcome;
@@ -392,7 +394,7 @@ SwapResult LiveReconfigurator::teardown_tee_locked(SwapOutcome outcome,
   result.epoch = graph_.epoch();
   if (outcome == SwapOutcome::kAborted) {
     record_phase("aborted", state->victim);
-    bump(aborts_, "perpos_reconfig_aborts_total");
+    aborts_.add();
     if (dump_on_exit) dump("reconfig tee aborted: " + result.error);
   }
   return result;
@@ -478,12 +480,12 @@ void LiveReconfigurator::dump(const std::string& reason) {
   }
 }
 
-void LiveReconfigurator::bump(std::uint64_t& count,
-                              const char* counter_name) {
-  ++count;
-  if (obs::MetricsRegistry* registry = graph_.metrics_registry()) {
-    registry->counter(counter_name)->inc();
-  }
+void LiveReconfigurator::collect(obs::MetricsSnapshot& out) const {
+  out.counters.push_back({"perpos_reconfig_commits_total", {}, commits_.get()});
+  out.counters.push_back({"perpos_reconfig_rejects_total", {}, rejects_.get()});
+  out.counters.push_back({"perpos_reconfig_aborts_total", {}, aborts_.get()});
+  out.counters.push_back(
+      {"perpos_reconfig_rollbacks_total", {}, rollbacks_.get()});
 }
 
 void LiveReconfigurator::observe_fence_us(double us) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -47,16 +48,22 @@ class Clock {
   virtual SimTime now() const noexcept = 0;
 };
 
-/// A manually advanced clock owned by the Scheduler.
+/// A manually advanced clock owned by the Scheduler. One thread advances
+/// it; any thread may read it (a metrics scrape computes staleness against
+/// it while the simulation runs).
 class SimClock final : public Clock {
  public:
-  SimTime now() const noexcept override { return now_; }
+  SimTime now() const noexcept override {
+    return SimTime{now_ns_.load(std::memory_order_relaxed)};
+  }
   void advance_to(SimTime t) noexcept {
-    if (t > now_) now_ = t;
+    if (t.ns > now_ns_.load(std::memory_order_relaxed)) {
+      now_ns_.store(t.ns, std::memory_order_relaxed);
+    }
   }
 
  private:
-  SimTime now_ = SimTime::zero();
+  std::atomic<std::int64_t> now_ns_{0};
 };
 
 }  // namespace perpos::sim

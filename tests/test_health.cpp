@@ -1,7 +1,8 @@
 // Health subsystem tests: watchdog state derivation at the PSL, reliable
 // remoting under loss, the Health channel feature at the PCL, and
 // criteria-driven provider failover at the PL — plus the chaos end-to-end
-// property test combining all failure modes.
+// property test combining all failure modes, and scrapes racing an engine
+// lane that drives all of them (run under TSan in CI).
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
@@ -9,11 +10,13 @@
 #include "perpos/core/health_state.hpp"
 #include "perpos/core/positioning.hpp"
 #include "perpos/core/watchdog.hpp"
+#include "perpos/exec/engine.hpp"
 #include "perpos/geo/distance.hpp"
 #include "perpos/health/health_feature.hpp"
 #include "perpos/health/reliable_link.hpp"
 #include "perpos/health/settings.hpp"
 #include "perpos/locmodel/fixtures.hpp"
+#include "perpos/obs/metrics.hpp"
 #include "perpos/runtime/distribution.hpp"
 #include "perpos/sensors/failure_injection.hpp"
 #include "perpos/sensors/gps_sensor.hpp"
@@ -25,8 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace core = perpos::core;
@@ -828,4 +834,127 @@ TEST_F(FailoverFixture, ReplacedProducerKeepsItsVerdictRemovedOneIsDead) {
   EXPECT_EQ(target->active_provider(), wifi_provider);
   ASSERT_EQ(switched_at.size(), 1u);
   EXPECT_LE(switched_at[0], 20.5);
+}
+
+// --- Scrapes race nothing (run under TSan in CI) -----------------------------
+
+TEST(HealthMetrics, ScrapesWhileLanesDispatchReadEachOwnersCounts) {
+  // One thread scrapes in a loop while an engine lane dispatches GPS and
+  // WiFi fixes into PL providers with failover on, the GPS fixes crossing
+  // a lossy reliable link. At the end, each series is its owner's count.
+  sim::Scheduler scheduler;
+  sim::Random random{7};
+  sim::Network network(scheduler, random);  // Outlives the graph.
+  core::ProcessingGraph graph(&scheduler.clock());
+  rt::DistributedDeployment deployment(graph, network);
+  core::ChannelManager channels(graph);
+  core::Watchdog watchdog(graph, scheduler);
+  core::PositioningService service(graph, channels);
+  graph.enable_observability();
+
+  const auto fix_source = [&graph](const char* kind) {
+    auto source = std::make_shared<core::SourceComponent>(
+        kind, std::vector<core::DataSpec>{core::provide<core::PositionFix>()});
+    return std::make_pair(source, graph.add(source));
+  };
+  const auto [gps, gps_id] = fix_source("GPS");
+  const auto [wifi, wifi_id] = fix_source("WiFi");
+  service.advertise(gps_id, {"GPS", 4.0, core::Criteria::Power::kHigh});
+  service.advertise(wifi_id, {"WiFi", 8.0, core::Criteria::Power::kLow});
+  core::Criteria criteria;
+  criteria.technology = "GPS";
+  core::LocationProvider& gps_provider = service.request_provider(criteria);
+  criteria.technology = "WiFi";
+  core::LocationProvider& wifi_provider = service.request_provider(criteria);
+  core::Target& target = service.create_target("user");
+  target.attach_provider(gps_provider);
+  target.attach_provider(wifi_provider);
+
+  const sim::HostId device = deployment.add_host("device");
+  const sim::HostId server = deployment.add_host("server");
+  const sim::LinkConfig lossy{sim::SimTime::from_millis(10), 0.2,
+                              sim::SimTime::from_millis(2)};
+  network.set_link(device, server, lossy);
+  network.set_link(server, device, lossy);
+  deployment.assign(gps_id, device);
+  for (const core::ComponentId id :
+       {wifi_id, gps_provider.sink_id(), wifi_provider.sink_id()}) {
+    deployment.assign(id, server);
+  }
+  deployment.set_link_factory(health::reliable_link_factory());
+  deployment.deploy();
+  health::ReliableEgress* egress = nullptr;
+  for (const core::ComponentId id : graph.components()) {
+    if (auto* e = graph.component_as<health::ReliableEgress>(id)) egress = e;
+  }
+  ASSERT_NE(egress, nullptr);
+
+  perpos::exec::ExecutionEngine engine(2);
+  const auto executor = engine.executor(engine.create_lane("graph"));
+  deployment.set_executor(device, executor);
+  deployment.set_executor(server, executor);
+  service.set_executor(executor);
+  service.enable_failover(watchdog);
+
+  // GPS every 0.1 s until it dies at t=10; WiFi every 0.5 s throughout.
+  for (int tick = 1; tick <= 300; ++tick) {
+    const double t = 0.1 * tick;
+    core::PositionFix fix;
+    fix.position = geo::GeoPoint{56.0, 10.0, 0.0};
+    fix.timestamp = sim::SimTime::from_seconds(t);
+    scheduler.schedule_at(fix.timestamp, [&, tick, fix] {
+      executor([&, tick, fix] {
+        if (tick <= 100) gps->push(fix);
+        if (tick % 5 == 0) wifi->push(fix);
+      });
+    });
+  }
+
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    do {
+      const perpos::obs::MetricsSnapshot snap = graph.metrics();
+      EXPECT_FALSE(perpos::obs::to_prometheus_text(snap).empty());
+    } while (!done.load());
+  });
+  engine.drive_until(scheduler, sim::SimTime::from_seconds(30.0));
+  done = true;
+  scraper.join();
+
+  EXPECT_EQ(target.active_provider(), &wifi_provider);
+  EXPECT_EQ(service.failover_transitions(), 1u);
+  EXPECT_GT(egress->retransmits(), 0u);
+  EXPECT_EQ(egress->inflight(), 0u);
+
+  const perpos::obs::MetricsSnapshot snap = graph.metrics();
+  const auto counter = [&snap](const char* name) {
+    const auto* c = snap.find_counter(name);
+    return c != nullptr ? c->value : ~0ull;
+  };
+  EXPECT_EQ(counter("perpos_reliable_link_sent_total"), egress->accepted());
+  EXPECT_EQ(counter("perpos_reliable_link_retransmits_total"),
+            egress->retransmits());
+  EXPECT_EQ(counter("perpos_reliable_link_acks_total"), egress->acked());
+  EXPECT_EQ(counter("perpos_reliable_link_giveups_total"), egress->gave_up());
+  for (const core::LocationProvider* p : {&gps_provider, &wifi_provider}) {
+    SCOPED_TRACE(p->metric_label());
+    const auto* fixes = snap.find_counter("perpos_provider_fixes_total",
+                                          "provider", p->metric_label());
+    const auto* samples = snap.find_counter("perpos_provider_samples_total",
+                                            "provider", p->metric_label());
+    const auto* health = snap.find_gauge("perpos_provider_health", "provider",
+                                         p->metric_label());
+    ASSERT_NE(fixes, nullptr);
+    ASSERT_NE(samples, nullptr);
+    ASSERT_NE(health, nullptr);
+    EXPECT_EQ(fixes->value, p->fixes());
+    EXPECT_EQ(samples->value, p->fixes());  // Every sample is a fix.
+    EXPECT_EQ(health->value,
+              static_cast<double>(service.provider_health(*p)));
+  }
+  EXPECT_EQ(gps_provider.fixes(), 100u);  // Reliable: none lost.
+  const auto* state = snap.find_gauge("perpos_health_state", "source",
+                                      "GPS#" + std::to_string(gps_id));
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->value, static_cast<double>(watchdog.state(gps_id)));
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace lm = perpos::locmodel;
 namespace core = perpos::core;
 namespace geo = perpos::geo;
@@ -50,6 +52,19 @@ struct CrossCase {
   Segment wall;
   bool crosses;
 };
+
+// Names each instance by its values ("(0,0)-(2,2) x (0,2)-(2,0): crosses"),
+// not by the struct's raw bytes, whose padding changes from run to run.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  const auto segment = [os](const Segment& s) {
+    *os << '(' << s.a.x << ',' << s.a.y << ")-(" << s.b.x << ',' << s.b.y
+        << ')';
+  };
+  segment(c.move);
+  *os << " x ";
+  segment(c.wall);
+  *os << (c.crosses ? ": crosses" : ": apart");
+}
 
 class SegmentIntersect : public ::testing::TestWithParam<CrossCase> {};
 

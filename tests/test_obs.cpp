@@ -562,6 +562,63 @@ TEST(GraphObservability, ConcurrentScrapesReadTheGraphsOwnCounts) {
   }
 }
 
+TEST(GraphObservability, MetricsSourcesSurviveReEnablesAndCountFromThem) {
+  // An owner that is not a graph entry exports its own count through the
+  // graph: read at scrape, counting from the moment metrics are switched
+  // on, registered across disable/enable, gone once its handle is.
+  core::ProcessingGraph graph;
+  auto source = make_source();
+  graph.connect(graph.add(source),
+                graph.add(std::make_shared<core::ApplicationSink>()));
+  obs::Tally events;
+  bool saw_graph_series = false;
+  obs::CollectorHandle handle =
+      graph.add_metrics_source([&](obs::MetricsSnapshot& out) {
+        saw_graph_series = out.find_counter("perpos_graph_deliveries_total");
+        out.counters.push_back({"owner_events_total", {}, events.get()});
+        out.gauges.push_back({"owner_level", {}, 7.0});
+      });
+  const auto value = [&graph]() -> std::uint64_t {
+    const obs::MetricsSnapshot snap = graph.metrics();
+    const auto* c = snap.find_counter("owner_events_total");
+    return c != nullptr ? c->value : ~0ull;
+  };
+
+  events.add(3);
+  EXPECT_TRUE(graph.metrics().empty());  // Observability off: no scrape.
+  graph.enable_observability();
+  source->push(Value{1});
+  EXPECT_EQ(value(), 0u);
+  EXPECT_TRUE(saw_graph_series);  // Sources run after the graph's series.
+  events.add(2);
+  EXPECT_EQ(value(), 2u);
+  const obs::MetricsSnapshot snap = graph.metrics();
+  const auto* level = snap.find_gauge("owner_level");
+  ASSERT_NE(level, nullptr);
+  EXPECT_DOUBLE_EQ(level->value, 7.0);
+
+  graph.disable_observability();
+  graph.enable_observability();
+  EXPECT_EQ(value(), 0u);
+  events.add();
+  EXPECT_EQ(value(), 1u);
+
+  // A source registered while metrics are on counts from its own zero.
+  obs::Tally late;
+  late.add(4);
+  const obs::CollectorHandle late_handle =
+      graph.add_metrics_source([&](obs::MetricsSnapshot& out) {
+        out.counters.push_back({"late_events_total", {}, late.get()});
+      });
+  const obs::MetricsSnapshot with_late = graph.metrics();
+  const auto* late_series = with_late.find_counter("late_events_total");
+  ASSERT_NE(late_series, nullptr);
+  EXPECT_EQ(late_series->value, 4u);
+
+  handle.reset();
+  EXPECT_EQ(value(), ~0ull);
+}
+
 TEST(GraphObservability, MutationCounterAndComponentsGauge) {
   core::ProcessingGraph graph;
   graph.enable_observability();
@@ -914,7 +971,6 @@ TEST(ProviderObservability, FixCountRateAndStaleness) {
   ASSERT_NE(fixes, nullptr);
   EXPECT_EQ(fixes->value, 5u);
 
-  service.publish_metrics();
   const obs::MetricsSnapshot snap = graph.metrics();
   const auto* providers = snap.find_gauge("perpos_service_providers");
   ASSERT_NE(providers, nullptr);
@@ -1013,8 +1069,12 @@ TEST(FlightRecorder, ConcurrentSnapshotsNeverReturnTornEvents) {
     e.set_detail("ev" + std::to_string(i));
     return e;
   };
+  // The writer starts only after the reader's first snapshot, so the loop
+  // runs at least once however the threads are scheduled.
+  std::atomic<bool> reading{false};
   std::atomic<bool> done{false};
   std::thread writer([&] {
+    while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       recorder.record(lane, event_for(i));
     }
@@ -1025,6 +1085,7 @@ TEST(FlightRecorder, ConcurrentSnapshotsNeverReturnTornEvents) {
   bool intact = true;
   while (!done.load(std::memory_order_acquire) && intact) {
     const auto events = recorder.merged_events();
+    reading.store(true, std::memory_order_release);
     ++snapshots;
     for (std::size_t k = 0; k < events.size() && intact; ++k) {
       const obs::FlightEvent want = event_for(events[k].a);

@@ -13,7 +13,9 @@
 //  - health probation: a successor going silent inside the probation
 //    window is rolled back automatically,
 //  - churn soak: repeated swap/rollback under FlakyLink traffic keeps the
-//    transcript equivalent to the no-churn run (run under TSan in CI).
+//    transcript equivalent to the no-churn run (run under TSan in CI),
+//  - metrics: the perpos_reconfig_*_total series are the reconfigurator's
+//    own counts, counted from the moment metrics are switched on.
 
 #include "perpos/core/components.hpp"
 #include "perpos/core/data_types.hpp"
@@ -29,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -422,6 +425,59 @@ TEST(Reconfig, RollbackPreservesDisplacedState) {
   EXPECT_NE(transcript.find("c#6:6;c#7:7;"), std::string::npos);
   EXPECT_NE(transcript.find("c#6:8;"), std::string::npos)
       << transcript;  // Rolled-back V1 continues at 6 on sequence 8.
+}
+
+// --- Metrics -----------------------------------------------------------------
+
+TEST(Reconfig, OutcomeSeriesReadTheReconfiguratorsCounts) {
+  ChaosRig rig(29, /*flaky=*/false);
+  rig.graph.enable_observability();
+  exec::ExecutionEngine engine(0);
+  const exec::LaneId lane = engine.create_lane();
+  reconfig::LiveReconfigurator reconf(rig.graph, engine, lane);
+
+  // (commits, rejects, aborts, rollbacks) as the registry exports them.
+  const auto series = [&rig] {
+    const obs::MetricsSnapshot snap = rig.graph.metrics();
+    std::vector<std::uint64_t> out;
+    for (const char* name :
+         {"perpos_reconfig_commits_total", "perpos_reconfig_rejects_total",
+          "perpos_reconfig_aborts_total", "perpos_reconfig_rollbacks_total"}) {
+      const auto* counter = snap.find_counter(name);
+      EXPECT_NE(counter, nullptr) << name;
+      out.push_back(counter != nullptr ? counter->value : ~0ull);
+    }
+    return out;
+  };
+  const auto own = [&reconf] {
+    return std::vector<std::uint64_t>{reconf.commits(), reconf.rejects(),
+                                      reconf.aborts(), reconf.rollbacks()};
+  };
+
+  ASSERT_TRUE(
+      reconf.replace(rig.stage_id, std::make_shared<CountingStage>("V2"))
+          .ok());
+  EXPECT_EQ(
+      reconf.replace(rig.stage_id, std::make_shared<WrongFrameStage>())
+          .outcome,
+      reconfig::SwapOutcome::kRejected);
+  EXPECT_EQ(
+      reconf.replace(rig.stage_id, std::make_shared<ExplodingRestore>())
+          .outcome,
+      reconfig::SwapOutcome::kAborted);
+  ASSERT_TRUE(reconf.rollback(0).ok());
+  EXPECT_EQ(own(), (std::vector<std::uint64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(series(), own());
+
+  // A re-enabled graph counts from the re-enable, as its own counts do.
+  rig.graph.disable_observability();
+  rig.graph.enable_observability();
+  EXPECT_EQ(series(), (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  ASSERT_TRUE(
+      reconf.replace(rig.stage_id, std::make_shared<CountingStage>("V3"))
+          .ok());
+  EXPECT_EQ(series(), (std::vector<std::uint64_t>{1, 0, 0, 0}));
+  EXPECT_EQ(reconf.commits(), 2u);
 }
 
 // --- A/B tee -----------------------------------------------------------------
